@@ -13,9 +13,9 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from .algebra import AlgebraSpec, Element
+from .algebra import AlgebraSpec, Element, Monomial
 from .errors import CapExceeded, DegreeOverflow
-from .linalg import Echelon, Vec
+from .linalg import Echelon, Vec, mat_vec
 from .scalars import CycField
 
 
@@ -29,6 +29,7 @@ class FreeSlices:
         self.field: CycField = spec.field
         self.cap = spec.degree_cap
         self._d_cols: Dict[int, List[Vec]] = {}
+        self._index: Dict[int, Dict[Monomial, int]] = {}
 
     def dim(self, k: int) -> int:
         if k < 0:
@@ -44,29 +45,19 @@ class FreeSlices:
         return Element(self.spec, k, {basis[i]: c for i, c in vec.items()}, _reduced=True)
 
     def from_element(self, elem: Element) -> Vec:
-        idx = {m: i for i, m in enumerate(self.spec.basis(elem.degree))}
+        idx = self._index.get(elem.degree)
+        if idx is None:
+            idx = {m: i for i, m in enumerate(self.spec.basis(elem.degree))}
+            self._index[elem.degree] = idx
         return {idx[m]: c for m, c in elem.terms.items()}
-
-    def d_column(self, k: int, i: int) -> Vec:
-        cols = self._d_cols.setdefault(k, [])
-        while len(cols) <= i:
-            j = len(cols)
-            cols.append(self.from_element(self.basis_element(k, j).d()))
-        return cols[i]
 
     def d_vec(self, k: int, vec: Vec) -> Vec:
         if k + 1 > self.cap:
             raise CapExceeded("differential would leave the capped range", degree=k + 1)
-        out: Vec = {}
-        for i, c in vec.items():
-            for j, v in self.d_column(k, i).items():
-                s = out.get(j)
-                s = c * v if s is None else s + c * v
-                if s.is_zero():
-                    out.pop(j, None)
-                else:
-                    out[j] = s
-        return out
+        cols = self._d_cols.setdefault(k, [])
+        for j in range(len(cols), max(vec, default=-1) + 1):
+            cols.append(self.from_element(self.basis_element(k, j).d()))
+        return mat_vec(cols, vec)
 
     def mul_vec(self, k: int, u: Vec, l: int, v: Vec) -> Vec:
         if k + l > self.cap:
@@ -105,17 +96,7 @@ class SubcomplexSlices:
         return len(self._bases.get(k, ()))
 
     def to_parent_vec(self, k: int, vec: Vec) -> Vec:
-        out: Vec = {}
-        rows = self._bases.get(k, ())
-        for j, c in vec.items():
-            for col, v in rows[j].items():
-                s = out.get(col)
-                s = c * v if s is None else s + c * v
-                if s.is_zero():
-                    out.pop(col, None)
-                else:
-                    out[col] = s
-        return out
+        return mat_vec(self._bases.get(k, ()), vec)
 
     def express(self, k: int, parent_vec: Vec) -> Vec:
         sol = self._express.get(k, Echelon(self.field)).solve(parent_vec)

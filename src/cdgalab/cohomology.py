@@ -3,16 +3,18 @@
 Representatives are canonical: the kernel basis of d is reduced against the
 reduced row-echelon form of the previous image, so golden outputs are
 reproducible bit for bit.  ``class_of`` returns coordinates in that
-representative basis, ``is_exact`` solves d(w) = z with free variables pinned
-to zero (leftmost-pivot policy), and ``integrate`` evaluates a top class
-against a declared volume monomial, scaled by the group order for rings that
-come from an invariant subcomplex.
+representative basis, ``cup`` is the bilinear sum over structure constants
+[rep_i * rep_j] that are each computed once through ``class_of``,
+``is_exact`` solves d(w) = z with free variables pinned to zero
+(leftmost-pivot policy), and ``integrate`` evaluates a top class against a
+declared volume monomial, scaled by the group order for rings that come from
+an invariant subcomplex.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from .algebra import AlgebraSpec, Element, Monomial
 from .chains import FreeSlices, SubcomplexSlices
@@ -90,6 +92,8 @@ class CohomologyRing:
         self._image: List[Echelon] = []
         self._kernel: List[Echelon] = []
         self._decomp: List[Echelon] = []
+        # (p, q) -> {(i, j): coords of [rep_i * rep_j]}, filled on first use
+        self._cup: Dict[Tuple[int, int], Dict[Tuple[int, int], Vec]] = {}
         prev_image = Echelon(self.field)
         for k in range(max_degree + 1):
             kernel, image_next = kernel_image(
@@ -151,11 +155,21 @@ class CohomologyRing:
         return CohomClass(self, degree, coords)
 
     def cup(self, u: CohomClass, v: CohomClass) -> CohomClass:
-        if u.degree + v.degree > self.max_degree:
+        """The bilinear sum of u_i v_j [rep_i rep_j] over the structure constants."""
+        p, q = u.degree, v.degree
+        if p + q > self.max_degree:
             raise DegreeOverflow("cup product lands beyond the computed range",
-                                 degree=u.degree + v.degree)
-        prod = self.slices.mul_vec(u.degree, u.rep_vec(), v.degree, v.rep_vec())
-        return self.class_of(prod, u.degree + v.degree)
+                                 degree=p + q)
+        table = self._cup.setdefault((p, q), {})
+        out: Vec = {}
+        for i, a in u.coords.items():
+            for j, b in v.coords.items():
+                c = table.get((i, j))
+                if c is None:
+                    prod = self.slices.mul_vec(p, self._reps[p][i], q, self._reps[q][j])
+                    c = table[(i, j)] = self.class_of(prod, p + q).coords
+                out = vec_add(out, c, a * b)
+        return CohomClass(self, p + q, out)
 
     def is_exact(self, z: Union[Element, Vec], degree: Optional[int] = None) -> Optional[Vec]:
         """A canonical w with d(w) = z, or None; z must be closed."""
@@ -175,9 +189,6 @@ class CohomologyRing:
         if not vec:
             return {}
         return self._image[degree].solve(vec)
-
-    def primitive_class_or_none(self, z: Vec, degree: int) -> Optional[Vec]:
-        return self.is_exact(z, degree)
 
     # -- top class and duality --------------------------------------------
 

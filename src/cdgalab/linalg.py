@@ -8,7 +8,7 @@ bases and solutions of linear systems are canonical and reproducible.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 from .scalars import CycField, CycScalar
 
@@ -34,8 +34,18 @@ def vec_scale(a: Vec, coeff: CycScalar) -> Vec:
     return {col: coeff * val for col, val in a.items()}
 
 
-def vec_eq(a: Vec, b: Vec) -> bool:
-    return a == b
+def mat_vec(cols: Sequence[Vec], vec: Vec) -> Vec:
+    """The sparse matrix with columns ``cols`` applied to ``vec``."""
+    out: Vec = {}
+    for i, c in vec.items():
+        for j, v in cols[i].items():
+            s = out.get(j)
+            s = c * v if s is None else s + c * v
+            if s.is_zero():
+                out.pop(j, None)
+            else:
+                out[j] = s
+    return out
 
 
 class Echelon:
@@ -120,9 +130,6 @@ class Echelon:
 
     def basis_rows(self):
         return [row for _, row, _ in self.rows]
-
-    def source_rows(self):
-        return [src for _, _, src in self.rows]
 
 
 def kernel_image(field: CycField, dim_src: int, apply: Callable[[int], Vec]):

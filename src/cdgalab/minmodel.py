@@ -366,25 +366,22 @@ def formality_verdict(ring: CohomologyRing, *,
                       simply_connected: bool = False,
                       budget: int = 400,
                       minimal_model_bound: Optional[int] = None) -> FormalityReport:
-    """Combine obstruction scans, the duality criterion and small-dimension facts."""
+    """Combine obstruction scans, the duality criterion and small-dimension facts.
+
+    Zero differential is checked first: every defined Massey product then has
+    zero primitives, so the scan could not find a witness.
+    """
+    if all(not ring.slices.d_vec(k, {i: ring.field.one})
+           for k in range(ring.max_degree) for i in range(ring.slices.dim(k))):
+        return FormalityReport(verdict=FORMAL, route="zero_differential",
+                               certificate={"reason": "the algebra equals its "
+                                                      "own cohomology"})
     witness = massey_scan(ring, budget=budget)
     if witness is not None:
         return FormalityReport(verdict=NOT_FORMAL, route="massey_obstruction",
                                witness=witness,
                                certificate={"kind": witness.kind,
                                             "degree": witness.degree})
-    d_zero = True
-    for k in range(ring.max_degree):
-        for i in range(ring.slices.dim(k)):
-            if ring.slices.d_vec(k, {i: ring.field.one}):
-                d_zero = False
-                break
-        if not d_zero:
-            break
-    if d_zero:
-        return FormalityReport(verdict=FORMAL, route="zero_differential",
-                               certificate={"reason": "the algebra equals its "
-                                                      "own cohomology"})
     if simply_connected and poincare_dimension is not None and poincare_dimension <= 6:
         return FormalityReport(
             verdict=FORMAL, route="low_dimension",

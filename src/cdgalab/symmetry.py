@@ -4,7 +4,8 @@ The generator of the group acts on algebra generators by homogeneous
 elements; the action extends multiplicatively.  Validation checks the chain
 condition, the exact order and compatibility with declared conjugation
 pairs.  The invariant subcomplex is cut out per degree by the averaging
-projector (the group order is invertible over Q(zeta_N)), and its cohomology
+projector (the group order is invertible over Q(zeta_N)), applied through
+the action's matrix on that degree's monomial basis, and its cohomology
 is a full :class:`~cdgalab.cohomology.CohomologyRing` over the subcomplex
 slices, so cup products, Massey products and Lefschetz tests all apply.
 """
@@ -25,7 +26,7 @@ from .errors import (
     OrderMismatch,
     ParseError,
 )
-from .linalg import Vec, kernel_image
+from .linalg import Vec, kernel_image, mat_vec, vec_add, vec_scale
 
 class GroupActionSpec:
     """A Z_m action on an AlgebraSpec, given by generator images."""
@@ -53,6 +54,8 @@ class GroupActionSpec:
                     f"action must specify an image for generator "
                     f"'{parent.generators[gi].name}'")
         self._validated = False
+        self._slices = FreeSlices(parent)
+        self._matrices: Dict[int, List[Vec]] = {}
 
     # -- applying the action -------------------------------------------
 
@@ -72,6 +75,16 @@ class GroupActionSpec:
                 piece = piece * self.images[g]
             acc = acc + piece
         return acc
+
+    def matrix(self, k: int) -> List[Vec]:
+        """Columns of rho* on the degree-k monomial basis, built once per degree."""
+        cols = self._matrices.get(k)
+        if cols is None:
+            sl = self._slices
+            cols = [sl.from_element(self._apply_once(sl.basis_element(k, i)))
+                    for i in range(sl.dim(k))]
+            self._matrices[k] = cols
+        return cols
 
     # -- validation -----------------------------------------------------
 
@@ -123,30 +136,21 @@ def action_validate(act: GroupActionSpec) -> GroupActionSpec:
     return act.validate()
 
 
-def action_matrix(act: GroupActionSpec, slices: FreeSlices, k: int, power: int = 1):
-    """Columns of rho*^power on the degree-k slice."""
-    cols: List[Vec] = []
-    for i in range(slices.dim(k)):
-        e = slices.basis_element(k, i)
-        cols.append(slices.from_element(act.apply(e, power)))
-    return cols
+def _orbit_sum(act: GroupActionSpec, k: int, vec: Vec) -> Vec:
+    """sum_{j < m} rho*^j vec, for a vector on the degree-k monomial basis."""
+    rho = act.matrix(k)
+    acc = img = vec
+    for _ in range(act.order - 1):
+        img = mat_vec(rho, img)
+        acc = vec_add(acc, img)
+    return acc
 
 
 def averaging_projector(act: GroupActionSpec, slices: FreeSlices, k: int) -> List[Vec]:
     """Columns of P = (1/m) sum_j rho*^j on the degree-k slice."""
-    m = act.order
-    field = slices.field
-    inv_m = field.rational(Fraction(1, m))
-    cols: List[Vec] = [{} for _ in range(slices.dim(k))]
-    for i in range(slices.dim(k)):
-        e = slices.basis_element(k, i)
-        acc = e
-        img = e
-        for _ in range(m - 1):
-            img = act._apply_once(img)
-            acc = acc + img
-        cols[i] = {j: inv_m * c for j, c in slices.from_element(acc).items()}
-    return cols
+    inv_m = slices.field.rational(Fraction(1, act.order))
+    return [vec_scale(_orbit_sum(act, k, {i: slices.field.one}), inv_m)
+            for i in range(slices.dim(k))]
 
 
 def invariant_complex(act: GroupActionSpec, max_degree: Optional[int] = None) -> SubcomplexSlices:
@@ -188,18 +192,9 @@ def invariant_cohomology(act: GroupActionSpec, max_degree: int,
 def fixed_subspace_of_cohomology(act: GroupActionSpec, ring: CohomologyRing, k: int):
     """Basis of the rho*-fixed subspace of H^k(parent), in rep coordinates."""
     field = ring.field
-    m = act.order
-    inv_m = field.rational(Fraction(1, m))
-    cols: List[Vec] = []
-    for j in range(ring.betti[k]):
-        rep = ring.slices.to_element(k, ring.reps(k)[j])
-        acc = rep
-        img = rep
-        for _ in range(m - 1):
-            img = act._apply_once(img)
-            acc = acc + img
-        avg = acc.scale(inv_m)
-        cols.append(ring.class_of(avg).coords)
+    inv_m = field.rational(Fraction(1, act.order))
+    cols = [ring.class_of(vec_scale(_orbit_sum(act, k, rep), inv_m), k).coords
+            for rep in ring.reps(k)]
 
     # fixed classes = kernel of (P - I) on H^k, with P the averaged action
     def apply(j):
@@ -216,18 +211,8 @@ def fixed_subspace_of_cohomology(act: GroupActionSpec, ring: CohomologyRing, k: 
 
 def burnside_invariant_dimension(act: GroupActionSpec, k: int) -> Fraction:
     """(1/m) sum_j trace(rho*^j) on the degree-k slice; must be a nonneg integer."""
-    spec = act.parent
-    slices = FreeSlices(spec)
-    m = act.order
-    total = spec.field.zero
-    for j in range(m):
-        tr = spec.field.zero
-        for i in range(slices.dim(k)):
-            e = slices.basis_element(k, i)
-            img = slices.from_element(act.apply(e, j))
-            c = img.get(i)
-            if c is not None:
-                tr = tr + c
-        total = total + tr
-    avg = total * spec.field.rational(Fraction(1, m))
-    return avg.rational_value()
+    field = act.parent.field
+    total = field.zero
+    for i in range(len(act.matrix(k))):
+        total = total + _orbit_sum(act, k, {i: field.one}).get(i, field.zero)
+    return (total * field.rational(Fraction(1, act.order))).rational_value()

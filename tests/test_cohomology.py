@@ -95,10 +95,12 @@ def test_cup_independent_of_representative():
     u = H.class_of(spec.element([(1, ("mu", "mubar"))]))
     v = H.class_of(spec.element([(1, ("nu", "theta"))]))
     base = H.cup(u, v)
-    # shift the representative of u by an exact element
-    shifted = H.class_of(spec.element([(1, ("mu", "mubar"))]) + spec.gen("theta").d())
-    assert shifted == u
-    assert H.cup(shifted, v) == base
+    # shift the representative of u by an exact element and multiply the
+    # shifted representative itself
+    shifted = H.slices.from_element(
+        spec.element([(1, ("mu", "mubar"))]) + spec.gen("theta").d())
+    assert H.class_of(shifted, 2) == u
+    assert H.class_of(H.slices.mul_vec(2, shifted, 2, v.rep_vec()), 4) == base
 
 
 def test_poincare_pairing_heis6():

@@ -124,6 +124,18 @@ def test_zero_differential_is_formal():
     assert verdict.route == "zero_differential"
 
 
+def test_zero_differential_is_decided_before_the_massey_scan(monkeypatch):
+    import cdgalab.minmodel
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("massey_scan ran on a ring with d = 0")
+    monkeypatch.setattr(cdgalab.minmodel, "massey_scan", refuse)
+    for name, params, dim in (("T6", {}, 6), ("CPN", {"m": 3}, 6)):
+        bundle = preset(name, **params)
+        verdict = formality_verdict(cohomology(bundle.spec, dim), poincare_dimension=dim)
+        assert (verdict.verdict, verdict.route) == (FORMAL, "zero_differential")
+
+
 def test_orbifold6_formal_by_low_dimension():
     bundle = preset("HEIS6_Z6")
     ring = invariant_cohomology(bundle.action, 6)

@@ -32,10 +32,30 @@ from cdgalab import cli, models  # noqa: E402
 PRESETS = [(name, {}) for name in models.FIXED_PRESETS] + [
     ("CPN", {"m": 3}), ("SASAKI_CPN_S2", {"n": 4})]
 
-README_SELECTIONS = [
-    ("SASAKI7_S2CUBE", ["massey", "--select", "a1", "--select", "a1", "--select", "a2"]),
+SPHERE2_FILE = str(ROOT / "src" / "cdgalab" / "presets" / "SPHERE2.json")
+
+
+def _select(*names: str) -> List[str]:
+    return [arg for name in names for arg in ("--select", name)]
+
+
+# Selections on named presets: the README's examples, then the document
+# commands (circle-bundle, tensor) and order-4 Massey products.
+SELECTIONS = [
+    ("SASAKI7_S2CUBE", ["massey"] + _select("a1", "a1", "a2")),
     ("HEIS8_Z3", ["amassey", "--a", "a", "--b", "b1", "--b", "b2", "--b", "b3"]),
     ("HEIS6_Z6", ["lefschetz", "--omega", "omega", "--half-dim", "3"]),
+    ("T6", ["higher-massey"] + _select("a1", "a1", "a1", "a1")),
+    ("HEIS6_Z6", ["higher-massey"] + _select("beta", "beta", "beta", "beta")),
+    ("SASAKI7_S2CUBE", ["higher-massey"] + _select("a1", "a1", "a1", "a2")),
+    ("HEIS8_Z3", ["higher-massey"] + _select("a", "b1", "b2", "b3")),
+    ("SPHERE2", ["circle-bundle", "--euler", "a"]),
+    ("T6", ["circle-bundle", "--euler", "omega"]),
+    ("HEIS6_Z6", ["circle-bundle", "--euler", "omega"]),
+    ("HEIS8", ["circle-bundle", "--euler", "omega"]),
+    ("T6", ["tensor", "--with", SPHERE2_FILE]),
+    ("HEIS6_Z6", ["tensor", "--with", SPHERE2_FILE]),
+    ("SPHERE2", ["tensor", "--with", SPHERE2_FILE]),
 ]
 
 VERIFY_ARGV = ["verify-paper", "--cases", "50", "--verbose"]
@@ -52,7 +72,7 @@ def cases() -> List[Tuple[str, dict, List[str]]]:
         doc = models.preset_document(name, **params)
         dim = str(doc["dim"])
         ring_cmd = "invariants" if doc.get("action") else "cohomology"
-        cmds = [[ring_cmd], [ring_cmd, "--pairing", dim]]
+        cmds = [["validate"], [ring_cmd], [ring_cmd, "--pairing", dim]]
         if doc.get("action"):
             cmds.append(["invariants", "--total"])
         cmds += [["formality", "--poincare-dim", dim],
@@ -60,10 +80,16 @@ def cases() -> List[Tuple[str, dict, List[str]]]:
                  ["minimal-model", "--bound", "3"]]
         for cmd in cmds:
             out.append((_label(name, params), doc, cmd))
-    for name, cmd in README_SELECTIONS:
+    for name, cmd in SELECTIONS:
         out.append((name, models.preset_document(name), cmd))
-    return [(f"{label}__{'_'.join(a.lstrip('-') for a in cmd)}", doc, cmd)
+    return [(f"{label}__{'_'.join(_arg_label(a) for a in cmd)}", doc, cmd)
             for label, doc, cmd in out]
+
+
+def _arg_label(arg: str) -> str:
+    # A document path is named by its file stem, so case names do not
+    # depend on where the checkout lives.
+    return Path(arg).stem if arg.endswith(".json") else arg.lstrip("-")
 
 
 def run_cli(argv: List[str], stdin_text: str = "") -> Tuple[int, str, str]:

@@ -116,3 +116,7 @@ class EulerBadDegree(CdgaError):
 
 class FieldMismatch(CdgaError):
     code = "FIELD_MISMATCH"
+
+
+class ModulusTooLarge(CdgaError):
+    code = "MODULUS_TOO_LARGE"

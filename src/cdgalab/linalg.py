@@ -15,17 +15,21 @@ from .scalars import CycField, CycScalar
 Vec = dict
 
 
-def vec_add(a: Vec, b: Vec, coeff: Optional[CycScalar] = None) -> Vec:
-    out = dict(a)
+def vec_iadd(acc: Vec, b: Vec, coeff: Optional[CycScalar] = None) -> Vec:
+    """acc += coeff * b in place (coeff None means 1), dropping zero entries."""
     for col, val in b.items():
         v = val if coeff is None else coeff * val
-        cur = out.get(col)
+        cur = acc.get(col)
         s = v if cur is None else cur + v
         if s.is_zero():
-            out.pop(col, None)
+            acc.pop(col, None)
         else:
-            out[col] = s
-    return out
+            acc[col] = s
+    return acc
+
+
+def vec_add(a: Vec, b: Vec, coeff: Optional[CycScalar] = None) -> Vec:
+    return vec_iadd(dict(a), b, coeff)
 
 
 def vec_scale(a: Vec, coeff: CycScalar) -> Vec:
@@ -38,13 +42,7 @@ def mat_vec(cols: Sequence[Vec], vec: Vec) -> Vec:
     """The sparse matrix with columns ``cols`` applied to ``vec``."""
     out: Vec = {}
     for i, c in vec.items():
-        for j, v in cols[i].items():
-            s = out.get(j)
-            s = c * v if s is None else s + c * v
-            if s.is_zero():
-                out.pop(j, None)
-            else:
-                out[j] = s
+        vec_iadd(out, cols[i], c)
     return out
 
 
@@ -60,57 +58,53 @@ class Echelon:
 
     def __init__(self, field: CycField):
         self.field = field
-        self.rows: list = []  # (pivot col, row vec, source vec)
-        self._pivot_index: dict = {}
+        self._rows: dict = {}  # pivot col -> (row vec, source vec)
 
     @property
     def rank(self) -> int:
-        return len(self.rows)
+        return len(self._rows)
 
     def pivots(self):
-        return [p for p, _, _ in self.rows]
+        return sorted(self._rows)
 
     def reduce(self, row: Vec, source: Optional[Vec] = None):
-        """Eliminate all pivot coordinates; returns (residual, source residual)."""
+        """Eliminate all pivot coordinates; returns (residual, source residual).
+
+        Stored rows are fully reduced, so eliminating one pivot never brings
+        in another: each pivot column of the input is cleared exactly once,
+        in ascending order, with the input's own coefficient.
+        """
         row = dict(row)
         src = dict(source) if source is not None else None
-        # Iterate pivots in ascending order so elimination is deterministic.
-        while True:
-            hit = None
-            for col in row:
-                idx = self._pivot_index.get(col)
-                if idx is not None and (hit is None or col < hit[0]):
-                    hit = (col, idx)
-            if hit is None:
-                break
-            col, idx = hit
-            _, prow, psrc = self.rows[idx]
+        rows = self._rows
+        for col in sorted(col for col in row if col in rows):
+            prow, psrc = rows[col]
             c = -row[col]
-            row = vec_add(row, prow, c)
+            vec_iadd(row, prow, c)
             if src is not None and psrc is not None:
-                src = vec_add(src, psrc, c)
+                vec_iadd(src, psrc, c)
         return row, src
 
     def add(self, row: Vec, source: Optional[Vec] = None) -> bool:
         """Insert a row; returns True if rank grew."""
-        row, src = self.reduce(row, source)
+        return self._insert(*self.reduce(row, source))
+
+    def _insert(self, row: Vec, src: Optional[Vec]) -> bool:
         if not row:
             return False
         pivot = min(row)
         inv = row[pivot].inverse()
         row = vec_scale(row, inv)
+        row[pivot] = self.field.one
         if src is not None:
             src = vec_scale(src, inv)
         # Back-substitute into existing rows to keep the basis fully reduced.
-        for i, (p, prow, psrc) in enumerate(self.rows):
+        for p, (prow, psrc) in self._rows.items():
             c = prow.get(pivot)
             if c is not None:
-                nrow = vec_add(prow, row, -c)
                 nsrc = vec_add(psrc, src, -c) if (psrc is not None and src is not None) else psrc
-                self.rows[i] = (p, nrow, nsrc)
-        self.rows.append((pivot, row, src))
-        self.rows.sort(key=lambda r: r[0])
-        self._pivot_index = {p: i for i, (p, _, _) in enumerate(self.rows)}
+                self._rows[p] = (vec_add(prow, row, -c), nsrc)
+        self._rows[pivot] = (row, src)
         return True
 
     def contains(self, row: Vec) -> bool:
@@ -129,7 +123,7 @@ class Echelon:
         return {k: -v for k, v in src.items()} if src else {}
 
     def basis_rows(self):
-        return [row for _, row, _ in self.rows]
+        return [self._rows[p][0] for p in sorted(self._rows)]
 
 
 def kernel_image(field: CycField, dim_src: int, apply: Callable[[int], Vec]):
@@ -144,15 +138,11 @@ def kernel_image(field: CycField, dim_src: int, apply: Callable[[int], Vec]):
     kernel = Echelon(field)
     one = field.one
     for i in range(dim_src):
-        col = apply(i)
-        grew = image.add(col, source={i: one})
-        if not grew:
-            src = image.solve(col)
-            combo = dict(src) if src else {}
-            cur = combo.get(i, field.zero) - one
-            if cur.is_zero():
-                combo.pop(i, None)
-            else:
-                combo[i] = cur
-            kernel.add(combo)
+        residual, src = image.reduce(apply(i), source={i: one})
+        if not image._insert(residual, src):
+            # The column reduced to zero, so src = e_i - (its preimage) is a
+            # kernel vector, on the line of preimage - e_i; moving i last
+            # gives it that vector's column order.
+            src[i] = src.pop(i)
+            kernel.add(src)
     return kernel, image

@@ -1,13 +1,16 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_N).
 
-Elements are residues modulo the N-th cyclotomic polynomial Phi_N, stored as
-tuples of ``Fraction`` coefficients of length phi(N) in the power basis
-1, zeta, ..., zeta^{phi(N)-1}.  Reduction mod Phi_N is the canonical form, so
-equality is a coefficient comparison.  All operations are exact; nothing is
-ever rounded.
+Elements are residues modulo the N-th cyclotomic polynomial Phi_N in the
+power basis 1, zeta, ..., zeta^{phi(N)-1}, stored as a tuple of phi(N) integer
+numerators over one positive integer denominator.  The form is canonical:
+numerators and denominator share no factor, and zero is (0, ..., 0)/1, so
+equality is a comparison of integers.  Phi_N is monic over Z, so reduction
+mod Phi_N stays integral: a product is an integer convolution, a reduction
+and one gcd.  All operations are exact; nothing is ever rounded.
 
 Fields are interned per modulus (``CycField.get(N)``) and every value is
-immutable, so scalars can be shared freely.
+immutable, so scalars can be shared freely.  A modulus above ``MAX_MODULUS``
+is refused before any field data is computed.
 """
 
 from __future__ import annotations
@@ -17,46 +20,27 @@ from functools import lru_cache
 from math import gcd
 from typing import Sequence
 
-from .errors import FieldMismatch, ParseError
+from .errors import FieldMismatch, ModulusTooLarge, ParseError
 
-Q0 = Fraction(0)
-Q1 = Fraction(1)
+# Largest accepted cyclotomic modulus.  The presets use at most 12; the cap
+# keeps a hostile document from building Phi_N for an enormous N.
+MAX_MODULUS = 1000
 
 
 def euler_phi(n: int) -> int:
     return sum(1 for k in range(1, n + 1) if gcd(k, n) == 1)
 
 
-def _poly_trim(p: list) -> list:
-    while p and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def _poly_mul(a: Sequence, b: Sequence) -> list:
-    out = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, x in enumerate(a):
-        if x == 0:
-            continue
-        for j, y in enumerate(b):
-            if y != 0:
-                out[i + j] += x * y
-    return _poly_trim(out)
-
-
-def _poly_divmod_exact(num: Sequence, den: Sequence) -> list:
-    """Exact quotient of integer polynomials known to divide evenly."""
+def _div_monic(num: Sequence, den: Sequence) -> list:
+    """Exact quotient of integer polynomials, ``den`` monic."""
     num = list(num)
-    q = [0] * (len(num) - len(den) + 1)
+    m = len(den) - 1
+    q = [0] * (len(num) - m)
     for k in range(len(q) - 1, -1, -1):
-        c = num[k + len(den) - 1]
-        if c % den[-1] != 0:
-            raise ArithmeticError("non-exact cyclotomic division")
-        c //= den[-1]
-        q[k] = c
+        c = q[k] = num[k + m]
         if c:
-            for j, d in enumerate(den):
-                num[k + j] -= c * d
+            for j, t in enumerate(den):
+                num[k + j] -= c * t
     if any(num):
         raise ArithmeticError("non-exact cyclotomic division")
     return q
@@ -64,46 +48,36 @@ def _poly_divmod_exact(num: Sequence, den: Sequence) -> list:
 
 @lru_cache(maxsize=None)
 def cyclotomic_poly(n: int) -> tuple:
-    """Integer coefficients of Phi_n, little-endian."""
-    if n == 1:
-        return (-1, 1)
-    num = [0] * (n + 1)
-    num[0], num[n] = -1, 1
-    den = [1]
+    """Integer coefficients of Phi_n, little-endian: x^n - 1 over every Phi_d, d | n, d < n."""
+    num = [-1] + [0] * (n - 1) + [1]
     for d in range(1, n):
         if n % d == 0:
-            den = _poly_mul(den, cyclotomic_poly(d))
-    return tuple(_poly_divmod_exact(num, den))
+            num = _div_monic(num, cyclotomic_poly(d))
+    return tuple(num)
 
 
 class CycField:
-    """The field Q(zeta_N), with precomputed reduction data."""
+    """The field Q(zeta_N), with the reduction data of the monic Phi_N."""
 
     _cache: dict = {}
 
     def __new__(cls, modulus: int):
-        if modulus < 1:
-            raise ParseError("cyclotomic modulus must be a positive integer", modulus=modulus)
         if modulus in cls._cache:
             return cls._cache[modulus]
+        if modulus < 1:
+            raise ParseError("cyclotomic modulus must be a positive integer", modulus=modulus)
+        if modulus > MAX_MODULUS:
+            raise ModulusTooLarge("cyclotomic modulus exceeds the supported limit",
+                                  modulus=modulus, limit=MAX_MODULUS)
         self = super().__new__(cls)
         self.modulus = modulus
         phi = cyclotomic_poly(modulus)
         self.degree = len(phi) - 1
-        # x^k mod Phi_N for k up to 2*(degree-1); row k holds the residue.
-        rows = [[Q0] * self.degree for _ in range(2 * self.degree - 1)]
-        for k in range(self.degree):
-            rows[k][k] = Q1
-        top = [Fraction(-c, phi[-1]) for c in phi[:-1]]
-        for k in range(self.degree, 2 * self.degree - 1):
-            prev = rows[k - 1]
-            shifted = [Q0] + prev[:-1]
-            lead = prev[-1]
-            if lead:
-                shifted = [shifted[i] + lead * top[i] for i in range(self.degree)]
-            rows[k] = shifted
-        self._reduction = tuple(tuple(r) for r in rows)
-        self.zero = CycScalar(self, (Q0,) * self.degree)
+        # zeta^degree = sum of t * zeta^j over these (j, t): the low terms of -Phi_N.
+        self._tail = tuple((j, -c) for j, c in enumerate(phi[:-1]) if c)
+        # Exponents of the Galois automorphisms zeta -> zeta^k other than the identity.
+        self._units = tuple(k for k in range(2, modulus) if gcd(k, modulus) == 1)
+        self.zero = CycScalar(self, (0,) * self.degree, 1)
         self.one = self.rational(1)
         cls._cache[modulus] = self
         return self
@@ -113,63 +87,80 @@ class CycField:
         return CycField(modulus)
 
     def rational(self, value) -> "CycScalar":
-        coeffs = [Q0] * self.degree
-        coeffs[0] = Fraction(value)
-        return CycScalar(self, tuple(coeffs))
+        if value.__class__ is int:
+            num, den = value, 1
+        else:
+            if value.__class__ is not Fraction:
+                value = Fraction(value)
+            num, den = value.numerator, value.denominator
+        return CycScalar(self, (num,) + (0,) * (self.degree - 1), den)
 
     def zeta(self, power: int = 1) -> "CycScalar":
         power %= self.modulus
-        poly = [Q0] * (power + 1)
-        poly[power] = Q1
-        return self.from_poly(poly)
+        poly = [0] * (power + 1)
+        poly[power] = 1
+        return _make(self, _reduce(self, poly), 1)
 
     def from_poly(self, poly: Sequence) -> "CycScalar":
         """Canonical reduction of a polynomial in zeta_N (little-endian)."""
-        coeffs = [Q0] * self.degree
-        for k, c in enumerate(poly):
-            c = Fraction(c)
-            if c == 0:
-                continue
-            k %= self.modulus
-            if k < self.degree:
-                coeffs[k] += c
-            else:
-                row = self._residue(k)
-                for i in range(self.degree):
-                    if row[i]:
-                        coeffs[i] += c * row[i]
-        return CycScalar(self, tuple(coeffs))
-
-    def _residue(self, k: int) -> tuple:
-        # Residue of x^k mod Phi_N for k < modulus; extend the table on demand.
-        if k < len(self._reduction):
-            return self._reduction[k]
-        rows = list(self._reduction)
-        phi = cyclotomic_poly(self.modulus)
-        top = [Fraction(-c, phi[-1]) for c in phi[:-1]]
-        while len(rows) <= k:
-            prev = rows[-1]
-            shifted = [Q0] + list(prev[:-1])
-            lead = prev[-1]
-            if lead:
-                shifted = [shifted[i] + lead * top[i] for i in range(self.degree)]
-            rows.append(tuple(shifted))
-        self._reduction = tuple(rows)
-        return self._reduction[k]
+        fracs = [Fraction(c) for c in poly]
+        den = 1
+        for c in fracs:
+            den = lcm(den, c.denominator)
+        # zeta^N = 1, so exponents fold mod N before the division by Phi_N.
+        folded = [0] * min(len(fracs), self.modulus)
+        for k, c in enumerate(fracs):
+            if c:
+                folded[k % self.modulus] += c.numerator * (den // c.denominator)
+        return _make(self, _reduce(self, folded), den)
 
     def __repr__(self):
         return f"CycField({self.modulus})"
 
 
+def _reduce(field: CycField, poly: list) -> list:
+    """The integer polynomial ``poly`` mod Phi_N, in place, padded to the degree."""
+    d = field.degree
+    tail = field._tail
+    for k in range(len(poly) - 1, d - 1, -1):
+        c = poly[k]
+        if c:
+            base = k - d
+            for j, t in tail:
+                poly[base + j] += c * t
+    if len(poly) < d:
+        poly.extend([0] * (d - len(poly)))
+    del poly[d:]
+    return poly
+
+
+def _make(field: CycField, num: list, den: int) -> "CycScalar":
+    """The scalar num/den in canonical form: one gcd pass, positive denominator."""
+    g = gcd(den, *num)
+    if den < 0:
+        g = -g
+    if g != 1:
+        num = [x // g for x in num]
+        den //= g
+    return CycScalar(field, tuple(num), den)
+
+
 class CycScalar:
-    """An element of Q(zeta_N) in canonical form."""
+    """An element of Q(zeta_N): integer numerators ``num`` over ``den``."""
 
-    __slots__ = ("field", "coeffs", "_hash")
+    __slots__ = ("field", "num", "den", "_hash")
 
-    def __init__(self, field: CycField, coeffs: tuple):
+    def __init__(self, field: CycField, num: tuple, den: int):
         self.field = field
-        self.coeffs = coeffs
+        self.num = num
+        self.den = den
         self._hash = None
+
+    @property
+    def coeffs(self) -> tuple:
+        """The power-basis coefficients as Fractions."""
+        den = self.den
+        return tuple(Fraction(n, den) for n in self.num)
 
     def _check(self, other: "CycScalar"):
         if self.field is not other.field:
@@ -180,14 +171,23 @@ class CycScalar:
             )
 
     def __add__(self, other):
-        other = _coerce(other, self.field)
-        self._check(other)
-        return CycScalar(self.field, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        if other.__class__ is not CycScalar:
+            other = _coerce(other, self.field)
+        field = self.field
+        if other.field is not field:
+            self._check(other)
+        da, db = self.den, other.den
+        if da == db:
+            num = [x + y for x, y in zip(self.num, other.num)]
+            if da == 1:
+                return CycScalar(field, tuple(num), 1)
+            return _make(field, num, da)
+        return _make(field, [x * db + y * da for x, y in zip(self.num, other.num)], da * db)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CycScalar(self.field, tuple(-a for a in self.coeffs))
+        return CycScalar(self.field, tuple(-x for x in self.num), self.den)
 
     def __sub__(self, other):
         return self + (-_coerce(other, self.field))
@@ -196,45 +196,48 @@ class CycScalar:
         return _coerce(other, self.field) - self
 
     def __mul__(self, other):
-        other = _coerce(other, self.field)
-        self._check(other)
-        d = self.field.degree
-        out = [Q0] * d
-        red = self.field._reduction
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b == 0:
-                    continue
-                k = i + j
-                c = a * b
-                if k < d:
-                    out[k] += c
-                else:
-                    row = red[k]
-                    for t in range(d):
-                        if row[t]:
-                            out[t] += c * row[t]
-        return CycScalar(self.field, tuple(out))
+        if other.__class__ is not CycScalar:
+            other = _coerce(other, self.field)
+        field = self.field
+        if other.field is not field:
+            self._check(other)
+        a, b = self.num, other.num
+        den = self.den * other.den
+        # A rational factor (always, when phi(N) = 1) scales the other one.
+        if not any(b[1:]):
+            if not any(a[1:]):
+                num = a[0] * b[0]
+                g = gcd(num, den)
+                return CycScalar(field, (num // g,) + a[1:], den // g)
+            a, b = b, a
+        if not any(a[1:]):
+            c = a[0]
+            return _make(field, [c * y for y in b], den)
+        out = [0] * (2 * field.degree - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    if y:
+                        out[i + j] += x * y
+        return _make(field, _reduce(field, out), den)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "CycScalar":
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero cyclotomic scalar")
-        # Extended Euclid in Q[x] against Phi_N.
-        phi = [Fraction(c) for c in cyclotomic_poly(self.field.modulus)]
-        r0, r1 = phi, _poly_trim(list(self.coeffs))
-        s0, s1 = [], [Q1]
-        while True:
-            r1 = _poly_trim(r1)
-            if len(r1) == 1:
-                inv = [c / r1[0] for c in s1]
-                return self.field.from_poly(inv)
-            q, rem = _qpoly_divmod(r0, r1)
-            r0, r1 = r1, rem
-            s0, s1 = s1, _qpoly_sub(s0, _poly_mul(q, s1))
+        field = self.field
+        if self.is_rational():
+            num, den = self.num[0], self.den
+            if num < 0:
+                num, den = -num, -den
+            return CycScalar(field, (den,) + self.num[1:], num)
+        # 1/a = (product of the other Galois conjugates of a) / N(a), N(a) rational.
+        rest = field.one
+        for k in field._units:
+            rest = rest * self._galois(k)
+        norm = self * rest
+        return _make(field, [x * norm.den for x in rest.num], rest.den * norm.num[0])
 
     def __truediv__(self, other):
         other = _coerce(other, self.field)
@@ -243,14 +246,18 @@ class CycScalar:
     def __rtruediv__(self, other):
         return _coerce(other, self.field) / self
 
+    def _galois(self, k: int) -> "CycScalar":
+        """Image under the automorphism zeta_N -> zeta_N^k, k prime to N."""
+        n = self.field.modulus
+        poly = [0] * n
+        for i, c in enumerate(self.num):
+            if c:
+                poly[i * k % n] += c
+        return _make(self.field, _reduce(self.field, poly), self.den)
+
     def conj(self) -> "CycScalar":
         """Image under zeta_N -> zeta_N^{N-1} (complex conjugation)."""
-        n = self.field.modulus
-        poly = [Q0] * n
-        for k, c in enumerate(self.coeffs):
-            if c != 0:
-                poly[(k * (n - 1)) % n] += c
-        return self.field.from_poly(poly)
+        return self._galois(self.field.modulus - 1)
 
     def embed(self, modulus: int) -> "CycScalar":
         """Re-express in Q(zeta_M) via zeta_N -> zeta_M^{M/N}; requires N | M."""
@@ -260,11 +267,11 @@ class CycScalar:
                              source=n, target=modulus)
         target = CycField.get(modulus)
         step = modulus // n
-        poly = [Q0] * ((self.field.degree - 1) * step + 1 or 1)
-        for k, c in enumerate(self.coeffs):
-            if c != 0:
+        poly = [0] * ((self.field.degree - 1) * step + 1)
+        for k, c in enumerate(self.num):
+            if c:
                 poly[k * step] += c
-        return target.from_poly(poly)
+        return _make(target, _reduce(target, poly), self.den)
 
     def real_part(self) -> "CycScalar":
         return (self + self.conj()) * self.field.rational(Fraction(1, 2))
@@ -273,22 +280,22 @@ class CycScalar:
         return self == self.conj()
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.num)
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.num[1:])
 
     def rational_value(self) -> Fraction:
         if not self.is_rational():
             raise ParseError("scalar is not rational", coeffs=[str(c) for c in self.coeffs])
-        return self.coeffs[0]
+        return Fraction(self.num[0], self.den)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = self.field.rational(other)
         if not isinstance(other, CycScalar):
             return NotImplemented
-        return self.field is other.field and self.coeffs == other.coeffs
+        return self.field is other.field and self.num == other.num and self.den == other.den
 
     def __hash__(self):
         if self._hash is None:
@@ -324,24 +331,6 @@ def _coerce(value, field: CycField) -> CycScalar:
     if isinstance(value, (int, Fraction)):
         return field.rational(value)
     raise TypeError(f"cannot coerce {type(value).__name__} into {field!r}")
-
-
-def _qpoly_divmod(a: list, b: list):
-    a = list(a)
-    q = [Q0] * max(len(a) - len(b) + 1, 0)
-    for k in range(len(q) - 1, -1, -1):
-        c = a[k + len(b) - 1] / b[-1]
-        q[k] = c
-        if c:
-            for j, d in enumerate(b):
-                a[k + j] -= c * d
-    return _poly_trim(q), _poly_trim(a)
-
-
-def _qpoly_sub(a: list, b: list) -> list:
-    n = max(len(a), len(b))
-    out = [(a[i] if i < len(a) else Q0) - (b[i] if i < len(b) else Q0) for i in range(n)]
-    return _poly_trim(out)
 
 
 def lcm(a: int, b: int) -> int:

@@ -135,10 +135,8 @@ def _reduce(field: CycField, poly: list) -> list:
 
 
 def _make(field: CycField, num: list, den: int) -> "CycScalar":
-    """The scalar num/den in canonical form: one gcd pass, positive denominator."""
+    """The scalar num/den (den > 0) in canonical form, by one gcd pass."""
     g = gcd(den, *num)
-    if den < 0:
-        g = -g
     if g != 1:
         num = [x // g for x in num]
         den //= g
@@ -178,10 +176,7 @@ class CycScalar:
             self._check(other)
         da, db = self.den, other.den
         if da == db:
-            num = [x + y for x, y in zip(self.num, other.num)]
-            if da == 1:
-                return CycScalar(field, tuple(num), 1)
-            return _make(field, num, da)
+            return _make(field, [x + y for x, y in zip(self.num, other.num)], da)
         return _make(field, [x * db + y * da for x, y in zip(self.num, other.num)], da * db)
 
     __radd__ = __add__
@@ -232,7 +227,8 @@ class CycScalar:
             if num < 0:
                 num, den = -num, -den
             return CycScalar(field, (den,) + self.num[1:], num)
-        # 1/a = (product of the other Galois conjugates of a) / N(a), N(a) rational.
+        # 1/a = (product of the other Galois conjugates of a) / N(a).  For
+        # N > 2 the conjugates pair off into |sigma(a)|^2, so N(a) > 0.
         rest = field.one
         for k in field._units:
             rest = rest * self._galois(k)

@@ -74,6 +74,20 @@ def test_validation_error_exit_1():
     assert diag["error"] == "D2_NONZERO"
 
 
+def test_huge_modulus_exit_1():
+    doc = json.loads(run(["preset", "T6"]).stdout)
+    literal = {"zeta": 10**12, "poly": ["0", "1"]}
+    docs = [dict(doc, algebra=dict(doc["algebra"], zeta=10**12)),
+            dict(doc, algebra=dict(doc["algebra"], differential={
+                "x1": [{"coeff": literal, "monomial": ["x2", "x3"]}]}))]
+    for bad in docs:
+        out = run(["cohomology"], stdin=json.dumps(bad))
+        assert out.returncode == 1
+        diag = json.loads(out.stderr)
+        assert diag["error"] == "MODULUS_TOO_LARGE"
+        assert diag["details"]["modulus"] == 10**12
+
+
 def test_formality_strict_unknown_exit_2():
     # with the scan budget at zero the nilmanifold's nonzero product is never
     # found; the canonical-split refutation is only evidence, so the verdict

@@ -1,0 +1,148 @@
+"""Echelon and kernel_image against dense Gauss-Jordan elimination.
+
+The reference works on dense lists of Fraction coefficient tuples, with the
+Fraction arithmetic of tests/test_scalar_oracle.py, over Q and Q(zeta_3).
+Random sparse matrices get forced dependent columns (random combinations of
+other columns), so kernels are never trivial by accident.  Pivots, basis
+rows, solutions and kernel rows must agree exactly: the reduced row-echelon
+form of a row space is unique, and so is the solution supported on the
+pivot columns.
+"""
+
+from fractions import Fraction
+
+from hypothesis import given, settings, strategies as st
+
+from cdgalab.linalg import Echelon, kernel_image
+from cdgalab.scalars import CycField
+from test_scalar_oracle import ref_add, ref_from_poly, ref_inverse, ref_mul, ref_neg
+
+
+def ref_rref(n: int, rows: list, ncols: int):
+    """(pivot columns, nonzero rows) of the reduced row-echelon form."""
+    m = [list(r) for r in rows]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        hit = next((i for i in range(r, len(m)) if any(m[i][c])), None)
+        if hit is None:
+            continue
+        m[r], m[hit] = m[hit], m[r]
+        inv = ref_inverse(n, m[r][c])
+        m[r] = [ref_mul(n, inv, x) for x in m[r]]
+        for i in range(len(m)):
+            if i != r and any(m[i][c]):
+                f = m[i][c]
+                m[i] = [ref_add(x, ref_neg(ref_mul(n, f, y))) for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+    return pivots, m[:len(pivots)]
+
+
+def sparse(row) -> dict:
+    return {c: x for c, x in enumerate(row) if any(x)}
+
+
+def coeffs_of(vec: dict) -> dict:
+    return {c: s.coeffs for c, s in vec.items()}
+
+
+def transpose(cols: list, nrows: int) -> list:
+    return [[col[r] for col in cols] for r in range(nrows)]
+
+
+def ref_solve(n: int, cols: list, target: list, nrows: int):
+    """The solution of sum x_i cols[i] = target on the pivot columns, or None."""
+    pivots, rows = ref_rref(n, transpose(cols + [target], nrows), len(cols) + 1)
+    if len(cols) in pivots:
+        return None
+    return {p: row[-1] for p, row in zip(pivots, rows) if any(row[-1])}
+
+
+def ref_kernel(n: int, cols: list, nrows: int) -> list:
+    """RREF rows of the null space of the matrix with columns ``cols``."""
+    s = len(cols)
+    one = ref_from_poly(n, [1])
+    zero = tuple(Fraction(0) for _ in one)
+    pivots, rows = ref_rref(n, transpose(cols, nrows), s)
+    null = []
+    for f in range(s):
+        if f in pivots:
+            continue
+        vec = [zero] * s
+        vec[f] = one
+        for p, row in zip(pivots, rows):
+            vec[p] = ref_neg(row[f])
+        null.append(vec)
+    return [sparse(r) for r in ref_rref(n, null, s)[1]]
+
+
+@st.composite
+def matrices(draw):
+    """(modulus, number of rows, dense columns, a target) with dependent columns."""
+    n = draw(st.sampled_from([1, 3]))
+    d = CycField.get(n).degree
+    nrows = draw(st.integers(1, 7))
+    small = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 3))
+    zero = (Fraction(0),) * d
+
+    def scalar():
+        return tuple(draw(small) for _ in range(d))
+
+    def sparse_col():
+        return [scalar() if draw(st.booleans()) else zero for _ in range(nrows)]
+
+    cols = [sparse_col() for _ in range(draw(st.integers(1, 6)))]
+    for _ in range(draw(st.integers(1, 4))):
+        picks = draw(st.lists(st.integers(0, len(cols) - 1), min_size=1, max_size=3))
+        combo = [zero] * nrows
+        for j in picks:
+            c = scalar()
+            combo = [ref_add(x, ref_mul(n, c, y)) for x, y in zip(combo, cols[j])]
+        cols.insert(draw(st.integers(0, len(cols))), combo)
+    # A target in the column span, or (most likely) outside it.
+    if draw(st.booleans()):
+        target = cols[draw(st.integers(0, len(cols) - 1))]
+    else:
+        target = sparse_col()
+    return n, nrows, cols, target
+
+
+def engine_vec(field: CycField, dense: list) -> dict:
+    return {c: field.from_poly(list(x)) for c, x in sparse(dense).items()}
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices())
+def test_echelon_matches_gauss_jordan(case):
+    n, nrows, cols, target = case
+    field = CycField.get(n)
+    ech = Echelon(field)
+    for i, col in enumerate(cols):
+        ech.add(engine_vec(field, col), source={i: field.one})
+    pivots, rows = ref_rref(n, cols, nrows)
+    assert ech.pivots() == pivots
+    assert ech.rank == len(pivots)
+    assert [coeffs_of(r) for r in ech.basis_rows()] == [sparse(r) for r in rows]
+    expected = ref_solve(n, cols, target, nrows)
+    got = ech.solve(engine_vec(field, target))
+    assert (got is None) == (expected is None)
+    assert ech.contains(engine_vec(field, target)) == (expected is not None)
+    if got is not None:
+        assert coeffs_of(got) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices())
+def test_kernel_image_matches_gauss_jordan(case):
+    n, nrows, cols, target = case
+    field = CycField.get(n)
+    kernel, image = kernel_image(field, len(cols), lambda i: engine_vec(field, cols[i]))
+    assert [coeffs_of(r) for r in kernel.basis_rows()] == ref_kernel(n, cols, nrows)
+    assert [coeffs_of(r) for r in image.basis_rows()] == \
+        [sparse(r) for r in ref_rref(n, cols, nrows)[1]]
+    assert kernel.rank + image.rank == len(cols)
+    expected = ref_solve(n, cols, target, nrows)
+    got = image.solve(engine_vec(field, target))
+    assert (got is None) == (expected is None)
+    if got is not None:
+        assert coeffs_of(got) == expected

@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from cdgalab.errors import FieldMismatch, ParseError
-from cdgalab.scalars import CycField, CycScalar, cyclotomic_poly, euler_phi
+from cdgalab import scalars
+from cdgalab.errors import CdgaError, FieldMismatch, ModulusTooLarge, ParseError
+from cdgalab.scalars import MAX_MODULUS, CycField, CycScalar, cyclotomic_poly, euler_phi
 
 
 def test_cyclotomic_polynomials():
@@ -141,3 +142,24 @@ def test_invalid_modulus_rejected():
         CycField(0)
     with pytest.raises(ParseError):
         CycField(-3)
+
+
+def test_huge_modulus_refused_before_field_data(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("field data computed for a refused modulus")
+
+    monkeypatch.setattr(scalars, "cyclotomic_poly", refuse)
+    monkeypatch.setattr(scalars, "euler_phi", refuse)
+    for modulus in (10**12, MAX_MODULUS + 1):
+        with pytest.raises(ModulusTooLarge) as info:
+            CycField.get(modulus)
+        assert isinstance(info.value, CdgaError)
+        assert info.value.code == "MODULUS_TOO_LARGE"
+        assert info.value.details == {"modulus": modulus, "limit": MAX_MODULUS}
+
+
+def test_modulus_limit_is_accepted():
+    assert MAX_MODULUS > 12
+    k = CycField.get(MAX_MODULUS)
+    assert k.degree == euler_phi(MAX_MODULUS)
+    assert k.zeta(MAX_MODULUS // 2) == k.rational(-1)

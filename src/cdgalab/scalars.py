@@ -23,8 +23,9 @@ from typing import Sequence
 from .errors import FieldMismatch, ModulusTooLarge, ParseError
 
 # Largest accepted cyclotomic modulus.  The presets use at most 12; the cap
-# keeps a hostile document from building Phi_N for an enormous N.
-MAX_MODULUS = 1000
+# keeps a hostile document from building Phi_N for an enormous N, and from
+# inverses whose phi(N) coefficients grow to about phi(N) * log phi(N) bits.
+MAX_MODULUS = 200
 
 
 def euler_phi(n: int) -> int:
@@ -75,8 +76,6 @@ class CycField:
         self.degree = len(phi) - 1
         # zeta^degree = sum of t * zeta^j over these (j, t): the low terms of -Phi_N.
         self._tail = tuple((j, -c) for j, c in enumerate(phi[:-1]) if c)
-        # Exponents of the Galois automorphisms zeta -> zeta^k other than the identity.
-        self._units = tuple(k for k in range(2, modulus) if gcd(k, modulus) == 1)
         self.zero = CycScalar(self, (0,) * self.degree, 1)
         self.one = self.rational(1)
         cls._cache[modulus] = self
@@ -198,16 +197,11 @@ class CycScalar:
             self._check(other)
         a, b = self.num, other.num
         den = self.den * other.den
-        # A rational factor (always, when phi(N) = 1) scales the other one.
-        if not any(b[1:]):
-            if not any(a[1:]):
-                num = a[0] * b[0]
-                g = gcd(num, den)
-                return CycScalar(field, (num // g,) + a[1:], den // g)
-            a, b = b, a
-        if not any(a[1:]):
-            c = a[0]
-            return _make(field, [c * y for y in b], den)
+        # Two rational factors (always, when phi(N) = 1) multiply as fractions.
+        if not any(a[1:]) and not any(b[1:]):
+            num = a[0] * b[0]
+            g = gcd(num, den)
+            return CycScalar(field, (num // g,) + a[1:], den // g)
         out = [0] * (2 * field.degree - 1)
         for i, x in enumerate(a):
             if x:
@@ -227,13 +221,32 @@ class CycScalar:
             if num < 0:
                 num, den = -num, -den
             return CycScalar(field, (den,) + self.num[1:], num)
-        # 1/a = (product of the other Galois conjugates of a) / N(a).  For
-        # N > 2 the conjugates pair off into |sigma(a)|^2, so N(a) > 0.
-        rest = field.one
-        for k in field._units:
-            rest = rest * self._galois(k)
-        norm = self * rest
-        return _make(field, [x * norm.den for x in rest.num], rest.den * norm.num[0])
+        # Extended Euclid on Phi_N and the numerators: pseudo-division keeps
+        # s * num = r (mod Phi_N) in integers, and each new pair (r, s) is
+        # divided by its content.  Phi_N is irreducible, so r ends at a
+        # constant c != 0, and 1/a = den * s / c.
+        r0, r1 = list(cyclotomic_poly(field.modulus)), list(self.num)
+        while not r1[-1]:
+            r1.pop()
+        s0, s1 = [0] * field.degree, [1] + [0] * (field.degree - 1)
+        while len(r1) > 1:
+            n, lead = len(r1) - 1, r1[-1]
+            for k in range(len(r0) - 1 - n, -1, -1):
+                c = r0[k + n]
+                r0, s0 = [lead * x for x in r0], [lead * x for x in s0]
+                for j, t in enumerate(r1):
+                    r0[k + j] -= c * t
+                for j, t in enumerate(s1):
+                    if t:
+                        s0[k + j] -= c * t
+            while not r0[-1]:
+                r0.pop()
+            g = gcd(*r0, *s0)
+            r0, r1, s0, s1 = r1, [x // g for x in r0], s1, [x // g for x in s0]
+        c, den = r1[0], self.den
+        if c < 0:
+            c, den = -c, -den
+        return _make(field, [x * den for x in s1], c)
 
     def __truediv__(self, other):
         other = _coerce(other, self.field)
@@ -242,18 +255,14 @@ class CycScalar:
     def __rtruediv__(self, other):
         return _coerce(other, self.field) / self
 
-    def _galois(self, k: int) -> "CycScalar":
-        """Image under the automorphism zeta_N -> zeta_N^k, k prime to N."""
+    def conj(self) -> "CycScalar":
+        """Image under zeta_N -> zeta_N^{N-1} (complex conjugation)."""
         n = self.field.modulus
         poly = [0] * n
         for i, c in enumerate(self.num):
             if c:
-                poly[i * k % n] += c
+                poly[-i % n] += c
         return _make(self.field, _reduce(self.field, poly), self.den)
-
-    def conj(self) -> "CycScalar":
-        """Image under zeta_N -> zeta_N^{N-1} (complex conjugation)."""
-        return self._galois(self.field.modulus - 1)
 
     def embed(self, modulus: int) -> "CycScalar":
         """Re-express in Q(zeta_M) via zeta_N -> zeta_M^{M/N}; requires N | M."""

@@ -163,3 +163,8 @@ def test_modulus_limit_is_accepted():
     k = CycField.get(MAX_MODULUS)
     assert k.degree == euler_phi(MAX_MODULUS)
     assert k.zeta(MAX_MODULUS // 2) == k.rational(-1)
+    # The largest prime under the cap gives the largest degree, phi(N) = N - 1.
+    n = max(m for m in range(2, MAX_MODULUS + 1) if euler_phi(m) == m - 1)
+    k = CycField.get(n)
+    a = k.from_poly([(-1) ** i * (i % 7 + 1) for i in range(k.degree)])
+    assert a * a.inverse() == k.one

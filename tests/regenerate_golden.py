@@ -4,7 +4,8 @@ Each case runs one CLI command in process on a preset document and records
 its ``--format json`` stdout byte for byte in ``tests/golden/<case>.json``.
 A command that exits nonzero by design records its exit code and stderr
 diagnostic in ``tests/golden/<case>.err`` instead.  ``verify-paper --cases 50
---verbose`` is recorded as ``tests/golden/verify-paper.txt``.
+--verbose`` is recorded as ``tests/golden/verify-paper.txt``, and the stdout
+of each ``demos/<name>.py`` as ``tests/golden/demo-<name>.txt``.
 
 ``tests/test_golden.py`` compares bytes.  Only this script rewrites the
 snapshots; run it after a change that is meant to alter a report, and read
@@ -18,6 +19,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import runpy
 import sys
 from pathlib import Path
 from typing import List, Tuple
@@ -59,6 +61,8 @@ SELECTIONS = [
 ]
 
 VERIFY_ARGV = ["verify-paper", "--cases", "50", "--verbose"]
+
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 def _label(name: str, params: dict) -> str:
@@ -116,6 +120,14 @@ def verify_snapshot() -> str:
     return run_cli(VERIFY_ARGV)[1]
 
 
+def demo_snapshot(path: Path) -> str:
+    """Stdout of one demo script, run in process as ``__main__``."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        runpy.run_path(str(path), run_name="__main__")
+    return out.getvalue()
+
+
 def main() -> int:
     GOLDEN.mkdir(exist_ok=True)
     for old in GOLDEN.glob("*"):
@@ -124,6 +136,8 @@ def main() -> int:
         suffix, text = snapshot(doc, cmd)
         (GOLDEN / f"{case}{suffix}").write_text(text)
     (GOLDEN / "verify-paper.txt").write_text(verify_snapshot())
+    for path in DEMOS:
+        (GOLDEN / f"demo-{path.stem}.txt").write_text(demo_snapshot(path))
     print(f"wrote {len(list(GOLDEN.glob('*')))} snapshots to {GOLDEN}")
     return 0
 

@@ -30,7 +30,7 @@ from .errors import (
     ParseError,
     TruncatedOperand,
 )
-from .linalg import Echelon
+from .linalg import Echelon, vec_add, vec_iadd
 from .scalars import CycField, CycScalar
 
 # A monomial is a tuple of (generator index, exponent) pairs, sorted by index,
@@ -55,6 +55,11 @@ def monomial_atoms(spec: "AlgebraSpec", m: Monomial) -> Tuple[int, ...]:
     for g, e in m:
         out.extend([g] * e)
     return tuple(out)
+
+
+def monomial_names(spec: "AlgebraSpec", m: Monomial) -> Tuple[str, ...]:
+    """Generator names of a monomial in normal order, each repeated by its exponent."""
+    return tuple(spec.generators[g].name for g in monomial_atoms(spec, m))
 
 
 def atoms_to_monomial(atoms: Sequence[int]) -> Monomial:
@@ -116,15 +121,7 @@ class Element:
             raise ParseError("cannot add elements of different degrees",
                              left=self.degree, right=other.degree)
         deg = other.degree if self.is_zero() else self.degree
-        terms = dict(self.terms)
-        for m, c in other.terms.items():
-            s = terms.get(m)
-            s = c if s is None else s + c
-            if s.is_zero():
-                terms.pop(m, None)
-            else:
-                terms[m] = s
-        return Element(self.parent, deg, terms, _reduced=True)
+        return Element(self.parent, deg, vec_add(self.terms, other.terms), _reduced=True)
 
     def __neg__(self) -> "Element":
         return Element(self.parent, self.degree,
@@ -150,20 +147,14 @@ class Element:
             return Element(spec, deg, {}, truncated=True, _reduced=True)
         acc: Dict[Monomial, CycScalar] = {}
         for m1, c1 in self.terms.items():
+            # m1 * m2 is injective in m2, so the row's terms never collide.
+            row: Dict[Monomial, CycScalar] = {}
             for m2, c2 in other.terms.items():
                 hit = monomial_mul(spec, m1, m2)
-                if hit is None:
-                    continue
-                sign, mono = hit
-                c = c1 * c2
-                if sign < 0:
-                    c = -c
-                s = acc.get(mono)
-                s = c if s is None else s + c
-                if s.is_zero():
-                    acc.pop(mono, None)
-                else:
-                    acc[mono] = s
+                if hit is not None:
+                    sign, mono = hit
+                    row[mono] = c2 if sign > 0 else -c2
+            vec_iadd(acc, row, c1)
         return Element(spec, deg, acc)
 
     def d(self) -> "Element":
@@ -175,47 +166,27 @@ class Element:
             return Element(spec, deg, {}, truncated=True, _reduced=True)
         acc: Dict[Monomial, CycScalar] = {}
         for m, c in self.terms.items():
-            for mono, dc in spec._d_monomial(m).items():
-                s = acc.get(mono)
-                v = c * dc
-                s = v if s is None else s + v
-                if s.is_zero():
-                    acc.pop(mono, None)
-                else:
-                    acc[mono] = s
+            vec_iadd(acc, spec._d_monomial(m), c)
         return Element(spec, deg, acc)
 
     def conj(self) -> "Element":
         """Swap conjugate generator pairs and conjugate all coefficients."""
         self._guard()
         spec = self.parent
+        # The partner map is a bijection on generators, so distinct
+        # monomials map to distinct monomials and no terms collide.
         acc: Dict[Monomial, CycScalar] = {}
         for m, c in self.terms.items():
-            atoms = monomial_atoms(spec, m)
             mapped = []
-            for g in atoms:
+            for g in monomial_atoms(spec, m):
                 partner = spec._conj_index.get(g)
                 if partner is None:
                     raise NoConjugateDeclared(
                         f"generator '{spec.generators[g].name}' has no conjugate partner",
                         generator=spec.generators[g].name)
                 mapped.append(partner)
-            sign = 1
-            odd = [g for g in mapped if spec.generators[g].degree % 2]
-            for i in range(len(odd)):
-                for j in range(i + 1, len(odd)):
-                    if odd[i] > odd[j]:
-                        sign = -sign
-            coeff = c.conj()
-            if sign < 0:
-                coeff = -coeff
-            mono = atoms_to_monomial(mapped)
-            s = acc.get(mono)
-            s = coeff if s is None else s + coeff
-            if s.is_zero():
-                acc.pop(mono, None)
-            else:
-                acc[mono] = s
+            sign, mono = atoms_to_monomial_ordered(spec, mapped)
+            acc[mono] = c.conj() if sign > 0 else -c.conj()
         return Element(spec, self.degree, acc)
 
     def coefficient(self, mono: Monomial) -> CycScalar:
@@ -346,18 +317,12 @@ class AlgebraSpec:
                 if n not in self.index:
                     raise ParseError(f"unknown generator '{n}'")
                 atoms.append(self.index[n])
-            odd = [a for a in atoms if self.generators[a].degree % 2]
-            if len(set(odd)) != len(odd):
+            hit = atoms_to_monomial_ordered(self, atoms)
+            if hit is None:
                 continue  # odd square: the term is zero
-            inversions = 0
-            for i in range(len(atoms)):
-                for j in range(i + 1, len(atoms)):
-                    gi, gj = atoms[i], atoms[j]
-                    if gi > gj and self.generators[gi].degree % 2 and self.generators[gj].degree % 2:
-                        inversions += 1
-            if inversions % 2:
+            sign, mono = hit
+            if sign < 0:
                 c = -c
-            mono = atoms_to_monomial(atoms)
             deg = monomial_degree(self, mono)
             if degree is None:
                 degree = deg
@@ -367,12 +332,7 @@ class AlgebraSpec:
             if deg > self.degree_cap:
                 raise CapExceeded("term degree exceeds cap", degree=deg,
                                   cap=self.degree_cap)
-            s = terms.get(mono)
-            s = c if s is None else s + c
-            if s.is_zero():
-                terms.pop(mono, None)
-            else:
-                terms[mono] = s
+            vec_iadd(terms, {mono: c})
         if degree is None:
             degree = 0
         return Element(self, degree, terms, _reduced=not reduce)
@@ -437,20 +397,13 @@ class AlgebraSpec:
                 if basis_idx is None:
                     basis_idx = self._free_index(k)
                 for m in self.free_basis(k - dr):
+                    # m * rm is injective in rm, so the row's terms never collide.
                     row: Dict[int, CycScalar] = {}
                     for rm, rc in rel.terms.items():
                         hit = monomial_mul(self, m, rm)
-                        if hit is None:
-                            continue
-                        sign, mono = hit
-                        c = rc if sign > 0 else -rc
-                        idx = basis_idx[mono]
-                        s = row.get(idx)
-                        s = c if s is None else s + c
-                        if s.is_zero():
-                            row.pop(idx, None)
-                        else:
-                            row[idx] = s
+                        if hit is not None:
+                            sign, mono = hit
+                            row[basis_idx[mono]] = rc if sign > 0 else -rc
                     if row:
                         ech.add(row)
             self._ideal_cache[k] = ech
@@ -502,6 +455,8 @@ class AlgebraSpec:
                 continue
             pre_sign, pre = pre_mono
             suf_sign, suf = suf_mono
+            # pre * dm * suf is injective in dm, so the part's terms never collide.
+            part: Dict[Monomial, CycScalar] = {}
             for dm, dc in dg.terms.items():
                 left = monomial_mul(self, pre, dm)
                 if left is None:
@@ -512,13 +467,8 @@ class AlgebraSpec:
                     continue
                 s2, mono = right
                 total = sign * pre_sign * suf_sign * s1 * s2
-                c = dc if total > 0 else -dc
-                s = acc.get(mono)
-                s = c if s is None else s + c
-                if s.is_zero():
-                    acc.pop(mono, None)
-                else:
-                    acc[mono] = s
+                part[mono] = dc if total > 0 else -dc
+            vec_iadd(acc, part)
         self._d_mono_cache[m] = acc
         return acc
 
@@ -546,14 +496,7 @@ class AlgebraSpec:
                 continue
             acc: Dict[Monomial, CycScalar] = {}
             for mono, dc in rel.terms.items():
-                for dm, c in self._d_monomial(mono).items():
-                    v = dc * c
-                    s = acc.get(dm)
-                    s = v if s is None else s + v
-                    if s.is_zero():
-                        acc.pop(dm, None)
-                    else:
-                        acc[dm] = s
+                vec_iadd(acc, self._d_monomial(mono), dc)
             reduced = self._reduce_terms(rel.degree + 1, acc)
             if any(not c.is_zero() for c in reduced.values()):
                 raise IdealNotStable(

@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Dict, List
 
 from .algebra import AlgebraSpec, Element, Monomial
-from .errors import CapExceeded, DegreeOverflow
+from .errors import CapExceeded, DegreeOverflow, NotInSubcomplex
 from .linalg import Echelon, Vec, mat_vec
 from .scalars import CycField
 
@@ -101,7 +101,7 @@ class SubcomplexSlices:
     def express(self, k: int, parent_vec: Vec) -> Vec:
         sol = self._express.get(k, Echelon(self.field)).solve(parent_vec)
         if sol is None:
-            raise ValueError("vector does not lie in the subcomplex slice")
+            raise NotInSubcomplex("vector does not lie in the subcomplex slice", degree=k)
         return sol
 
     def to_element(self, k: int, vec: Vec) -> Element:

@@ -21,6 +21,7 @@ import sys
 from fractions import Fraction
 from typing import List, Optional
 
+from .algebra import monomial_names
 from .cohomology import CohomClass, CohomologyRing, cohomology
 from .errors import CdgaError, ParseError
 from .lefschetz import lefschetz_test, universal_obstruction
@@ -265,18 +266,11 @@ def cmd_circle_bundle(args) -> int:
     for name, elem in classes.items():
         try:
             out_classes[name] = total.element(
-                [(c, _names_of(spec, mono)) for mono, c in elem.terms.items()])
+                [(c, monomial_names(spec, mono)) for mono, c in elem.terms.items()])
         except CdgaError:
             continue
     sys.stdout.write(dumps(document_to_json(total, classes=out_classes)))
     return 0
-
-
-def _names_of(spec, mono):
-    names = []
-    for g, e in mono:
-        names.extend([spec.generators[g].name] * e)
-    return tuple(names)
 
 
 def cmd_tensor(args) -> int:

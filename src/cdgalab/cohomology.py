@@ -24,7 +24,7 @@ from .errors import (
     NoTopDeclared,
     NotClosed,
 )
-from .linalg import Echelon, Vec, kernel_image, vec_add
+from .linalg import Echelon, Vec, kernel_image, mat_vec, vec_add, vec_iadd
 from .scalars import CycScalar
 
 Slices = Union[FreeSlices, SubcomplexSlices]
@@ -129,10 +129,7 @@ class CohomologyRing:
         return CohomClass(self, k, {j: self.field.one})
 
     def rep_combination(self, k: int, coords: Vec) -> Vec:
-        out: Vec = {}
-        for j, c in coords.items():
-            out = vec_add(out, self._reps[k][j], c)
-        return out
+        return mat_vec(self._reps[k], coords)
 
     def class_of(self, z: Union[Element, Vec], degree: Optional[int] = None) -> CohomClass:
         """Coordinates of a closed element; the zero vector iff it is exact."""
@@ -168,7 +165,7 @@ class CohomologyRing:
                 if c is None:
                     prod = self.slices.mul_vec(p, self._reps[p][i], q, self._reps[q][j])
                     c = table[(i, j)] = self.class_of(prod, p + q).coords
-                out = vec_add(out, c, a * b)
+                vec_iadd(out, c, a * b)
         return CohomClass(self, p + q, out)
 
     def is_exact(self, z: Union[Element, Vec], degree: Optional[int] = None) -> Optional[Vec]:

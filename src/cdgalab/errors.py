@@ -66,6 +66,12 @@ class NotClosed(CdgaError):
     code = "NOT_CLOSED"
 
 
+class NotInSubcomplex(CdgaError):
+    """A vector or element lies outside the slice of a subcomplex."""
+
+    code = "NOT_IN_SUBCOMPLEX"
+
+
 class NotChainMap(CdgaError):
     code = "NOT_CHAIN_MAP"
 

@@ -26,11 +26,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from typing import Dict, List, Optional, Tuple
 
-from .algebra import AlgebraSpec, Element, GeneratorDecl, monomial_atoms
+from .algebra import AlgebraSpec, Element, GeneratorDecl, monomial_atoms, monomial_names
 from .chains import FreeSlices
 from .cohomology import CohomologyRing
 from .errors import CapTooLow, NotOneConnected
-from .linalg import Echelon, Vec, kernel_image, vec_add
+from .linalg import Echelon, Vec, kernel_image, mat_vec, vec_iadd
 from .massey import NONZERO, MasseyReport, a_massey, triple_massey
 
 CERTIFIED = "CERTIFIED"
@@ -69,13 +69,7 @@ class MinimalModel:
                 gdeg, gvec = self.psi[name]
                 vec = sl.mul_vec(deg, vec, gdeg, gvec)
                 deg += gdeg
-            for idx, v in vec.items():
-                s = out.get(idx)
-                s = c * v if s is None else s + c * v
-                if s.is_zero():
-                    out.pop(idx, None)
-                else:
-                    out[idx] = s
+            vec_iadd(out, vec, c)
         return out
 
     def n_generators_through(self, s: int) -> List[str]:
@@ -188,7 +182,7 @@ def build_minimal_model(target_ring: CohomologyRing, bound: int) -> MinimalModel
             name = f"n{k}_{base}"
             new_n.append(name)
             gens.append(GeneratorDecl(name, k))
-            diff[name] = [(c, _names(mm.model, mono))
+            diff[name] = [(c, monomial_names(mm.model, mono))
                           for mono, c in z_elem.terms.items()]
             psi[name] = (k, prim)
             mm.model = rebuild()
@@ -225,13 +219,6 @@ def _differentials_independent(slices: FreeSlices) -> bool:
             if not ech.add(slices.from_element(img)):
                 return False
     return True
-
-
-def _names(spec: AlgebraSpec, mono) -> Tuple[str, ...]:
-    out: List[str] = []
-    for g, e in mono:
-        out.extend([spec.generators[g].name] * e)
-    return tuple(out)
 
 
 def s_formality_check(mm: MinimalModel, s: int) -> SFormalityReport:
@@ -273,9 +260,7 @@ def s_formality_check(mm: MinimalModel, s: int) -> SFormalityReport:
             return slices.d_vec(k, ideal_rows[j])
         kernel, _ = kernel_image(ring.field, len(ideal_rows), apply)
         for combo in kernel.basis_rows():
-            vec: Vec = {}
-            for j, c in combo.items():
-                vec = vec_add(vec, ideal_rows[j], c)
+            vec = mat_vec(ideal_rows, combo)
             if ring.is_exact(vec, k) is None:
                 witness = slices.to_element(k, vec).render()
                 return SFormalityReport(status=REFUTED, s=s,

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field as dc_field
 from importlib import resources
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .algebra import AlgebraSpec, Element, GeneratorDecl, Monomial
+from .algebra import AlgebraSpec, Element, GeneratorDecl, Monomial, monomial_names
 from .errors import EulerBadDegree, EulerNotClosed, ParseError, UnknownPreset
 from .scalars import CycField
 from .serialize import document_from_json
@@ -59,14 +59,7 @@ def ce_complex(field: CycField, generators: Sequence[GeneratorDecl],
 
 def _carry_terms(elem: Element) -> List[Tuple[object, Tuple[str, ...]]]:
     """Element -> (coeff, names) data usable in another spec's constructor."""
-    spec = elem.parent
-    out = []
-    for mono, c in elem.terms.items():
-        names: List[str] = []
-        for g, e in mono:
-            names.extend([spec.generators[g].name] * e)
-        out.append((c, tuple(names)))
-    return out
+    return [(c, monomial_names(elem.parent, mono)) for mono, c in elem.terms.items()]
 
 
 def circle_bundle(base: AlgebraSpec, euler: Element, gen_name: str = "x") -> AlgebraSpec:
@@ -85,21 +78,11 @@ def circle_bundle(base: AlgebraSpec, euler: Element, gen_name: str = "x") -> Alg
             for gi, img in base.differential.items()}
     if not euler.is_zero():
         diff[gen_name] = _carry_terms(euler)
-    rels = [_carry_terms_raw(base, rel) for rel in base.relations]
+    rels = [_carry_terms(rel) for rel in base.relations]
     # scale the coefficients into the same field; carry the cap one higher
     spec = AlgebraSpec(base.field, gens, differential=diff, relations=rels,
                        degree_cap=base.degree_cap + 1)
     return spec.validate()
-
-
-def _carry_terms_raw(spec: AlgebraSpec, elem: Element):
-    out = []
-    for mono, c in elem.terms.items():
-        names: List[str] = []
-        for g, e in mono:
-            names.extend([spec.generators[g].name] * e)
-        out.append((c, tuple(names)))
-    return out
 
 
 def tensor(a: AlgebraSpec, b: AlgebraSpec) -> AlgebraSpec:
@@ -121,11 +104,11 @@ def tensor(a: AlgebraSpec, b: AlgebraSpec) -> AlgebraSpec:
         for gi, img in src.differential.items():
             diff[src.generators[gi].name] = [
                 (c.embed(target.modulus) if c.field.modulus != target.modulus else c, names)
-                for c, names in _carry_terms_raw(src, img)]
+                for c, names in _carry_terms(img)]
         for rel in src.relations:
             rels.append([
                 (c.embed(target.modulus) if c.field.modulus != target.modulus else c, names)
-                for c, names in _carry_terms_raw(src, rel)])
+                for c, names in _carry_terms(rel)])
     cap = a.degree_cap + b.degree_cap - 1
     spec = AlgebraSpec(target, gens, differential=diff, relations=rels, degree_cap=cap)
     return spec.validate()

@@ -15,7 +15,7 @@ import json
 from fractions import Fraction
 from typing import Dict, List, Optional
 
-from .algebra import AlgebraSpec, Element, GeneratorDecl, Monomial, monomial_atoms
+from .algebra import AlgebraSpec, Element, GeneratorDecl, Monomial, monomial_atoms, monomial_names
 from .cohomology import CohomologyRing
 from .errors import CapExceeded, ParseError
 from .scalars import CycField, CycScalar, lcm
@@ -60,10 +60,8 @@ def element_to_json(elem: Element) -> list:
     spec = elem.parent
     out = []
     for mono in sorted(elem.terms, key=lambda m: monomial_atoms(spec, m)):
-        names = []
-        for g, e in mono:
-            names.extend([spec.generators[g].name] * e)
-        out.append({"coeff": scalar_to_json(elem.terms[mono]), "monomial": names})
+        out.append({"coeff": scalar_to_json(elem.terms[mono]),
+                    "monomial": list(monomial_names(spec, mono))})
     return out
 
 
@@ -83,13 +81,6 @@ def monomial_from_json(names: List[str], spec: AlgebraSpec) -> Monomial:
     if len(elem.terms) != 1:
         raise ParseError("volume must be a single monomial", got=names)
     return next(iter(elem.terms))
-
-
-def monomial_to_json(mono: Monomial, spec: AlgebraSpec) -> List[str]:
-    names: List[str] = []
-    for g, e in mono:
-        names.extend([spec.generators[g].name] * e)
-    return names
 
 
 # -- algebra documents -----------------------------------------------------
@@ -208,7 +199,7 @@ def document_to_json(spec: AlgebraSpec, action=None, classes=None, volume=None,
         doc["classes"] = {name: element_to_json(elem)
                           for name, elem in classes.items()}
     if volume is not None:
-        doc["volume"] = monomial_to_json(volume, spec)
+        doc["volume"] = list(monomial_names(spec, volume))
     for k, v in (meta or {}).items():
         doc[k] = v
     return doc

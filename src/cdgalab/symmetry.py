@@ -26,7 +26,8 @@ from .errors import (
     OrderMismatch,
     ParseError,
 )
-from .linalg import Vec, kernel_image, mat_vec, vec_add, vec_scale
+from .linalg import Echelon, Vec, mat_vec, vec_add, vec_scale
+from .scalars import CycField
 
 class GroupActionSpec:
     """A Z_m action on an AlgebraSpec, given by generator images."""
@@ -153,6 +154,18 @@ def averaging_projector(act: GroupActionSpec, slices: FreeSlices, k: int) -> Lis
             for i in range(slices.dim(k))]
 
 
+def _column_space(field: CycField, cols: List[Vec]) -> List[Vec]:
+    """The RREF basis of the span of ``cols``.
+
+    On an averaging projector's columns this is the fixed space, since
+    rho* P = P and P v = v for fixed v; a subspace has only one RREF basis.
+    """
+    ech = Echelon(field)
+    for col in cols:
+        ech.add(col)
+    return ech.basis_rows()
+
+
 def invariant_complex(act: GroupActionSpec, max_degree: Optional[int] = None) -> SubcomplexSlices:
     """The fixed subcomplex, with canonical per-degree bases."""
     if not act.validated:
@@ -160,22 +173,9 @@ def invariant_complex(act: GroupActionSpec, max_degree: Optional[int] = None) ->
     spec = act.parent
     slices = FreeSlices(spec)
     top = spec.degree_cap if max_degree is None else max_degree
-    field = spec.field
-    bases: Dict[int, List[Vec]] = {}
-    for k in range(top + 1):
-        proj = averaging_projector(act, slices, k)
-        # fixed space = kernel of (P - I)
-        def apply(i):
-            col = dict(proj[i])
-            cur = col.get(i, field.zero) - field.one
-            if cur.is_zero():
-                col.pop(i, None)
-            else:
-                col[i] = cur
-            return col
-        kernel, _ = kernel_image(field, slices.dim(k), apply)
-        bases[k] = kernel.basis_rows()
-    return SubcomplexSlices(slices, bases)
+    return SubcomplexSlices(slices, {
+        k: _column_space(spec.field, averaging_projector(act, slices, k))
+        for k in range(top + 1)})
 
 
 def invariant_cohomology(act: GroupActionSpec, max_degree: int,
@@ -195,18 +195,7 @@ def fixed_subspace_of_cohomology(act: GroupActionSpec, ring: CohomologyRing, k: 
     inv_m = field.rational(Fraction(1, act.order))
     cols = [ring.class_of(vec_scale(_orbit_sum(act, k, rep), inv_m), k).coords
             for rep in ring.reps(k)]
-
-    # fixed classes = kernel of (P - I) on H^k, with P the averaged action
-    def apply(j):
-        col = dict(cols[j])
-        c = col.get(j, field.zero) - field.one
-        if c.is_zero():
-            col.pop(j, None)
-        else:
-            col[j] = c
-        return col
-    kernel, _ = kernel_image(field, ring.betti[k], apply)
-    return kernel.basis_rows()
+    return _column_space(field, cols)
 
 
 def burnside_invariant_dimension(act: GroupActionSpec, k: int) -> Fraction:

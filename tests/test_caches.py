@@ -3,7 +3,9 @@
 Cup products come from a table of [rep_i * rep_j]; the oracle multiplies the
 representatives of the two classes and reduces the product with class_of.
 The action on a degree-k slice comes from a cached matrix; the oracle pushes
-basis elements through the Element path, ``GroupActionSpec.apply``.
+basis elements through the Element path, ``GroupActionSpec.apply``.  Fixed
+spaces are taken as the image of the averaging projector P; the oracle takes
+the kernel of P - I.
 """
 
 import random
@@ -24,6 +26,7 @@ from cdgalab.symmetry import (
     burnside_invariant_dimension,
     fixed_subspace_of_cohomology,
     invariant_cohomology,
+    invariant_complex,
 )
 
 
@@ -85,7 +88,11 @@ def _element_fixed_subspace(act, ring, k):
         for j in range(1, act.order):
             acc = acc + act.apply(e, j)
         cols.append(ring.class_of(acc.scale(Fraction(1, act.order))).coords)
+    return _kernel_of_p_minus_i(field, cols)
 
+
+def _kernel_of_p_minus_i(field, cols):
+    """Canonical basis of ker(P - I), for P given by its columns."""
     def apply(j):
         col = dict(cols[j])
         c = col.get(j, field.zero) - field.one
@@ -94,7 +101,7 @@ def _element_fixed_subspace(act, ring, k):
         else:
             col[j] = c
         return col
-    return kernel_image(field, ring.betti[k], apply)[0].basis_rows()
+    return kernel_image(field, len(cols), apply)[0].basis_rows()
 
 
 def _element_burnside(act, k):
@@ -134,8 +141,11 @@ def test_action_matrix_paths_match_element_paths(act):
     slices = FreeSlices(act.parent)
     top = min(act.parent.degree_cap - 1, 6)
     ring = cohomology(act.parent, top)
+    sub = invariant_complex(act, max_degree=top)
     for k in range(top + 1):
         assert averaging_projector(act, slices, k) == _element_projector(act, slices, k)
+        assert ([sub.to_parent_vec(k, {j: slices.field.one}) for j in range(sub.dim(k))]
+                == _kernel_of_p_minus_i(slices.field, _element_projector(act, slices, k)))
         assert burnside_invariant_dimension(act, k) == _element_burnside(act, k)
         assert (fixed_subspace_of_cohomology(act, ring, k)
                 == _element_fixed_subspace(act, ring, k))

@@ -88,6 +88,18 @@ def test_huge_modulus_exit_1():
         assert diag["details"]["modulus"] == 10**12
 
 
+def test_class_outside_invariant_subcomplex_exit_1():
+    doc = json.loads(run(["preset", "HEIS6_Z6"]).stdout)
+    doc["classes"]["bad"] = [{"coeff": "1", "monomial": ["mu"]}]  # mu is not fixed
+    for args in (["massey", "--select", "bad", "--select", "bad", "--select", "bad"],
+                 ["lefschetz", "--omega", "bad", "--half-dim", "3"]):
+        out = run(args, stdin=json.dumps(doc))
+        assert out.returncode == 1
+        diag = json.loads(out.stderr)
+        assert diag["error"] == "NOT_IN_SUBCOMPLEX"
+        assert diag["details"]["degree"] == 1
+
+
 def test_formality_strict_unknown_exit_2():
     # with the scan budget at zero the nilmanifold's nonzero product is never
     # found; the canonical-split refutation is only evidence, so the verdict

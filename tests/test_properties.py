@@ -6,10 +6,12 @@ laws with generated inputs and shrinking for debugging.
 """
 
 from fractions import Fraction
+from functools import reduce
+from operator import mul
 
 from hypothesis import given, settings, strategies as st
 
-from cdgalab.algebra import AlgebraSpec, Element, GeneratorDecl
+from cdgalab.algebra import AlgebraSpec, Element, GeneratorDecl, monomial_names
 from cdgalab.cohomology import cohomology
 from cdgalab.linalg import Echelon, vec_add
 from cdgalab.massey import triple_massey
@@ -19,6 +21,11 @@ from cdgalab.symmetry import GroupActionSpec, invariant_cohomology
 
 HEIS = preset("HEIS6").spec
 HRING = cohomology(HEIS, 6)
+# Odd and even generators interleaved, so sorting a word moves odd
+# generators past both kinds.
+MIXED = AlgebraSpec(CycField.get(3), [GeneratorDecl("x", 1), GeneratorDecl("u", 2),
+                                      GeneratorDecl("y", 1), GeneratorDecl("z", 3),
+                                      GeneratorDecl("v", 2)], degree_cap=12).validate()
 
 rationals = st.fractions(min_value=Fraction(-4), max_value=Fraction(4),
                          max_denominator=4)
@@ -75,6 +82,21 @@ def test_d_squared_zero(a):
        elements(HEIS, min_degree=1, max_degree=2))
 def test_associativity(a, b, c):
     assert (a * b) * c == a * (b * c)
+
+
+@settings(max_examples=300, deadline=None)
+@given(elements(MIXED, max_degree=6, n_terms=4))
+def test_parse_of_monomial_names_round_trips(e):
+    spec = e.parent
+    assert spec.element([(c, monomial_names(spec, m)) for m, c in e.terms.items()]) == e
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from([g.name for g in MIXED.generators]), min_size=1, max_size=4))
+def test_parsed_word_equals_product_of_generators(word):
+    # The parse sorts the word with its Koszul sign; the product builds the
+    # same monomial one generator at a time through monomial_mul.
+    assert MIXED.element([(1, tuple(word))]) == reduce(mul, [MIXED.gen(n) for n in word])
 
 
 @settings(max_examples=200, deadline=None)

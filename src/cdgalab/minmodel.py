@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from typing import Dict, List, Optional, Tuple
 
-from .algebra import AlgebraSpec, Element, GeneratorDecl, monomial_atoms, monomial_names
+from .algebra import AlgebraSpec, Element, GeneratorDecl, monomial_names
 from .chains import FreeSlices
 from .cohomology import CohomologyRing
 from .errors import CapTooLow, NotOneConnected
@@ -64,8 +64,7 @@ class MinimalModel:
         for mono, c in elem.terms.items():
             vec = sl.unit_vec()
             deg = 0
-            for g in monomial_atoms(self.model, mono):
-                name = self.model.generators[g].name
+            for name in monomial_names(self.model, mono):
                 gdeg, gvec = self.psi[name]
                 vec = sl.mul_vec(deg, vec, gdeg, gvec)
                 deg += gdeg

@@ -42,7 +42,8 @@ def _select(*names: str) -> List[str]:
 
 
 # Selections on named presets: the README's examples, then the document
-# commands (circle-bundle, tensor) and order-4 Massey products.
+# commands (circle-bundle, tensor), order-4 Massey products, and one
+# minimal model deep enough to need hundreds of generators.
 SELECTIONS = [
     ("SASAKI7_S2CUBE", ["massey"] + _select("a1", "a1", "a2")),
     ("HEIS8_Z3", ["amassey", "--a", "a", "--b", "b1", "--b", "b2", "--b", "b3"]),
@@ -58,6 +59,7 @@ SELECTIONS = [
     ("T6", ["tensor", "--with", SPHERE2_FILE]),
     ("HEIS6_Z6", ["tensor", "--with", SPHERE2_FILE]),
     ("SPHERE2", ["tensor", "--with", SPHERE2_FILE]),
+    ("HEIS8_Z3", ["minimal-model", "--bound", "4"]),
 ]
 
 VERIFY_ARGV = ["verify-paper", "--cases", "50", "--verbose"]

@@ -257,3 +257,24 @@ def test_degenerate_minimal_spec_rejected():
     # so the identity shortcut is skipped; the fallback needs 1-connectedness
     with pytest.raises(NotOneConnected):
         build_minimal_model(ring, 3)
+
+
+def test_model_spec_is_rebuilt_once_per_step(monkeypatch):
+    # One AlgebraSpec for the empty model, then at most two per stage: after
+    # the stage's closed generators and after its non-closed ones.
+    import cdgalab.minmodel
+    from cdgalab.algebra import AlgebraSpec
+
+    built = []
+
+    class CountingSpec(AlgebraSpec):
+        def __init__(self, *args, **kwargs):
+            built.append(1)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(cdgalab.minmodel, "AlgebraSpec", CountingSpec)
+    bound = 3
+    bundle = preset("T6_Z2")
+    mm = build_minimal_model(invariant_cohomology(bundle.action, bound + 1), bound)
+    assert len(mm.model.generators) == 120
+    assert len(built) <= 1 + 2 * (bound - 1)

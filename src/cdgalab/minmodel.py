@@ -48,9 +48,12 @@ class MinimalModel:
     bound: int
     psi: Dict[str, Tuple[int, Vec]]          # generator -> (degree, target vec)
     target_ring: CohomologyRing
-    generators_by_degree: Dict[int, List[str]]
     cn_split: Dict[int, Tuple[List[str], List[str]]]  # degree -> (C names, N names)
     identity: bool = False
+
+    @property
+    def generators_by_degree(self) -> Dict[int, List[str]]:
+        return {k: c + n for k, (c, n) in self.cn_split.items()}
 
     def model_ring(self, max_degree: Optional[int] = None) -> CohomologyRing:
         top = self.bound + 1 if max_degree is None else max_degree
@@ -64,7 +67,7 @@ class MinimalModel:
         for mono, c in elem.terms.items():
             vec = sl.unit_vec()
             deg = 0
-            for name in monomial_names(self.model, mono):
+            for name in monomial_names(elem.parent, mono):
                 gdeg, gvec = self.psi[name]
                 vec = sl.mul_vec(deg, vec, gdeg, gvec)
                 deg += gdeg
@@ -110,18 +113,14 @@ def build_minimal_model(target_ring: CohomologyRing, bound: int) -> MinimalModel
             and _differentials_independent(slices):
         spec = slices.spec
         psi = {}
-        gens_by_deg: Dict[int, List[str]] = {}
         cn: Dict[int, Tuple[List[str], List[str]]] = {}
         for g in spec.generators:
             psi[g.name] = (g.degree, slices.from_element(spec.gen(g.name)))
-            gens_by_deg.setdefault(g.degree, []).append(g.name)
             closed = spec.gen(g.name).d().is_zero()
             c, n = cn.setdefault(g.degree, ([], []))
             (c if closed else n).append(g.name)
         return MinimalModel(model=spec, bound=bound, psi=psi,
-                            target_ring=target_ring,
-                            generators_by_degree=gens_by_deg, cn_split=cn,
-                            identity=True)
+                            target_ring=target_ring, cn_split=cn, identity=True)
 
     if target_ring.betti[0] != 1:
         raise NotOneConnected("H^0 must be one-dimensional", betti0=target_ring.betti[0])
@@ -134,30 +133,32 @@ def build_minimal_model(target_ring: CohomologyRing, bound: int) -> MinimalModel
     gens: List[GeneratorDecl] = []
     diff: Dict[str, List] = {}
     psi: Dict[str, Tuple[int, Vec]] = {}
-    gens_by_deg: Dict[int, List[str]] = {}
     cn: Dict[int, Tuple[List[str], List[str]]] = {}
 
+    # The spec is rebuilt only where the next step needs a ring of the grown
+    # model.  Generators are only appended, so elements of an older ring keep
+    # valid generator indices, and psi_vec names them through their own spec.
     def rebuild() -> AlgebraSpec:
-        return AlgebraSpec(field, gens, differential=dict(diff),
+        return AlgebraSpec(field, gens, differential=diff,
                            degree_cap=cap).validate()
 
-    model = rebuild()
-    mm = MinimalModel(model=model, bound=bound, psi=psi, target_ring=target_ring,
-                      generators_by_degree=gens_by_deg, cn_split=cn)
+    def h_psi(degree: int, j: int) -> Vec:
+        rep = model_ring.slices.to_element(degree, model_ring.reps(degree)[j])
+        return dict(target_ring.class_of(mm.psi_vec(rep), degree).coords)
 
+    mm = MinimalModel(model=rebuild(), bound=bound, psi=psi,
+                      target_ring=target_ring, cn_split=cn)
     for k in range(2, bound + 1):
+        new_closed, new_n = cn.setdefault(k, ([], []))
         model_ring = CohomologyRing(FreeSlices(mm.model), k + 1)
         # 1. surjectivity in degree k: adjoin closed generators for a
         #    complement of the image of H^k(psi).
         img_ech = Echelon(field)
         for j in range(model_ring.betti[k]):
-            rep = model_ring.slices.to_element(k, model_ring.reps(k)[j])
-            cls = target_ring.class_of(mm.psi_vec(rep), k)
-            img_ech.add(dict(cls.coords))
-        new_closed: List[str] = []
+            img_ech.add(h_psi(k, j))
         for j in range(target_ring.betti[k]):
             if img_ech.add({j: field.one}):
-                name = f"v{k}_{len(gens_by_deg.get(k, [])) + len(new_closed)}"
+                name = f"v{k}_{len(new_closed)}"
                 new_closed.append(name)
                 gens.append(GeneratorDecl(name, k))
                 psi[name] = (k, target_ring.rep_combination(k, {j: field.one}))
@@ -165,33 +166,23 @@ def build_minimal_model(target_ring: CohomologyRing, bound: int) -> MinimalModel
             mm.model = rebuild()
             model_ring = CohomologyRing(FreeSlices(mm.model), k + 1)
         # 2. injectivity in degree k+1: kill the kernel of H^{k+1}(psi).
-        def h_psi(j: int) -> Vec:
-            rep = model_ring.slices.to_element(k + 1, model_ring.reps(k + 1)[j])
-            return dict(target_ring.class_of(mm.psi_vec(rep), k + 1).coords)
-
-        kernel, _ = kernel_image(field, model_ring.betti[k + 1], h_psi)
-        new_n: List[str] = []
+        kernel, _ = kernel_image(field, model_ring.betti[k + 1],
+                                 lambda j: h_psi(k + 1, j))
         for row in kernel.basis_rows():
             zvec = model_ring.rep_combination(k + 1, row)
             z_elem = model_ring.slices.to_element(k + 1, zvec)
             prim = target_ring.is_exact(mm.psi_vec(z_elem), k + 1)
             if prim is None:
                 raise AssertionError("kernel class must map to an exact cocycle")
-            base = len(gens_by_deg.get(k, [])) + len(new_closed) + len(new_n)
-            name = f"n{k}_{base}"
+            name = f"n{k}_{len(new_closed) + len(new_n)}"
             new_n.append(name)
             gens.append(GeneratorDecl(name, k))
-            diff[name] = [(c, monomial_names(mm.model, mono))
+            diff[name] = [(c, monomial_names(z_elem.parent, mono))
                           for mono, c in z_elem.terms.items()]
             psi[name] = (k, prim)
+        if new_n:
             mm.model = rebuild()
-        gens_by_deg.setdefault(k, []).extend(new_closed + new_n)
-        c_list, n_list = cn.setdefault(k, ([], []))
-        c_list.extend(new_closed)
-        n_list.extend(new_n)
-        mm.model = rebuild()
 
-    mm.model = rebuild()
     # chain-map sanity: psi(d g) = d(psi g) on every generator
     for g in mm.model.generators:
         lhs = mm.psi_vec(mm.model.gen(g.name).d())

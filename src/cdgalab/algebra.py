@@ -352,9 +352,6 @@ class AlgebraSpec:
         return Element(self, self.generators[gi].degree,
                        {((gi, 1),): self.field.one})
 
-    def d_of_generator(self, gi: int) -> Element:
-        return self.differential.get(gi, self.zero(self.generators[gi].degree + 1))
-
     # -- bases and relation ideal --------------------------------------
 
     def free_basis(self, k: int) -> List[Monomial]:

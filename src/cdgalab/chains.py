@@ -65,9 +65,6 @@ class FreeSlices:
         prod = self.to_element(k, u) * self.to_element(l, v)
         return self.from_element(prod)
 
-    def label(self, k: int, i: int) -> str:
-        return self.basis_element(k, i).render()
-
     def unit_vec(self) -> Vec:
         return self.from_element(self.spec.one())
 
@@ -86,6 +83,7 @@ class SubcomplexSlices:
         self.cap = max(bases.keys(), default=0)
         self._bases = bases
         self._express: Dict[int, Echelon] = {}
+        self._no_basis = Echelon(self.field)  # solves only the zero vector
         for k, rows in bases.items():
             ech = Echelon(self.field)
             for j, row in enumerate(rows):
@@ -99,7 +97,7 @@ class SubcomplexSlices:
         return mat_vec(self._bases.get(k, ()), vec)
 
     def express(self, k: int, parent_vec: Vec) -> Vec:
-        sol = self._express.get(k, Echelon(self.field)).solve(parent_vec)
+        sol = self._express.get(k, self._no_basis).solve(parent_vec)
         if sol is None:
             raise NotInSubcomplex("vector does not lie in the subcomplex slice", degree=k)
         return sol
@@ -120,9 +118,6 @@ class SubcomplexSlices:
                                  degree=k + l)
         prod = self.parent.mul_vec(k, self.to_parent_vec(k, u), l, self.to_parent_vec(l, v))
         return self.express(k + l, prod)
-
-    def label(self, k: int, i: int) -> str:
-        return self.parent.to_element(k, self._bases[k][i]).render()
 
     def unit_vec(self) -> Vec:
         return self.express(0, self.parent.unit_vec())

@@ -90,7 +90,6 @@ class CohomologyRing:
         self.betti: List[int] = []
         self._reps: List[List[Vec]] = []
         self._image: List[Echelon] = []
-        self._kernel: List[Echelon] = []
         self._decomp: List[Echelon] = []
         # (p, q) -> {(i, j): coords of [rep_i * rep_j]}, filled on first use
         self._cup: Dict[Tuple[int, int], Dict[Tuple[int, int], Vec]] = {}
@@ -115,7 +114,6 @@ class CohomologyRing:
                 decomp.add(dict(rep), source={j: self.field.one})
             self.betti.append(len(reps))
             self._reps.append(reps)
-            self._kernel.append(kernel)
             self._image.append(prev_image)
             self._decomp.append(decomp)
             prev_image = image_next

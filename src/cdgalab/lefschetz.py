@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from itertools import combinations_with_replacement
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from .cohomology import CohomClass, CohomologyRing
 from .errors import BadOmegaDegree, NoTopDeclared
@@ -89,6 +89,7 @@ def universal_obstruction(ring: CohomologyRing, k: int,
                             needed=target_degree)
     h2 = [ring.rep_class(2, j) for j in range(ring.betti[2])]
     combos = list(combinations_with_replacement(range(len(h2)), power))
+    width = ring.betti[target_degree]
 
     def apply(j: int) -> Vec:
         # stack the images of b under every (n-k)-fold multiplication
@@ -99,20 +100,8 @@ def universal_obstruction(ring: CohomologyRing, k: int,
             for idx in combo:
                 cls = ring.cup(h2[idx], cls)
             for coord, val in cls.coords.items():
-                out[(ci, coord)] = val
+                out[ci * width + coord] = val
         return out
 
-    # Re-index stacked coordinates into integers for the echelon.
-    index: Dict[object, int] = {}
-
-    def apply_int(j: int) -> Vec:
-        raw = apply(j)
-        out: Vec = {}
-        for key, val in raw.items():
-            if key not in index:
-                index[key] = len(index)
-            out[index[key]] = val
-        return out
-
-    kernel, _ = kernel_image(ring.field, ring.betti[k], apply_int)
+    kernel, _ = kernel_image(ring.field, ring.betti[k], apply)
     return [CohomClass(ring, k, dict(row)) for row in kernel.basis_rows()]

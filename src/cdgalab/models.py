@@ -180,18 +180,9 @@ def _sasaki_cpn_s2_doc(n: int) -> dict:
 
 def preset(name: str, **params) -> PresetBundle:
     """Expand a named preset into a validated bundle."""
-    name = name.upper().replace("-", "_")
-    if name in FIXED_PRESETS:
-        doc = _load_fixed(name)
-    elif name == "CPN":
-        doc = _cpn_doc(int(params.get("m", params.get("n", 1))))
-    elif name == "SASAKI_CPN_S2":
-        doc = _sasaki_cpn_s2_doc(int(params.get("n", 4)))
-    else:
-        raise UnknownPreset(f"no preset named '{name}'", name=name,
-                            known=sorted(FIXED_PRESETS + PARAMETRIC_PRESETS))
+    doc = preset_document(name, **params)
     spec, action, classes, volume, meta = document_from_json(doc)
-    return PresetBundle(name=doc.get("preset", name), spec=spec, action=action,
+    return PresetBundle(name=doc["preset"], spec=spec, action=action,
                         classes=classes, volume=volume, meta=meta)
 
 

@@ -3,9 +3,9 @@ from fractions import Fraction
 import pytest
 
 from cdgalab.algebra import AlgebraSpec, GeneratorDecl
-from cdgalab.chains import FreeSlices
+from cdgalab.chains import FreeSlices, SubcomplexSlices
 from cdgalab.cohomology import cohomology
-from cdgalab.errors import NotChainMap, OrderMismatch
+from cdgalab.errors import NotChainMap, NotInSubcomplex, OrderMismatch
 from cdgalab.scalars import CycField
 from cdgalab.symmetry import (
     GroupActionSpec,
@@ -206,3 +206,10 @@ def test_restriction_preserves_cup_structure():
             prod_inv = Hinv.cup(u, v)
             prod_par = Hparent.cup(u_par, v_par)
             assert Hparent.class_of(prod_inv.rep_element()) == prod_par
+
+
+def test_subcomplex_degree_without_basis_holds_only_zero():
+    slices = SubcomplexSlices(FreeSlices(exterior("ab").validate()), {0: [{0: Q.one}]})
+    assert slices.express(1, {}) == {}
+    with pytest.raises(NotInSubcomplex):
+        slices.express(1, {0: Q.one})

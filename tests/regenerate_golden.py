@@ -19,6 +19,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import re
 import runpy
 import sys
 from pathlib import Path
@@ -41,9 +42,16 @@ def _select(*names: str) -> List[str]:
     return [arg for name in names for arg in ("--select", name)]
 
 
+def _sel(degree: int, j: int) -> str:
+    """Coordinate selector of the j-th representative class in H^degree."""
+    return json.dumps({"degree": degree, "coords": [0] * j + [1]})
+
+
 # Selections on named presets: the README's examples, then the document
-# commands (circle-bundle, tensor), order-4 Massey products, and one
-# minimal model deep enough to need hundreds of generators.
+# commands (circle-bundle, tensor), order-4 Massey products, one minimal
+# model deep enough to need hundreds of generators, and the Massey products
+# whose shift families take the parameter branches (affine order 2, cross
+# terms in a- and higher products), chosen by coordinates.
 SELECTIONS = [
     ("SASAKI7_S2CUBE", ["massey"] + _select("a1", "a1", "a2")),
     ("HEIS8_Z3", ["amassey", "--a", "a", "--b", "b1", "--b", "b2", "--b", "b3"]),
@@ -60,6 +68,13 @@ SELECTIONS = [
     ("HEIS6_Z6", ["tensor", "--with", SPHERE2_FILE]),
     ("SPHERE2", ["tensor", "--with", SPHERE2_FILE]),
     ("HEIS8_Z3", ["minimal-model", "--bound", "4"]),
+    ("HEIS6", ["higher-massey"] + _select(_sel(1, 0), _sel(2, 1), _sel(1, 2), _sel(2, 5))),
+    ("HEIS6", ["higher-massey"] + _select(_sel(1, 0), _sel(2, 4), _sel(2, 1), _sel(2, 5))),
+    ("HEIS6", ["amassey", "--a", _sel(2, 1), "--b", _sel(1, 0), "--b", _sel(1, 1)]),
+    ("HEIS6", ["amassey", "--a", _sel(2, 1), "--b", _sel(1, 1), "--b", _sel(1, 1),
+               "--b", _sel(1, 3)]),
+    ("HEIS8", ["amassey", "--a", _sel(2, 2), "--b", _sel(1, 1), "--b", _sel(2, 6),
+               "--b", _sel(2, 16)]),
 ]
 
 VERIFY_ARGV = ["verify-paper", "--cases", "50", "--verbose"]
@@ -94,7 +109,14 @@ def cases() -> List[Tuple[str, dict, List[str]]]:
 
 def _arg_label(arg: str) -> str:
     # A document path is named by its file stem, so case names do not
-    # depend on where the checkout lives.
+    # depend on where the checkout lives.  A coordinate selector is named by
+    # its degree and nonzero coordinates: {"degree": 2, "coords": [0, 1]} is
+    # h2e1, and a coefficient other than 1 follows its index after an x.
+    if arg.startswith("{"):
+        data = json.loads(arg)
+        terms = "".join(f"e{i}" + ("" if str(c) == "1" else f"x{c}")
+                        for i, c in enumerate(data["coords"]) if str(c) != "0")
+        return re.sub(r"[^\w-]", "_", f"h{data['degree']}{terms}")
     return Path(arg).stem if arg.endswith(".json") else arg.lstrip("-")
 
 

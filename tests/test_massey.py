@@ -297,3 +297,27 @@ def test_amassey_brute_force_consistency_on_torus():
             t_vals.add(class_key(b1.rep_element() * x2 - x1 * b2.rep_element()))
     assert a_vals == t_vals
     assert class_key(spec.zero(5)) in a_vals  # both families contain zero
+
+
+def test_higher_massey_evaluates_each_defining_system_once(monkeypatch):
+    # The HEIS6 order-4 product with cross terms (a golden case): the shift
+    # probe evaluates each single and each paired shift, and every perturbed
+    # defining system should be evaluated only once.
+    from cdgalab import massey
+
+    bundle = preset("HEIS6")
+    H = cohomology(bundle.spec, 6, volume=bundle.volume)
+    classes = [H.rep_class(d, j) for d, j in ((1, 0), (2, 1), (1, 2), (2, 5))]
+    seen = []
+    evaluate = massey._system_value
+
+    def counted(ring, system, t, rhs):
+        seen.append(frozenset((key, deg, frozenset(vec.items()))
+                              for key, (deg, vec) in system.items()))
+        return evaluate(ring, system, t, rhs)
+
+    monkeypatch.setattr(massey, "_system_value", counted)
+    rep = higher_massey(H, classes)
+    assert rep.notes == ["cross terms present; zero not exhibited"]
+    repeats = len(seen) - len(set(seen))
+    assert repeats == 0

@@ -11,7 +11,7 @@ this interface, so group-invariant complexes get every feature for free.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, List, Sequence, Tuple, Union
 
 from .algebra import AlgebraSpec, Element, Monomial
 from .errors import CapExceeded, DegreeOverflow, NotInSubcomplex
@@ -121,3 +121,19 @@ class SubcomplexSlices:
 
     def unit_vec(self) -> Vec:
         return self.express(0, self.parent.unit_vec())
+
+
+def product(slices: Union[FreeSlices, SubcomplexSlices],
+            factors: Sequence[Tuple[int, Vec]]) -> Vec:
+    """Product of (degree, vector) factors, multiplied left to right.
+
+    It starts from the first factor, not from the unit; the empty product
+    is the unit.
+    """
+    if not factors:
+        return slices.unit_vec()
+    deg, vec = factors[0]
+    for fdeg, fvec in factors[1:]:
+        vec = slices.mul_vec(deg, vec, fdeg, fvec)
+        deg += fdeg
+    return vec

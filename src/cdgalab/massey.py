@@ -21,8 +21,10 @@ else is INCONCLUSIVE.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from typing import Dict, List, Optional, Sequence, Tuple
+from itertools import combinations
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+from .chains import product
 from .cohomology import CohomClass, CohomologyRing
 from .errors import OddADegree, OrderUnsupported
 from .linalg import Echelon, Vec, vec_add
@@ -50,29 +52,25 @@ class MasseyReport:
         return len(self.indeterminacy)
 
 
-def _indeterminacy_span(ring: CohomologyRing, pieces: Sequence[Tuple[CohomClass, int]],
-                        target_degree: int) -> List[CohomClass]:
-    """Canonical basis of sum_i class_i * H^{q_i} inside H^{target}."""
+def _span(ring: CohomologyRing,
+          classes: Iterable[CohomClass]) -> Tuple[Echelon, List[CohomClass]]:
+    """Echelon of the classes' span and, in order, the classes that grew it.
+
+    A span has one RREF, so membership asked of this echelon is the same
+    whichever spanning classes built it.
+    """
     ech = Echelon(ring.field)
-    basis: List[CohomClass] = []
-    for cls, q in pieces:
-        if q < 0 or q > ring.max_degree or cls.is_zero():
-            continue
-        for j in range(ring.betti[q]):
-            prod = ring.cup(cls, ring.rep_class(q, j))
-            if prod.is_zero():
-                continue
-            if ech.add(dict(prod.coords)):
-                basis.append(prod)
-    return basis
+    grew = [cls for cls in classes if not cls.is_zero() and ech.add(cls.coords)]
+    return ech, grew
 
 
-def _membership(ring: CohomologyRing, cls: CohomClass,
-                span: Sequence[CohomClass]) -> bool:
-    ech = Echelon(ring.field)
-    for s in span:
-        ech.add(dict(s.coords))
-    return ech.contains(dict(cls.coords))
+def _indeterminacy_span(ring: CohomologyRing, pieces: Sequence[Tuple[CohomClass, int]]
+                        ) -> Tuple[Echelon, List[CohomClass]]:
+    """Span of sum_i class_i * H^{q_i}, over the cups with representative classes."""
+    return _span(ring, (ring.cup(cls, ring.rep_class(q, j))
+                        for cls, q in pieces
+                        if 0 <= q <= ring.max_degree and not cls.is_zero()
+                        for j in range(ring.betti[q])))
 
 
 def triple_massey(ring: CohomologyRing, u: CohomClass, v: CohomClass,
@@ -105,12 +103,11 @@ def triple_massey(ring: CohomologyRing, u: CohomClass, v: CohomClass,
         ring.slices.mul_vec(u.degree + v.degree - 1, x, w.degree, w.rep_vec()),
         sign)
     rep = ring.class_of(rep_vec, target)
-    indet = _indeterminacy_span(
-        ring, [(u, v.degree + w.degree - 1), (w, u.degree + v.degree - 1)], target)
-    inside = _membership(ring, rep, indet)
+    span, indet = _indeterminacy_span(
+        ring, [(u, v.degree + w.degree - 1), (w, u.degree + v.degree - 1)])
     return MasseyReport(
         kind="triple", defined=True,
-        verdict=ZERO if inside else NONZERO,
+        verdict=ZERO if span.contains(rep.coords) else NONZERO,
         degree=target, representative=rep,
         representative_nonzero=not rep.is_zero(),
         indeterminacy=indet,
@@ -143,23 +140,14 @@ def a_massey(ring: CohomologyRing, a: CohomClass, bs: Sequence[CohomClass],
 
     def representative(xi_list: Sequence[Tuple[int, Vec]]) -> CohomClass:
         total: Optional[Vec] = None
-        target = None
         for i in range(n):
-            deg, vec = 0, ring.slices.unit_vec()
-            sign_exp = sum(xi_list[j][0] for j in range(i))
-            for j in range(n):
-                if j == i:
-                    vec = ring.slices.mul_vec(deg, vec, bs[i].degree, bs[i].rep_vec())
-                    deg += bs[i].degree
-                else:
-                    xdeg, xvec = xi_list[j]
-                    vec = ring.slices.mul_vec(deg, vec, xdeg, xvec)
-                    deg += xdeg
-            if sign_exp % 2:
+            factors = list(xi_list)
+            factors[i] = (bs[i].degree, bs[i].rep_vec())
+            vec = product(ring.slices, factors)
+            if sum(xi_list[j][0] for j in range(i)) % 2:
                 vec = {k: -c for k, c in vec.items()}
             total = vec if total is None else vec_add(total, vec)
-            target = deg
-        return ring.class_of(total, target)
+        return ring.class_of(total, sum(deg for deg, _ in factors))
 
     rep = representative(xis)
     target = rep.degree
@@ -203,17 +191,12 @@ def a_massey(ring: CohomologyRing, a: CohomClass, bs: Sequence[CohomClass],
                                          ring.rep_combination(deg_i, {j: ring.field.one})))
             labels.append((i, j))
             deltas.append(representative(shifted) - rep)
-    ech = Echelon(ring.field)
-    directions: List[CohomClass] = []
-    for delta in deltas:
-        if not delta.is_zero() and ech.add(dict(delta.coords)):
-            directions.append(delta)
+    span, directions = _span(ring, deltas)
     if n == 2:
         # Shifts enter each term linearly and never jointly: the family is
         # exactly rep + span(directions).
-        inside = _membership(ring, rep, directions)
         return MasseyReport(kind=kind, defined=True,
-                            verdict=ZERO if inside else NONZERO,
+                            verdict=ZERO if span.contains(rep.coords) else NONZERO,
                             degree=target, representative=rep,
                             representative_nonzero=True,
                             indeterminacy=directions, certificate=certificate,
@@ -324,10 +307,8 @@ def higher_massey(ring: CohomologyRing, classes: Sequence[CohomClass],
                             certificate=certificate,
                             notes=[f"parameter space {pdim} exceeds budget {budget}"])
     # Valid single-group perturbations give affine directions; quadratic
-    # cross-terms are probed on basis pairs.
-    directions: List[CohomClass] = []
-    ech = Echelon(ring.field)
-    valid_shift: List[Tuple[Tuple[int, int], int]] = []
+    # cross-terms are probed on pairs of them, reusing each one's value.
+    shifts: List[Tuple[Tuple[int, int], Tuple[int, Vec], CohomClass]] = []
     for key in keys:
         d, base_vec = system[key]
         if d > ring.max_degree:
@@ -336,39 +317,21 @@ def higher_massey(ring: CohomologyRing, classes: Sequence[CohomClass],
             trial = dict(system)
             trial[key] = (d, vec_add(base_vec, ring.rep_combination(d, {jj: ring.field.one})))
             value = _system_value(ring, trial, t, rhs)
-            if value is None:
-                continue
-            valid_shift.append((key, jj))
-            delta = value - rep
-            if not delta.is_zero():
-                if ech.add(dict(delta.coords)):
-                    directions.append(delta)
-    affine = True
-    for x1 in range(len(valid_shift)):
-        for x2 in range(x1 + 1, len(valid_shift)):
-            (k1, j1), (k2, j2) = valid_shift[x1], valid_shift[x2]
-            if k1 == k2:
-                continue
-            trial = dict(system)
-            d1, v1 = system[k1]
-            d2, v2 = system[k2]
-            trial[k1] = (d1, vec_add(v1, ring.rep_combination(d1, {j1: ring.field.one})))
-            trial[k2] = (d2, vec_add(v2, ring.rep_combination(d2, {j2: ring.field.one})))
-            both = _system_value(ring, trial, t, rhs)
-            if both is None:
-                continue
-            t1 = dict(system)
-            t1[k1] = trial[k1]
-            only1 = _system_value(ring, t1, t, rhs)
-            t2 = dict(system)
-            t2[k2] = trial[k2]
-            only2 = _system_value(ring, t2, t, rhs)
-            if only1 is None or only2 is None:
-                continue
-            cross = both - only1 - only2 + rep
-            if not cross.is_zero():
-                affine = False
-    inside = _membership(ring, rep, directions)
+            if value is not None:
+                shifts.append((key, trial[key], value))
+    span, directions = _span(ring, (value - rep for _, _, value in shifts))
+
+    def cross_term(first, second) -> bool:
+        (k1, slot1, only1), (k2, slot2, only2) = first, second
+        if k1 == k2:
+            return False
+        trial = dict(system)
+        trial[k1], trial[k2] = slot1, slot2
+        both = _system_value(ring, trial, t, rhs)
+        return both is not None and not (both - only1 - only2 + rep).is_zero()
+
+    affine = not any(cross_term(*pair) for pair in combinations(shifts, 2))
+    inside = span.contains(rep.coords)
     if affine:
         verdict = ZERO if inside else NONZERO
         note = "family verified affine on probed pairs"

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field as dc_field
 from typing import Dict, List, Optional, Tuple
 
 from .algebra import AlgebraSpec, Element, GeneratorDecl, monomial_names
-from .chains import FreeSlices
+from .chains import FreeSlices, product
 from .cohomology import CohomologyRing
 from .errors import CapTooLow, NotOneConnected
 from .linalg import Echelon, Vec, kernel_image, mat_vec, vec_iadd
@@ -62,16 +62,10 @@ class MinimalModel:
 
     def psi_vec(self, elem: Element) -> Vec:
         """Image of a model element in the target slice coordinates."""
-        sl = self.target_ring.slices
         out: Vec = {}
         for mono, c in elem.terms.items():
-            vec = sl.unit_vec()
-            deg = 0
-            for name in monomial_names(elem.parent, mono):
-                gdeg, gvec = self.psi[name]
-                vec = sl.mul_vec(deg, vec, gdeg, gvec)
-                deg += gdeg
-            vec_iadd(out, vec, c)
+            factors = [self.psi[name] for name in monomial_names(elem.parent, mono)]
+            vec_iadd(out, product(self.target_ring.slices, factors), c)
         return out
 
     def n_generators_through(self, s: int) -> List[str]:

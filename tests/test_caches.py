@@ -14,7 +14,7 @@ from fractions import Fraction
 import pytest
 
 from cdgalab.algebra import AlgebraSpec, GeneratorDecl
-from cdgalab.chains import FreeSlices
+from cdgalab.chains import FreeSlices, product
 from cdgalab.cohomology import CohomClass, cohomology
 from cdgalab.errors import OrderMismatch
 from cdgalab.linalg import kernel_image
@@ -63,6 +63,30 @@ def test_table_cup_matches_direct_product(name):
             ring.slices.mul_vec(p, u.rep_vec(), q, v.rep_vec()), p + q)
         assert ring.cup(u, v) == direct
     assert dense >= 10
+
+
+@pytest.mark.parametrize("name", ["HEIS6", "HEIS6_Z6", "HEIS8_Z3"])
+def test_product_starts_from_its_first_factor(name):
+    # The chain equals the same chain started from the unit, and the empty
+    # product is the unit.
+    ring = _ring(name)
+    sl = ring.slices
+    rng = random.Random(11)
+    assert product(sl, []) == sl.unit_vec()
+    degrees = [k for k in range(1, ring.max_degree + 1) if ring.betti[k]]
+    for _ in range(20):
+        factors, total = [], 0
+        while True:
+            k = rng.choice(degrees)
+            if total + k > ring.max_degree:
+                break
+            factors.append((k, _dense_class(rng, ring, k).rep_vec()))
+            total += k
+        deg, from_unit = 0, sl.unit_vec()
+        for k, vec in factors:
+            from_unit = sl.mul_vec(deg, from_unit, k, vec)
+            deg += k
+        assert product(sl, factors) == from_unit
 
 
 # -- the action through Element products -----------------------------------

@@ -441,17 +441,12 @@ class AlgebraSpec:
         atoms = monomial_atoms(self, m)
         for j, g in enumerate(atoms):
             dg = self.differential.get(g)
-            if dg is None or dg.is_zero():
+            if dg is None:
                 continue
-            prefix = atoms[:j]
-            suffix = atoms[j + 1:]
-            sign = -1 if sum(self.generators[a].degree for a in prefix) % 2 else 1
-            pre_mono = atoms_to_monomial_ordered(self, prefix)
-            suf_mono = atoms_to_monomial_ordered(self, suffix)
-            if pre_mono is None or suf_mono is None:
-                continue
-            pre_sign, pre = pre_mono
-            suf_sign, suf = suf_mono
+            # m is in normal form, so its prefix and suffix atoms already are.
+            pre = atoms_to_monomial(atoms[:j])
+            suf = atoms_to_monomial(atoms[j + 1:])
+            sign = -1 if sum(self.generators[a].degree for a in atoms[:j]) % 2 else 1
             # pre * dm * suf is injective in dm, so the part's terms never collide.
             part: Dict[Monomial, CycScalar] = {}
             for dm, dc in dg.terms.items():
@@ -463,7 +458,7 @@ class AlgebraSpec:
                 if right is None:
                     continue
                 s2, mono = right
-                total = sign * pre_sign * suf_sign * s1 * s2
+                total = sign * s1 * s2
                 part[mono] = dc if total > 0 else -dc
             vec_iadd(acc, part)
         self._d_mono_cache[m] = acc

@@ -330,18 +330,16 @@ def massey_scan(ring: CohomologyRing, budget: int = 2000) -> Optional[MasseyRepo
 
 
 def formality_verdict(ring: CohomologyRing, *,
-                      spec: Optional[AlgebraSpec] = None,
                       poincare_dimension: Optional[int] = None,
                       simply_connected: bool = False,
-                      budget: int = 400,
-                      minimal_model_bound: Optional[int] = None) -> FormalityReport:
+                      budget: int = 400) -> FormalityReport:
     """Combine obstruction scans, the duality criterion and small-dimension facts.
 
     Zero differential is checked first: every defined Massey product then has
-    zero primitives, so the scan could not find a witness.
+    zero primitives, so the scan could not find a witness.  d vanishes below
+    the top degree exactly when each H^k there is the whole slice.
     """
-    if all(not ring.slices.d_vec(k, {i: ring.field.one})
-           for k in range(ring.max_degree) for i in range(ring.slices.dim(k))):
+    if all(ring.betti[k] == ring.slices.dim(k) for k in range(ring.max_degree)):
         return FormalityReport(verdict=FORMAL, route="zero_differential",
                                certificate={"reason": "the algebra equals its "
                                                       "own cohomology"})
@@ -359,8 +357,7 @@ def formality_verdict(ring: CohomologyRing, *,
     if poincare_dimension is not None:
         n_half = (poincare_dimension + 1) // 2
         s = n_half - 1
-        bound = minimal_model_bound or max(s + 1, poincare_dimension - 2)
-        bound = min(bound, ring.max_degree - 1)
+        bound = min(max(s + 1, poincare_dimension - 2), ring.max_degree - 1)
         try:
             mm = build_minimal_model(ring, bound)
         except NotOneConnected:

@@ -1,9 +1,10 @@
 import random
+from itertools import combinations_with_replacement
 from math import comb
 
 import pytest
 
-from cdgalab.algebra import AlgebraSpec, GeneratorDecl, alg_validate
+from cdgalab.algebra import AlgebraSpec, GeneratorDecl, alg_validate, monomial_names
 from cdgalab.errors import (
     BadDifferentialDegree,
     CapExceeded,
@@ -127,6 +128,31 @@ def test_exterior_basis_binomials():
     spec = alg_validate(exterior("abcdef"))
     for k in range(7):
         assert len(spec.basis(k)) == comb(6, k)
+
+
+def free_basis_reference(spec, k):
+    """Every multiset of generators of degree k in which no odd generator
+    repeats, as names, sorted by its generator-index sequence."""
+    gens = spec.generators
+    found = []
+    for length in range(k + 1):
+        for combo in combinations_with_replacement(range(len(gens)), length):
+            odd = [i for i in combo if gens[i].degree % 2]
+            if sum(gens[i].degree for i in combo) == k and len(set(odd)) == len(odd):
+                found.append(combo)
+    return [tuple(gens[i].name for i in combo) for combo in sorted(found)]
+
+
+def test_free_basis_matches_brute_force():
+    rng = random.Random(20)
+    for trial in range(40):
+        degrees = [rng.randint(1, 4) for _ in range(rng.randint(1, 6))]
+        cap = rng.randint(1, 8)
+        spec = AlgebraSpec(Q, [GeneratorDecl(f"g{i}", d) for i, d in enumerate(degrees)],
+                           degree_cap=cap)
+        for k in range(cap + 1):
+            assert [monomial_names(spec, m) for m in spec.free_basis(k)] == \
+                free_basis_reference(spec, k), (degrees, k)
 
 
 def test_heisenberg_degree2_has_15_monomials():

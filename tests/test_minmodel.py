@@ -278,3 +278,19 @@ def test_model_spec_is_rebuilt_once_per_step(monkeypatch):
     mm = build_minimal_model(invariant_cohomology(bundle.action, bound + 1), bound)
     assert len(mm.model.generators) == 120
     assert len(built) <= 1 + 2 * (bound - 1)
+
+
+def test_heis8_z3_bound5_report_is_pinned():
+    # The bound-5 report is 2 MB, too large for a snapshot, so its sha256 is
+    # pinned instead; it is the same on CPython 3.10, 3.11 and 3.12.
+    import hashlib
+    import json
+
+    from regenerate_golden import run_cli
+    from cdgalab.models import preset_document
+
+    code, out, _ = run_cli(["minimal-model", "--bound", "5", "--format", "json"],
+                           json.dumps(preset_document("HEIS8_Z3")))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "f58af32c8e48326643ebfd00fb2980f8a7a2c4063a0cd756a815a21ec6f387ff"

@@ -3,10 +3,11 @@
 An :class:`AlgebraSpec` fixes a cyclotomic coefficient field, an ordered list
 of generators, a differential on generators, a list of homogeneous relations
 and a degree cap.  Elements are sparse sums of normal-form monomials; the
-Koszul sign of a product is the parity of the odd-generator transpositions
-needed to sort it.  Relations are handled per degree by exact row reduction
-of the ideal slice, so every element is stored as the canonical coset
-representative and equality is a coefficient comparison.
+product of two monomials is the normal form of their concatenated words, and
+its Koszul sign is the parity of the odd-generator transpositions needed to
+sort it.  Relations are handled per degree by exact row reduction of the ideal
+slice, so every element is stored as the canonical coset representative and
+equality is a coefficient comparison.
 
 Everything is immutable after validation; per-degree bases and ideal echelons
 are cached inside the spec.
@@ -14,7 +15,9 @@ are cached inside the spec.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import (
@@ -33,9 +36,9 @@ from .errors import (
 from .linalg import Echelon, vec_add, vec_iadd
 from .scalars import CycField, CycScalar
 
-# A monomial is a tuple of (generator index, exponent) pairs, sorted by index,
-# with exponents >= 1.  The empty tuple is the unit.
-Monomial = Tuple[Tuple[int, int], ...]
+# A monomial is the sorted tuple of its generator indices, each repeated by its
+# exponent: x0^2*x3 is (0, 0, 3).  The empty tuple is the unit.
+Monomial = Tuple[int, ...]
 UNIT: Monomial = ()
 
 
@@ -47,47 +50,33 @@ class GeneratorDecl:
 
 
 def monomial_degree(spec: "AlgebraSpec", m: Monomial) -> int:
-    return sum(spec.generators[g].degree * e for g, e in m)
-
-
-def monomial_atoms(spec: "AlgebraSpec", m: Monomial) -> Tuple[int, ...]:
-    out: List[int] = []
-    for g, e in m:
-        out.extend([g] * e)
-    return tuple(out)
+    return sum(spec.generators[g].degree for g in m)
 
 
 def monomial_names(spec: "AlgebraSpec", m: Monomial) -> Tuple[str, ...]:
     """Generator names of a monomial in normal order, each repeated by its exponent."""
-    return tuple(spec.generators[g].name for g in monomial_atoms(spec, m))
+    return tuple(spec.generators[g].name for g in m)
 
 
-def atoms_to_monomial(atoms: Sequence[int]) -> Monomial:
-    out: List[Tuple[int, int]] = []
-    for g in sorted(atoms):
-        if out and out[-1][0] == g:
-            out[-1] = (g, out[-1][1] + 1)
-        else:
-            out.append((g, 1))
-    return tuple(out)
+def element_data(elem: "Element") -> List[Tuple[CycScalar, Tuple[str, ...]]]:
+    """(coeff, names) terms of an element, to rebuild it by name in another spec."""
+    return [(c, monomial_names(elem.parent, m)) for m, c in elem.terms.items()]
 
 
-def monomial_mul(spec: "AlgebraSpec", m1: Monomial, m2: Monomial):
-    """Normal-form product: (sign, monomial) or None when an odd square occurs."""
-    odd1 = [g for g, e in m1 if spec.generators[g].degree % 2]
-    odd2 = [g for g, e in m2 if spec.generators[g].degree % 2]
-    if set(odd1) & set(odd2):
+def normal_form(spec: "AlgebraSpec", word: Sequence[int]):
+    """Sort a word of generator indices into its monomial, with the Koszul sign.
+
+    Returns (sign, monomial), or None if an odd generator repeats.  The
+    product of monomials m1 and m2 is the normal form of ``m1 + m2``.
+    """
+    odd = [g for g in word if spec._odd[g]]
+    if len(set(odd)) != len(odd):
         return None
     inversions = 0
-    for g in odd2:
-        inversions += sum(1 for h in odd1 if h > g)
-    merged: Dict[int, int] = {}
-    for g, e in m1:
-        merged[g] = merged.get(g, 0) + e
-    for g, e in m2:
-        merged[g] = merged.get(g, 0) + e
-    mono = tuple(sorted(merged.items()))
-    return (-1 if inversions % 2 else 1), mono
+    for i, g in enumerate(odd):
+        for h in odd[i + 1:]:
+            inversions += g > h
+    return (-1 if inversions % 2 else 1), tuple(sorted(word))
 
 
 class Element:
@@ -150,7 +139,7 @@ class Element:
             # m1 * m2 is injective in m2, so the row's terms never collide.
             row: Dict[Monomial, CycScalar] = {}
             for m2, c2 in other.terms.items():
-                hit = monomial_mul(spec, m1, m2)
+                hit = normal_form(spec, m1 + m2)
                 if hit is not None:
                     sign, mono = hit
                     row[mono] = c2 if sign > 0 else -c2
@@ -178,14 +167,14 @@ class Element:
         acc: Dict[Monomial, CycScalar] = {}
         for m, c in self.terms.items():
             mapped = []
-            for g in monomial_atoms(spec, m):
+            for g in m:
                 partner = spec._conj_index.get(g)
                 if partner is None:
                     raise NoConjugateDeclared(
                         f"generator '{spec.generators[g].name}' has no conjugate partner",
                         generator=spec.generators[g].name)
                 mapped.append(partner)
-            sign, mono = atoms_to_monomial_ordered(spec, mapped)
+            sign, mono = normal_form(spec, mapped)
             acc[mono] = c.conj() if sign > 0 else -c.conj()
         return Element(spec, self.degree, acc)
 
@@ -207,11 +196,12 @@ class Element:
             return "0"
         spec = self.parent
         parts = []
-        for mono in sorted(self.terms, key=lambda m: monomial_atoms(spec, m)):
+        for mono in sorted(self.terms):
             c = self.terms[mono]
+            runs = ((g, len(list(run))) for g, run in groupby(mono))
             names = "*".join(
                 spec.generators[g].name + (f"^{e}" if e > 1 else "")
-                for g, e in mono) or "1"
+                for g, e in runs) or "1"
             parts.append(f"({c})*{names}")
         return " + ".join(parts)
 
@@ -239,6 +229,7 @@ class AlgebraSpec:
         if len(set(names)) != len(names):
             raise ParseError("generator names must be unique")
         self.index: Dict[str, int] = {g.name: i for i, g in enumerate(self.generators)}
+        self._odd: Tuple[int, ...] = tuple(g.degree % 2 for g in self.generators)
         for g in self.generators:
             if g.degree < 1:
                 raise ParseError(f"generator '{g.name}' must have positive degree")
@@ -312,12 +303,12 @@ class AlgebraSpec:
         degree = None
         for coeff, names in data:
             c = coeff if isinstance(coeff, CycScalar) else self.field.rational(coeff)
-            atoms = []
+            word = []
             for n in names:
                 if n not in self.index:
                     raise ParseError(f"unknown generator '{n}'")
-                atoms.append(self.index[n])
-            hit = atoms_to_monomial_ordered(self, atoms)
+                word.append(self.index[n])
+            hit = normal_form(self, word)
             if hit is None:
                 continue  # odd square: the term is zero
             sign, mono = hit
@@ -350,7 +341,7 @@ class AlgebraSpec:
     def gen(self, name: str) -> Element:
         gi = self.index[name]
         return Element(self, self.generators[gi].degree,
-                       {((gi, 1),): self.field.one})
+                       {(gi,): self.field.one})
 
     # -- bases and relation ideal --------------------------------------
 
@@ -360,25 +351,19 @@ class AlgebraSpec:
             raise CapExceeded(f"degree {k} exceeds cap {self.degree_cap}",
                               degree=k, cap=self.degree_cap)
         if k not in self._free_basis_cache:
-            out: List[Monomial] = []
-
-            def rec(i: int, remaining: int, acc: List[Tuple[int, int]]):
-                if remaining == 0:
-                    out.append(tuple(acc))
-                    return
-                if i == len(self.generators):
-                    return
-                g = self.generators[i]
-                rec(i + 1, remaining, acc)
-                max_e = 1 if g.degree % 2 else remaining // g.degree
-                for e in range(1, max_e + 1):
-                    if g.degree * e <= remaining:
-                        acc.append((i, e))
-                        rec(i + 1, remaining - g.degree * e, acc)
-                        acc.pop()
-
-            rec(0, k, [])
-            out.sort(key=lambda m: monomial_atoms(self, m))
+            # A degree-k monomial is its smallest generator g followed by a
+            # degree-(k - |g|) monomial that starts after g, or at g when g is
+            # even.  Those form a suffix of the sorted lower basis, so taking g
+            # in index order yields the basis already sorted, and the
+            # recursion goes one level per degree.
+            out: List[Monomial] = [UNIT] if k == 0 else []
+            for g, decl in enumerate(self.generators):
+                rest = k - decl.degree
+                if rest < 0:
+                    continue
+                lower = self.free_basis(rest)
+                start = bisect_left(lower, (g + self._odd[g],)) if rest else 0
+                out.extend((g,) + m for m in lower[start:])
             self._free_basis_cache[k] = out
             self._free_index_cache[k] = {m: i for i, m in enumerate(out)}
         return self._free_basis_cache[k]
@@ -397,7 +382,7 @@ class AlgebraSpec:
                     # m * rm is injective in rm, so the row's terms never collide.
                     row: Dict[int, CycScalar] = {}
                     for rm, rc in rel.terms.items():
-                        hit = monomial_mul(self, m, rm)
+                        hit = normal_form(self, m + rm)
                         if hit is not None:
                             sign, mono = hit
                             row[basis_idx[mono]] = rc if sign > 0 else -rc
@@ -438,28 +423,20 @@ class AlgebraSpec:
         if cached is not None:
             return cached
         acc: Dict[Monomial, CycScalar] = {}
-        atoms = monomial_atoms(self, m)
-        for j, g in enumerate(atoms):
+        for j, g in enumerate(m):
             dg = self.differential.get(g)
             if dg is None:
                 continue
-            # m is in normal form, so its prefix and suffix atoms already are.
-            pre = atoms_to_monomial(atoms[:j])
-            suf = atoms_to_monomial(atoms[j + 1:])
-            sign = -1 if sum(self.generators[a].degree for a in atoms[:j]) % 2 else 1
-            # pre * dm * suf is injective in dm, so the part's terms never collide.
+            sign = -1 if sum(self._odd[a] for a in m[:j]) % 2 else 1
+            # The word m[:j] + dm + m[j+1:] is injective in dm, so the part's
+            # terms never collide.
             part: Dict[Monomial, CycScalar] = {}
             for dm, dc in dg.terms.items():
-                left = monomial_mul(self, pre, dm)
-                if left is None:
+                hit = normal_form(self, m[:j] + dm + m[j + 1:])
+                if hit is None:
                     continue
-                s1, m1 = left
-                right = monomial_mul(self, m1, suf)
-                if right is None:
-                    continue
-                s2, mono = right
-                total = sign * s1 * s2
-                part[mono] = dc if total > 0 else -dc
+                s, mono = hit
+                part[mono] = dc if sign * s > 0 else -dc
             vec_iadd(acc, part)
         self._d_mono_cache[m] = acc
         return acc
@@ -495,7 +472,7 @@ class AlgebraSpec:
                     "the differential of a relation is not in the relation ideal",
                     relation=rel.render(), degree=rel.degree + 1)
         is_minimal = not self.relations and all(
-            all(len(monomial_atoms(self, m)) >= 2 for m in img.terms)
+            all(len(m) >= 2 for m in img.terms)
             for img in self.differential.values())
         is_connected = len(self.basis(0)) == 1
         odd_only = all(g.degree % 2 for g in self.generators)
@@ -510,22 +487,6 @@ class AlgebraSpec:
     def __repr__(self):
         gens = ",".join(f"{g.name}:{g.degree}" for g in self.generators)
         return f"AlgebraSpec(zeta={self.field.modulus}, cap={self.degree_cap}, [{gens}])"
-
-
-def atoms_to_monomial_ordered(spec: AlgebraSpec, atoms: Sequence[int]):
-    """Sort an atom sequence into normal form, tracking the Koszul sign.
-
-    Returns (sign, monomial) or None if an odd generator repeats.
-    """
-    odd = [g for g in atoms if spec.generators[g].degree % 2]
-    if len(set(odd)) != len(odd):
-        return None
-    sign = 1
-    for i in range(len(odd)):
-        for j in range(i + 1, len(odd)):
-            if odd[i] > odd[j]:
-                sign = -sign
-    return sign, atoms_to_monomial(atoms)
 
 
 ElementData = object  # Element or iterable of (coeff, names) pairs

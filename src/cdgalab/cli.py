@@ -21,7 +21,7 @@ import sys
 from fractions import Fraction
 from typing import List, Optional
 
-from .algebra import monomial_names
+from .algebra import element_data
 from .cohomology import CohomClass, CohomologyRing, cohomology
 from .errors import CdgaError, ParseError
 from .lefschetz import lefschetz_test, universal_obstruction
@@ -29,14 +29,12 @@ from .massey import INCONCLUSIVE, MasseyReport, a_massey, higher_massey, triple_
 from .minmodel import UNKNOWN, build_minimal_model, formality_verdict, s_formality_check
 from .models import FIXED_PRESETS, PARAMETRIC_PRESETS, preset_document
 from .serialize import (
-    algebra_to_json,
     cohomology_report,
     document_from_json,
     document_to_json,
     dumps,
     element_from_json,
     element_to_json,
-    scalar_from_json,
 )
 from .symmetry import invariant_cohomology
 from .verify import run_all
@@ -265,8 +263,7 @@ def cmd_circle_bundle(args) -> int:
     out_classes = {}
     for name, elem in classes.items():
         try:
-            out_classes[name] = total.element(
-                [(c, monomial_names(spec, mono)) for mono, c in elem.terms.items()])
+            out_classes[name] = total.element(element_data(elem))
         except CdgaError:
             continue
     sys.stdout.write(dumps(document_to_json(total, classes=out_classes)))

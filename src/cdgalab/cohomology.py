@@ -24,7 +24,7 @@ from .errors import (
     NoTopDeclared,
     NotClosed,
 )
-from .linalg import Echelon, Vec, kernel_image, mat_vec, vec_add, vec_iadd
+from .linalg import Echelon, Vec, kernel_image, mat_vec, span, vec_add, vec_iadd
 from .scalars import CycScalar
 
 Slices = Union[FreeSlices, SubcomplexSlices]
@@ -222,14 +222,9 @@ class CohomologyRing:
                 return False
             if self.betti[k] == 0:
                 continue
-            m = self.pairing_matrix(k, n)
-            ech = Echelon(self.field)
-            rank = 0
-            for row in m:
-                vec = {i: c for i, c in enumerate(row) if not c.is_zero()}
-                if ech.add(vec):
-                    rank += 1
-            if rank != self.betti[k]:
+            rows = ({i: c for i, c in enumerate(row) if not c.is_zero()}
+                    for row in self.pairing_matrix(k, n))
+            if span(self.field, rows).rank != self.betti[k]:
                 return False
         return True
 

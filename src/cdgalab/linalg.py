@@ -8,7 +8,7 @@ bases and solutions of linear systems are canonical and reproducible.
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .scalars import CycField, CycScalar
 
@@ -124,6 +124,14 @@ class Echelon:
 
     def basis_rows(self):
         return [self._rows[p][0] for p in sorted(self._rows)]
+
+
+def span(field: CycField, rows: Iterable[Vec]) -> Echelon:
+    """The echelon of the span of ``rows``."""
+    ech = Echelon(field)
+    for row in rows:
+        ech.add(row)
+    return ech
 
 
 def kernel_image(field: CycField, dim_src: int, apply: Callable[[int], Vec]):

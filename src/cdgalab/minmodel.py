@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from typing import Dict, List, Optional, Tuple
 
-from .algebra import AlgebraSpec, Element, GeneratorDecl, monomial_names
+from .algebra import AlgebraSpec, Element, GeneratorDecl, element_data, monomial_names
 from .chains import FreeSlices, product
 from .cohomology import CohomologyRing
 from .errors import CapTooLow, NotOneConnected
@@ -171,8 +171,7 @@ def build_minimal_model(target_ring: CohomologyRing, bound: int) -> MinimalModel
             name = f"n{k}_{len(new_closed) + len(new_n)}"
             new_n.append(name)
             gens.append(GeneratorDecl(name, k))
-            diff[name] = [(c, monomial_names(z_elem.parent, mono))
-                          for mono, c in z_elem.terms.items()]
+            diff[name] = element_data(z_elem)
             psi[name] = (k, prim)
         if new_n:
             mm.model = rebuild()
@@ -220,7 +219,7 @@ def s_formality_check(mm: MinimalModel, s: int) -> SFormalityReport:
         dn = mm.model.gen(name).d()
         even_only = all(
             mm.model.generators[gi].degree % 2 == 0
-            for mono in dn.terms for gi, _ in mono)
+            for mono in dn.terms for gi in mono)
         if deg % 2 == 1 and not dn.is_zero() and even_only:
             return SFormalityReport(
                 status=CERTIFIED, s=s, route="regular_even_differential",
@@ -235,7 +234,7 @@ def s_formality_check(mm: MinimalModel, s: int) -> SFormalityReport:
         basis = spec.basis(k)
         ideal_rows: List[Vec] = []
         for i, mono in enumerate(basis):
-            gens_used = {g for g, _ in mono}
+            gens_used = set(mono)
             if gens_used & n_idx and gens_used <= low_idx:
                 ideal_rows.append({i: ring.field.one})
         if not ideal_rows:

@@ -11,9 +11,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field as dc_field
 from importlib import resources
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence
 
-from .algebra import AlgebraSpec, Element, GeneratorDecl, Monomial, monomial_names
+from .algebra import AlgebraSpec, Element, GeneratorDecl, Monomial, element_data
 from .errors import EulerBadDegree, EulerNotClosed, ParseError, UnknownPreset
 from .scalars import CycField
 from .serialize import document_from_json
@@ -51,15 +51,10 @@ def ce_complex(field: CycField, generators: Sequence[GeneratorDecl],
     spec = AlgebraSpec(field, generators, differential=structure, degree_cap=cap)
     for gi, img in spec.differential.items():
         for mono in img.terms:
-            if sum(e for _, e in mono) != 2:
+            if len(mono) != 2:
                 raise ParseError("CE differentials must be quadratic",
                                  generator=spec.generators[gi].name)
     return spec.validate()
-
-
-def _carry_terms(elem: Element) -> List[Tuple[object, Tuple[str, ...]]]:
-    """Element -> (coeff, names) data usable in another spec's constructor."""
-    return [(c, monomial_names(elem.parent, mono)) for mono, c in elem.terms.items()]
 
 
 def circle_bundle(base: AlgebraSpec, euler: Element, gen_name: str = "x") -> AlgebraSpec:
@@ -74,11 +69,11 @@ def circle_bundle(base: AlgebraSpec, euler: Element, gen_name: str = "x") -> Alg
     if gen_name in base.index:
         raise ParseError(f"generator name '{gen_name}' already used in the base")
     gens = list(base.generators) + [GeneratorDecl(gen_name, 1)]
-    diff = {base.generators[gi].name: _carry_terms(img)
+    diff = {base.generators[gi].name: element_data(img)
             for gi, img in base.differential.items()}
     if not euler.is_zero():
-        diff[gen_name] = _carry_terms(euler)
-    rels = [_carry_terms(rel) for rel in base.relations]
+        diff[gen_name] = element_data(euler)
+    rels = [element_data(rel) for rel in base.relations]
     # scale the coefficients into the same field; carry the cap one higher
     spec = AlgebraSpec(base.field, gens, differential=diff, relations=rels,
                        degree_cap=base.degree_cap + 1)
@@ -104,11 +99,11 @@ def tensor(a: AlgebraSpec, b: AlgebraSpec) -> AlgebraSpec:
         for gi, img in src.differential.items():
             diff[src.generators[gi].name] = [
                 (c.embed(target.modulus) if c.field.modulus != target.modulus else c, names)
-                for c, names in _carry_terms(img)]
+                for c, names in element_data(img)]
         for rel in src.relations:
             rels.append([
                 (c.embed(target.modulus) if c.field.modulus != target.modulus else c, names)
-                for c, names in _carry_terms(rel)])
+                for c, names in element_data(rel)])
     cap = a.degree_cap + b.degree_cap - 1
     spec = AlgebraSpec(target, gens, differential=diff, relations=rels, degree_cap=cap)
     return spec.validate()

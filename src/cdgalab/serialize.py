@@ -15,7 +15,7 @@ import json
 from fractions import Fraction
 from typing import Dict, List, Optional
 
-from .algebra import AlgebraSpec, Element, GeneratorDecl, Monomial, monomial_atoms, monomial_names
+from .algebra import AlgebraSpec, Element, GeneratorDecl, Monomial, monomial_names
 from .cohomology import CohomologyRing
 from .errors import CapExceeded, ParseError
 from .scalars import CycField, CycScalar, lcm
@@ -59,7 +59,7 @@ def _scalar_moduli(data) -> List[int]:
 def element_to_json(elem: Element) -> list:
     spec = elem.parent
     out = []
-    for mono in sorted(elem.terms, key=lambda m: monomial_atoms(spec, m)):
+    for mono in sorted(elem.terms):
         out.append({"coeff": scalar_to_json(elem.terms[mono]),
                     "monomial": list(monomial_names(spec, mono))})
     return out

@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, List, Optional
 
-from .algebra import AlgebraSpec, Element, Monomial, monomial_atoms
+from .algebra import AlgebraSpec, Element, Monomial
 from .chains import FreeSlices, SubcomplexSlices
 from .cohomology import CohomologyRing
 from .errors import (
@@ -26,8 +26,7 @@ from .errors import (
     OrderMismatch,
     ParseError,
 )
-from .linalg import Echelon, Vec, mat_vec, vec_add, vec_scale
-from .scalars import CycField
+from .linalg import Vec, mat_vec, span, vec_add, vec_scale
 
 class GroupActionSpec:
     """A Z_m action on an AlgebraSpec, given by generator images."""
@@ -72,7 +71,7 @@ class GroupActionSpec:
         acc = spec.zero(elem.degree)
         for mono, c in elem.terms.items():
             piece = spec.one().scale(c)
-            for g in monomial_atoms(spec, mono):
+            for g in mono:
                 piece = piece * self.images[g]
             acc = acc + piece
         return acc
@@ -154,18 +153,6 @@ def averaging_projector(act: GroupActionSpec, slices: FreeSlices, k: int) -> Lis
             for i in range(slices.dim(k))]
 
 
-def _column_space(field: CycField, cols: List[Vec]) -> List[Vec]:
-    """The RREF basis of the span of ``cols``.
-
-    On an averaging projector's columns this is the fixed space, since
-    rho* P = P and P v = v for fixed v; a subspace has only one RREF basis.
-    """
-    ech = Echelon(field)
-    for col in cols:
-        ech.add(col)
-    return ech.basis_rows()
-
-
 def invariant_complex(act: GroupActionSpec, max_degree: Optional[int] = None) -> SubcomplexSlices:
     """The fixed subcomplex, with canonical per-degree bases."""
     if not act.validated:
@@ -173,8 +160,10 @@ def invariant_complex(act: GroupActionSpec, max_degree: Optional[int] = None) ->
     spec = act.parent
     slices = FreeSlices(spec)
     top = spec.degree_cap if max_degree is None else max_degree
+    # The span of the averaging projector's columns is the fixed space, since
+    # rho* P = P and P v = v for fixed v; a subspace has only one RREF basis.
     return SubcomplexSlices(slices, {
-        k: _column_space(spec.field, averaging_projector(act, slices, k))
+        k: span(spec.field, averaging_projector(act, slices, k)).basis_rows()
         for k in range(top + 1)})
 
 
@@ -195,7 +184,7 @@ def fixed_subspace_of_cohomology(act: GroupActionSpec, ring: CohomologyRing, k: 
     inv_m = field.rational(Fraction(1, act.order))
     cols = [ring.class_of(vec_scale(_orbit_sum(act, k, rep), inv_m), k).coords
             for rep in ring.reps(k)]
-    return _column_space(field, cols)
+    return span(field, cols).basis_rows()
 
 
 def burnside_invariant_dimension(act: GroupActionSpec, k: int) -> Fraction:

@@ -22,12 +22,11 @@ from .chains import FreeSlices
 from .errors import OrderMismatch
 from .cohomology import CohomologyRing, cohomology
 from .lefschetz import lefschetz_test, universal_obstruction
-from .linalg import Echelon, mat_vec, vec_add
+from .linalg import Echelon, mat_vec, span, vec_add
 from .massey import NONZERO, ZERO, a_massey, triple_massey
 from .minmodel import (
     CERTIFIED,
     FORMAL,
-    NOT_FORMAL,
     build_minimal_model,
     formality_verdict,
     massey_scan,
@@ -83,13 +82,8 @@ def _named_element(spec: AlgebraSpec, names: str) -> Element:
     return spec.element([(1, tuple(names.split()))])
 
 
-def _span_rank(ring: CohomologyRing, classes) -> int:
-    ech = Echelon(ring.field)
-    rank = 0
-    for cls in classes:
-        if ech.add(dict(cls.coords)):
-            rank += 1
-    return rank
+def _class_span(ring: CohomologyRing, classes) -> Echelon:
+    return span(ring.field, (cls.coords for cls in classes))
 
 
 # -- checks 1..10 -------------------------------------------------------------
@@ -110,7 +104,7 @@ def check_heis6_betti() -> CheckResult:
             closed = closed and elem.d().is_zero()
             classes.append(ring.class_of(elem))
         _expect(res, closed, f"degree {k}: all listed cocycles closed")
-        rank = _span_rank(ring, classes)
+        rank = _class_span(ring, classes).rank
         _expect(res, rank == len(names) == ring.betti[k],
                 f"degree {k}: listed classes span H^{k} "
                 f"(rank {rank} of {ring.betti[k]})")
@@ -127,7 +121,7 @@ def check_orbifold6() -> CheckResult:
             f"invariant Betti numbers {ring.betti}")
     classes = [ring.class_of(ring.slices.from_element(
         _named_element(bundle.spec, text)), 2) for text in ORBIFOLD6_H2_LIST]
-    _expect(res, _span_rank(ring, classes) == 4 == ring.betti[2],
+    _expect(res, _class_span(ring, classes).rank == 4 == ring.betti[2],
             "the four listed classes span H^2")
     sub = invariant_complex(bundle.action)
     trace_ok = all(
@@ -172,16 +166,10 @@ def check_lefschetz_failure() -> CheckResult:
     _expect(res, not report.overall, "overall verdict: fails")
     _expect(res, report.verdict(0).isomorphism, "degree 0 map is iso")
     _expect(res, not report.verdict(2).isomorphism, "degree 2 map is not iso")
-    ech = Echelon(ring.field)
-    for cls in report.verdict(2).kernel:
-        ech.add(dict(cls.coords))
-    _expect(res, ech.contains(dict(beta.coords)),
+    _expect(res, _class_span(ring, report.verdict(2).kernel).contains(beta.coords),
             "the degree-2 kernel contains the distinguished class")
     witnesses = universal_obstruction(ring, 2, n=3)
-    wech = Echelon(ring.field)
-    for cls in witnesses:
-        wech.add(dict(cls.coords))
-    _expect(res, bool(witnesses) and wech.contains(dict(beta.coords)),
+    _expect(res, bool(witnesses) and _class_span(ring, witnesses).contains(beta.coords),
             "universal witness space at degree 2 contains the class")
     double_kill = all(
         ring.cup(ring.cup(beta, ring.rep_class(2, i)), ring.rep_class(2, j)).is_zero()
@@ -274,10 +262,7 @@ def check_sasaki_general_n() -> CheckResult:
         _expect(res, not disp_cls.is_zero(),
                 f"n={n}: displayed representative class is nonzero")
         delta = disp_cls - rep.representative
-        ech = Echelon(ring.field)
-        for cls in rep.indeterminacy:
-            ech.add(dict(cls.coords))
-        _expect(res, ech.contains(dict(delta.coords)),
+        _expect(res, _class_span(ring, rep.indeterminacy).contains(delta.coords),
                 f"n={n}: displayed and canonical representatives agree "
                 f"modulo indeterminacy")
         _expect(res, rep.verdict == ZERO and len(rep.indeterminacy) > 0,
@@ -476,9 +461,7 @@ def property_battery(cases: int = 1000, seed: int = 0) -> CheckResult:
     u = hring.class_of(heis.gen("mu"))
     v = hring.class_of(heis.gen("nu"))
     base = triple_massey(hring, u, v, u)
-    span = Echelon(heis.field)
-    for cls in base.indeterminacy:
-        span.add(dict(cls.coords))
+    indeterminacy = _class_span(hring, base.indeterminacy)
     uv = hring.slices.mul_vec(1, u.rep_vec(), 1, v.rep_vec())
     prim = hring.is_exact(uv, 2)
     closed_names = ("mu", "nu", "mubar", "nubar")
@@ -491,7 +474,7 @@ def property_battery(cases: int = 1000, seed: int = 0) -> CheckResult:
                                 primitive_uv=vec_add(
                                     prim, hring.slices.from_element(shift)))
         delta = shifted.representative - base.representative
-        ok = ok and span.contains(dict(delta.coords))
+        ok = ok and indeterminacy.contains(delta.coords)
         ok = ok and shifted.verdict == base.verdict
     _expect(res, ok, "triple product stable modulo indeterminacy")
 

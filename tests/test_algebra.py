@@ -155,6 +155,13 @@ def test_free_basis_matches_brute_force():
                 free_basis_reference(spec, k), (degrees, k)
 
 
+def test_free_basis_recursion_is_one_level_per_degree():
+    # More generators than Python's default recursion limit: the basis is
+    # built from lower degrees, not by a recursion per generator.
+    spec = AlgebraSpec(Q, [GeneratorDecl(f"g{i}", 3) for i in range(1100)], degree_cap=5)
+    assert len(spec.free_basis(3)) == 1100
+
+
 def test_heisenberg_degree2_has_15_monomials():
     spec = alg_validate(heisenberg6())
     assert len(spec.basis(2)) == 15

@@ -142,8 +142,8 @@ def test_parse_and_product_match_koszul_reference(w1, w2):
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.sampled_from([g.name for g in MIXED.generators]), min_size=1, max_size=4))
 def test_parsed_word_equals_product_of_generators(word):
-    # The parse sorts the word with its Koszul sign; the product builds the
-    # same monomial one generator at a time through monomial_mul.
+    # The parse sorts the whole word at once; the product builds the same
+    # monomial one generator at a time, sorting each partial product.
     assert MIXED.element([(1, tuple(word))]) == reduce(mul, [MIXED.gen(n) for n in word])
 
 

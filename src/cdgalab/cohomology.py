@@ -14,7 +14,7 @@ an invariant subcomplex.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from .algebra import AlgebraSpec, Element, Monomial
 from .chains import FreeSlices, SubcomplexSlices
@@ -25,7 +25,7 @@ from .errors import (
     NotClosed,
 )
 from .linalg import Echelon, Vec, kernel_image, mat_vec, span, vec_add, vec_iadd
-from .scalars import CycScalar
+from .scalars import CycField, CycScalar
 
 Slices = Union[FreeSlices, SubcomplexSlices]
 
@@ -93,6 +93,8 @@ class CohomologyRing:
         self._decomp: List[Echelon] = []
         # (p, q) -> {(i, j): coords of [rep_i * rep_j]}, filled on first use
         self._cup: Dict[Tuple[int, int], Dict[Tuple[int, int], Vec]] = {}
+        # (degree, q, coords) of a class u -> span of u * H^q, on first use
+        self._spans: Dict[tuple, Tuple[Echelon, List[Vec]]] = {}
         prev_image = Echelon(self.field)
         for k in range(max_degree + 1):
             kernel, image_next = kernel_image(
@@ -166,6 +168,20 @@ class CohomologyRing:
                 vec_iadd(out, c, a * b)
         return CohomClass(self, p + q, out)
 
+    def cup_span(self, u: CohomClass, q: int) -> Tuple[Echelon, List[Vec]]:
+        """``class_span`` of u * H^q over the representatives, built once and shared.
+
+        The growing classes are kept as coordinates: classes would point back
+        at the ring and keep it alive until the cycle collector runs.
+        """
+        key = (u.degree, q, frozenset(u.coords.items()))
+        piece = self._spans.get(key)
+        if piece is None:
+            js = range(self.betti[q]) if 0 <= q <= self.max_degree and not u.is_zero() else ()
+            ech, grew = class_span(self.field, (self.cup(u, self.rep_class(q, j)) for j in js))
+            piece = self._spans[key] = (ech, [cls.coords for cls in grew])
+        return piece
+
     def is_exact(self, z: Union[Element, Vec], degree: Optional[int] = None) -> Optional[Vec]:
         """A canonical w with d(w) = z, or None; z must be closed."""
         if isinstance(z, Element):
@@ -230,6 +246,18 @@ class CohomologyRing:
 
     def euler_characteristic(self) -> int:
         return sum((-1) ** k * b for k, b in enumerate(self.betti))
+
+
+def class_span(field: CycField,
+               classes: Iterable[CohomClass]) -> Tuple[Echelon, List[CohomClass]]:
+    """Echelon of the classes' span and, in order, the classes that grew it.
+
+    A span has one RREF, so membership asked of this echelon is the same
+    whichever spanning classes built it.
+    """
+    ech = Echelon(field)
+    grew = [cls for cls in classes if not cls.is_zero() and ech.add(cls.coords)]
+    return ech, grew
 
 
 def cohomology(spec: AlgebraSpec, max_degree: int,

@@ -64,6 +64,12 @@ class Echelon:
     def rank(self) -> int:
         return len(self._rows)
 
+    def copy(self) -> "Echelon":
+        """An echelon with the same rows; inserts replace rows, never mutate them."""
+        out = Echelon(self.field)
+        out._rows = dict(self._rows)
+        return out
+
     def pivots(self):
         return sorted(self._rows)
 

@@ -22,10 +22,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from itertools import combinations
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .chains import product
-from .cohomology import CohomClass, CohomologyRing
+from .cohomology import CohomClass, CohomologyRing, class_span
 from .errors import OddADegree, OrderUnsupported
 from .linalg import Echelon, Vec, vec_add
 
@@ -50,27 +50,6 @@ class MasseyReport:
     @property
     def indeterminacy_dimension(self) -> int:
         return len(self.indeterminacy)
-
-
-def _span(ring: CohomologyRing,
-          classes: Iterable[CohomClass]) -> Tuple[Echelon, List[CohomClass]]:
-    """Echelon of the classes' span and, in order, the classes that grew it.
-
-    A span has one RREF, so membership asked of this echelon is the same
-    whichever spanning classes built it.
-    """
-    ech = Echelon(ring.field)
-    grew = [cls for cls in classes if not cls.is_zero() and ech.add(cls.coords)]
-    return ech, grew
-
-
-def _indeterminacy_span(ring: CohomologyRing, pieces: Sequence[Tuple[CohomClass, int]]
-                        ) -> Tuple[Echelon, List[CohomClass]]:
-    """Span of sum_i class_i * H^{q_i}, over the cups with representative classes."""
-    return _span(ring, (ring.cup(cls, ring.rep_class(q, j))
-                        for cls, q in pieces
-                        if 0 <= q <= ring.max_degree and not cls.is_zero()
-                        for j in range(ring.betti[q])))
 
 
 def triple_massey(ring: CohomologyRing, u: CohomClass, v: CohomClass,
@@ -103,14 +82,20 @@ def triple_massey(ring: CohomologyRing, u: CohomClass, v: CohomClass,
         ring.slices.mul_vec(u.degree + v.degree - 1, x, w.degree, w.rep_vec()),
         sign)
     rep = ring.class_of(rep_vec, target)
-    span, indet = _indeterminacy_span(
-        ring, [(u, v.degree + w.degree - 1), (w, u.degree + v.degree - 1)])
+    # Indeterminacy u*H + w*H.  A cup of the second piece outside its own
+    # growing list lies in the span of its earlier cups, so adding that list
+    # to the first piece's echelon gives the RREF and classes of adding all.
+    first = ring.cup_span(u, v.degree + w.degree - 1)
+    span, indet = first[0].copy(), list(first[1])
+    second = ring.cup_span(w, u.degree + v.degree - 1)
+    if second is not first:
+        indet += [c for c in second[1] if span.add(c)]
     return MasseyReport(
         kind="triple", defined=True,
         verdict=ZERO if span.contains(rep.coords) else NONZERO,
         degree=target, representative=rep,
         representative_nonzero=not rep.is_zero(),
-        indeterminacy=indet,
+        indeterminacy=[CohomClass(ring, target, c) for c in indet],
         certificate={
             "primitive_uv": ring.slices.to_element(u.degree + v.degree - 1, x).render(),
             "primitive_vw": ring.slices.to_element(v.degree + w.degree - 1, y).render(),
@@ -191,7 +176,7 @@ def a_massey(ring: CohomologyRing, a: CohomClass, bs: Sequence[CohomClass],
                                          ring.rep_combination(deg_i, {j: ring.field.one})))
             labels.append((i, j))
             deltas.append(representative(shifted) - rep)
-    span, directions = _span(ring, deltas)
+    span, directions = class_span(ring.field, deltas)
     if n == 2:
         # Shifts enter each term linearly and never jointly: the family is
         # exactly rep + span(directions).
@@ -319,7 +304,7 @@ def higher_massey(ring: CohomologyRing, classes: Sequence[CohomClass],
             value = _system_value(ring, trial, t, rhs)
             if value is not None:
                 shifts.append((key, trial[key], value))
-    span, directions = _span(ring, (value - rep for _, _, value in shifts))
+    span, directions = class_span(ring.field, (value - rep for _, _, value in shifts))
 
     def cross_term(first, second) -> bool:
         (k1, slot1, only1), (k2, slot2, only2) = first, second

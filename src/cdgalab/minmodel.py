@@ -24,7 +24,7 @@ INCONCLUSIVE (the tool never extrapolates past its bound).
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from .algebra import AlgebraSpec, Element, GeneratorDecl, element_data, monomial_names
 from .chains import FreeSlices, product
@@ -264,20 +264,16 @@ def massey_scan(ring: CohomologyRing, budget: int = 2000) -> Optional[MasseyRepo
     """
     spent = 0
     degs = [k for k in range(1, ring.max_degree + 1) if ring.betti[k]]
-    exact_pairs: Dict[Tuple[int, int], List[Tuple[int, int]]] = {}
+    exact_pairs: Dict[Tuple[int, int], Set[Tuple[int, int]]] = {}
 
     def pair_exact(p: int, i: int, q: int, j: int) -> bool:
         if p + q > ring.max_degree:
             return False
         key = (p, q)
         if key not in exact_pairs:
-            table = []
-            for a in range(ring.betti[p]):
-                for b in range(ring.betti[q]):
-                    prod = ring.cup(ring.rep_class(p, a), ring.rep_class(q, b))
-                    if prod.is_zero():
-                        table.append((a, b))
-            exact_pairs[key] = table
+            exact_pairs[key] = {
+                (a, b) for a in range(ring.betti[p]) for b in range(ring.betti[q])
+                if ring.cup(ring.rep_class(p, a), ring.rep_class(q, b)).is_zero()}
         return (i, j) in exact_pairs[key]
 
     # triple products

@@ -196,6 +196,10 @@ class CycScalar:
         if other.field is not field:
             self._check(other)
         a, b = self.num, other.num
+        if other.den == 1 and b == field.one.num:  # most products are by the unit
+            return self
+        if self.den == 1 and a == field.one.num:
+            return other
         den = self.den * other.den
         # Two rational factors (always, when phi(N) = 1) multiply as fractions.
         if not any(a[1:]) and not any(b[1:]):

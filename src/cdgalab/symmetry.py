@@ -56,13 +56,16 @@ class GroupActionSpec:
         self._validated = False
         self._slices = FreeSlices(parent)
         self._matrices: Dict[int, List[Vec]] = {}
+        self._projectors: Dict[int, List[Vec]] = {}
 
     # -- applying the action -------------------------------------------
 
     def apply(self, elem: Element, power: int = 1) -> Element:
-        """Apply the group generator ``power`` times to an element."""
+        """Apply the group generator ``power`` times; any integer, taken mod the order."""
+        if not self._validated:
+            self.validate()
         out = elem
-        for _ in range(power % self.order if self._validated else power):
+        for _ in range(power % self.order):
             out = self._apply_once(out)
         return out
 
@@ -147,10 +150,13 @@ def _orbit_sum(act: GroupActionSpec, k: int, vec: Vec) -> Vec:
 
 
 def averaging_projector(act: GroupActionSpec, slices: FreeSlices, k: int) -> List[Vec]:
-    """Columns of P = (1/m) sum_j rho*^j on the degree-k slice."""
-    inv_m = slices.field.rational(Fraction(1, act.order))
-    return [vec_scale(_orbit_sum(act, k, {i: slices.field.one}), inv_m)
-            for i in range(slices.dim(k))]
+    """Columns of P = (1/m) sum_j rho*^j on the degree-k slice; built once, shared."""
+    cols = act._projectors.get(k)
+    if cols is None:
+        inv_m = slices.field.rational(Fraction(1, act.order))
+        cols = act._projectors[k] = [vec_scale(_orbit_sum(act, k, {i: slices.field.one}), inv_m)
+                                     for i in range(slices.dim(k))]
+    return cols
 
 
 def invariant_complex(act: GroupActionSpec, max_degree: Optional[int] = None) -> SubcomplexSlices:
@@ -180,11 +186,9 @@ def invariant_cohomology(act: GroupActionSpec, max_degree: int,
 
 def fixed_subspace_of_cohomology(act: GroupActionSpec, ring: CohomologyRing, k: int):
     """Basis of the rho*-fixed subspace of H^k(parent), in rep coordinates."""
-    field = ring.field
-    inv_m = field.rational(Fraction(1, act.order))
-    cols = [ring.class_of(vec_scale(_orbit_sum(act, k, rep), inv_m), k).coords
-            for rep in ring.reps(k)]
-    return span(field, cols).basis_rows()
+    proj = averaging_projector(act, ring.slices, k)
+    cols = [ring.class_of(mat_vec(proj, rep), k).coords for rep in ring.reps(k)]
+    return span(ring.field, cols).basis_rows()
 
 
 def burnside_invariant_dimension(act: GroupActionSpec, k: int) -> Fraction:

@@ -173,3 +173,27 @@ def test_action_matrix_paths_match_element_paths(act):
         assert burnside_invariant_dimension(act, k) == _element_burnside(act, k)
         assert (fixed_subspace_of_cohomology(act, ring, k)
                 == _element_fixed_subspace(act, ring, k))
+
+
+@pytest.mark.parametrize("act", ACTIONS[:6] + ACTIONS[-1:],
+                         ids=lambda a: f"m{a.order}-{len(a.parent.generators)}gen")
+def test_projector_is_built_once_per_degree(act, monkeypatch):
+    # The battery asks for P on a degree and then for the invariant complex
+    # and the fixed spaces of the same action: only the first call sums orbits.
+    from cdgalab import symmetry
+
+    slices = FreeSlices(act.parent)
+    top = min(act.parent.degree_cap - 1, 6)
+    built = [averaging_projector(act, slices, k) for k in range(top + 1)]
+    sums = []
+    orbit_sum = symmetry._orbit_sum
+    monkeypatch.setattr(symmetry, "_orbit_sum",
+                        lambda *args: sums.append(args) or orbit_sum(*args))
+    assert all(averaging_projector(act, slices, k) is built[k] for k in range(top + 1))
+    invariant_complex(act, max_degree=top)
+    ring = cohomology(act.parent, top)
+    for k in range(top + 1):
+        fixed_subspace_of_cohomology(act, ring, k)
+    assert sums == []
+    burnside_invariant_dimension(act, top)
+    assert len(sums) == slices.dim(top)

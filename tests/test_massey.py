@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from cdgalab.cohomology import cohomology
+from cdgalab.cohomology import CohomClass, cohomology
 from cdgalab.errors import OddADegree, OrderUnsupported
 from cdgalab.massey import (
     INCONCLUSIVE,
@@ -321,3 +321,70 @@ def test_higher_massey_evaluates_each_defining_system_once(monkeypatch):
     assert rep.notes == ["cross terms present; zero not exhibited"]
     repeats = len(seen) - len(set(seen))
     assert repeats == 0
+
+
+def test_massey_scan_builds_one_span_per_piece(monkeypatch):
+    # T6 has d = 0, so the scan runs through its whole budget of triples;
+    # each indeterminacy piece u * H^q is built once and then shared.
+    import importlib
+
+    from cdgalab import minmodel
+
+    cohomology_module = importlib.import_module("cdgalab.cohomology")
+    counts = {"spans": 0, "triples": 0}
+    build, evaluate = cohomology_module.class_span, minmodel.triple_massey
+
+    def counted_span(*args):
+        counts["spans"] += 1
+        return build(*args)
+
+    def counted_triple(*args, **kwargs):
+        counts["triples"] += 1
+        return evaluate(*args, **kwargs)
+
+    monkeypatch.setattr(cohomology_module, "class_span", counted_span)
+    monkeypatch.setattr(minmodel, "triple_massey", counted_triple)
+    ring = cohomology(preset("T6").spec, 6)
+    assert minmodel.massey_scan(ring) is None
+    assert counts["triples"] == 2000
+    assert counts["spans"] == len(ring._spans) <= 200
+
+
+
+def test_triple_reports_do_not_depend_on_warm_caches():
+    # Each triple on a fresh ring against the same triple on a ring whose
+    # cup table and indeterminacy spans were filled by every other triple.
+    import itertools
+    import random
+
+    bundle = preset("HEIS6")
+    fresh_ring = lambda: cohomology(bundle.spec, 6)
+    warm = fresh_ring()
+    field, rng = warm.field, random.Random(5)
+    classes = [warm.rep_class(k, j) for k in (1, 2) for j in range(warm.betti[k])]
+    for k in (1, 2):
+        for _ in range(3):
+            classes.append(CohomClass(warm, k, {
+                j: field.zeta(rng.randrange(12)) * field.rational(rng.choice((-2, -1, 3)))
+                for j in range(warm.betti[k]) if rng.random() < 0.6}))
+    defined = [(u, v, w) for u, v, w in itertools.product(classes, repeat=3)
+               if u.degree + v.degree + w.degree - 1 <= 6
+               and u.cup(v).is_zero() and v.cup(w).is_zero()]
+    picked = rng.sample(defined, 150)
+
+    def evaluate(ring, triple):
+        report = triple_massey(ring, *(CohomClass(ring, c.degree, dict(c.coords))
+                                       for c in triple))
+        return (report.defined, report.verdict, report.representative.coords,
+                [cls.coords for cls in report.indeterminacy])
+
+    for triple in reversed(picked):
+        evaluate(warm, triple)
+    verdicts = set()
+    for triple in picked:
+        cold = evaluate(fresh_ring(), triple)
+        assert evaluate(warm, triple) == cold
+        assert cold[0]
+        verdicts.add((cold[1], len(cold[3]) > 0))
+    assert verdicts == {("ZERO", True), ("NONZERO", True), ("ZERO", False)}
+    assert sum(any(len(c.coords) > 1 for c in t) for t in picked) >= 20

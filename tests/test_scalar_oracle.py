@@ -161,10 +161,15 @@ fractions = st.builds(Fraction, st.integers(-40, 40), st.integers(1, 12))
 
 @st.composite
 def field_and_polys(draw, count=2, extra=0):
-    """A modulus and ``count`` coefficient lists, each up to ``extra`` longer than phi(N)."""
+    """A modulus and ``count`` coefficient lists, each up to ``extra`` longer than phi(N).
+
+    Each list is the unit, 1 + 0*zeta + ..., about one time in four, so
+    products by the unit come up on either side.
+    """
     n = draw(st.sampled_from(MODULI))
     d = CycField.get(n).degree
-    polys = [draw(st.lists(fractions, min_size=d, max_size=d + extra))
+    polys = [[Q1] + [Q0] * (d - 1) if draw(st.integers(0, 3)) == 3
+             else draw(st.lists(fractions, min_size=d, max_size=d + extra))
              for _ in range(count)]
     return n, polys
 
@@ -269,3 +274,16 @@ def test_zero_is_canonical():
         assert z == field.zero and z.is_zero()
         half = field.rational(Fraction(1, 2))
         assert (half + half) == field.one and (half + half).den == 1
+
+
+def test_products_by_the_unit_in_every_field():
+    # A product by the unit is the other factor, whether the unit is the
+    # field's own ``one`` or a 1 computed some other way.
+    for n in MODULI:
+        field = CycField.get(n)
+        half = field.rational(Fraction(1, 2))
+        ones = (field.one, half + half, field.zeta() * field.zeta().inverse(), 1)
+        poly = [Fraction(3, 2), Fraction(-1, 3), Fraction(5, 7)][:field.degree]
+        for a in (field.from_poly(poly), field.zero, field.one, half):
+            for one in ones:
+                assert agrees(a * one, a.coeffs) and agrees(one * a, a.coeffs)

@@ -213,3 +213,33 @@ def test_subcomplex_degree_without_basis_holds_only_zero():
     assert slices.express(1, {}) == {}
     with pytest.raises(NotInSubcomplex):
         slices.express(1, {0: Q.one})
+
+
+def test_apply_validates_then_reduces_the_power(monkeypatch):
+    # An unvalidated action is validated before it is applied, and the power
+    # is taken mod the order, so a huge power runs at most m - 1 steps and a
+    # negative power is the inverse.
+    spec = heisenberg6().validate()
+    elem = spec.gen("mu") * spec.gen("nubar") + spec.gen("theta") * spec.gen("mubar")
+    act = z6_action(spec)
+    assert not act.validated
+    steps = []
+    apply_once = GroupActionSpec._apply_once
+    monkeypatch.setattr(GroupActionSpec, "_apply_once",
+                        lambda self, e: steps.append(e) or apply_once(self, e))
+    huge = act.apply(elem, 6 * 10 ** 30 + 1)
+    assert huge != elem
+    assert act.validated
+    steps.clear()
+    assert huge == act.apply(elem, 1) and len(steps) == 1
+    steps.clear()
+    assert act.apply(elem, -1) == act.apply(elem, 5) and len(steps) == 10
+    assert act.apply(elem, 6) == elem and act.apply(elem, -6 * 10 ** 30) == elem
+    assert act.apply(act.apply(elem, -1), 1) == elem
+
+
+def test_apply_refuses_an_invalid_action():
+    spec = exterior("ab").validate()
+    act = GroupActionSpec(spec, 4, {"a": [(-1, ("a",))], "b": [(-1, ("b",))]})
+    with pytest.raises(OrderMismatch):
+        act.apply(spec.gen("a"), 10 ** 30)

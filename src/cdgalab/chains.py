@@ -11,11 +11,11 @@ this interface, so group-invariant complexes get every feature for free.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .algebra import AlgebraSpec, Element, Monomial
 from .errors import CapExceeded, DegreeOverflow, NotInSubcomplex
-from .linalg import Echelon, Vec, mat_vec
+from .linalg import Echelon, Vec, mat_vec, vec_add, vec_iadd
 from .scalars import CycField
 
 
@@ -123,8 +123,11 @@ class SubcomplexSlices:
         return self.express(0, self.parent.unit_vec())
 
 
-def product(slices: Union[FreeSlices, SubcomplexSlices],
-            factors: Sequence[Tuple[int, Vec]]) -> Vec:
+Slices = Union[FreeSlices, SubcomplexSlices]
+Images = Mapping[int, Tuple[int, Vec]]  # generator index -> (degree, target vec)
+
+
+def product(slices: Slices, factors: Sequence[Tuple[int, Vec]]) -> Vec:
     """Product of (degree, vector) factors, multiplied left to right.
 
     It starts from the first factor, not from the unit; the empty product
@@ -137,3 +140,31 @@ def product(slices: Union[FreeSlices, SubcomplexSlices],
         vec = slices.mul_vec(deg, vec, fdeg, fvec)
         deg += fdeg
     return vec
+
+
+def extend(slices: Slices, images: Images, elem: Element) -> Vec:
+    """Image of ``elem`` under the algebra map that sends generator g to ``images[g]``.
+
+    The map is multiplicative, so a term c * g_1 ... g_r goes to
+    c * product(images of g_1, ..., g_r), in the monomial's order.
+    """
+    out: Vec = {}
+    for mono, c in elem.terms.items():
+        vec_iadd(out, product(slices, [images[g] for g in mono]), c)
+    return out
+
+
+def chain_defect(spec: AlgebraSpec, slices: Slices,
+                 images: Images) -> Optional[Tuple[int, Vec]]:
+    """The first generator g with phi(dg) != d(phi g), and phi(dg) - d(phi g).
+
+    None when the map that ``images`` fixes on the generators of ``spec``
+    commutes with d.
+    """
+    minus_one, zero = -slices.field.one, spec.zero()
+    for gi, (deg, vec) in sorted(images.items()):
+        lhs = extend(slices, images, spec.differential.get(gi, zero))
+        diff = vec_add(lhs, slices.d_vec(deg, vec), minus_one)
+        if diff:
+            return gi, diff
+    return None

@@ -291,9 +291,8 @@ def cmd_minimal_model(args) -> int:
             "name": g.name,
             "degree": g.degree,
             "differential": element_to_json(mm.model.gen(g.name).d()),
-            "psi": element_to_json(
-                ring.slices.to_element(*mm.psi[g.name])),
-        } for g in mm.model.generators],
+            "psi": element_to_json(ring.slices.to_element(*mm.psi[gi])),
+        } for gi, g in enumerate(mm.model.generators)],
         "cn_split": {str(k): {"C": c, "N": n}
                      for k, (c, n) in sorted(mm.cn_split.items())},
     }

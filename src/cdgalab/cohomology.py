@@ -16,8 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
-from .algebra import AlgebraSpec, Element, Monomial
-from .chains import FreeSlices, SubcomplexSlices
+from .algebra import AlgebraSpec, Element, Monomial, monomial_degree
+from .chains import FreeSlices, Slices
 from .errors import (
     CapTooLow,
     DegreeOverflow,
@@ -26,8 +26,6 @@ from .errors import (
 )
 from .linalg import Echelon, Vec, kernel_image, mat_vec, span, vec_add, vec_iadd
 from .scalars import CycField, CycScalar
-
-Slices = Union[FreeSlices, SubcomplexSlices]
 
 
 @dataclass
@@ -85,7 +83,6 @@ class CohomologyRing:
         self.top_degree: Optional[int] = None
         if volume is not None:
             spec = slices.spec if isinstance(slices, FreeSlices) else slices.parent.spec
-            from .algebra import monomial_degree
             self.top_degree = monomial_degree(spec, volume)
         self.betti: List[int] = []
         self._reps: List[List[Vec]] = []
@@ -99,16 +96,8 @@ class CohomologyRing:
         for k in range(max_degree + 1):
             kernel, image_next = kernel_image(
                 self.field, slices.dim(k), lambda i, k=k: slices.d_vec(k, {i: self.field.one}))
-            reps: List[Vec] = []
-            rep_ech = Echelon(self.field)
-            residuals = []
-            for kvec in kernel.basis_rows():
-                residual, _ = prev_image.reduce(kvec)
-                if residual:
-                    residuals.append(residual)
-            for r in residuals:
-                rep_ech.add(r)
-            reps = rep_ech.basis_rows()
+            residuals = (prev_image.reduce(kvec)[0] for kvec in kernel.basis_rows())
+            reps = span(self.field, (r for r in residuals if r)).basis_rows()
             decomp = Echelon(self.field)
             for row in prev_image.basis_rows():
                 decomp.add(dict(row), source={})
@@ -131,21 +120,28 @@ class CohomologyRing:
     def rep_combination(self, k: int, coords: Vec) -> Vec:
         return mat_vec(self._reps[k], coords)
 
+    def _closed(self, z: Union[Element, Vec], degree: Optional[int],
+                overflow: str) -> Tuple[int, Vec]:
+        """The degree and slice vector of a closed input, Element or vector.
+
+        Raises DegreeOverflow, with the caller's message, beyond the computed
+        range, and NotClosed with d(z) as the witness.
+        """
+        if isinstance(z, Element):
+            degree, z = z.degree, self.slices.from_element(z)
+        elif degree is None:
+            raise ValueError("degree required for coordinate-vector input")
+        if degree > self.max_degree:
+            raise DegreeOverflow(overflow, degree=degree)
+        dz = self.slices.d_vec(degree, z)
+        if dz:
+            raise NotClosed("element is not closed",
+                            differential=self.slices.to_element(degree + 1, dz).render())
+        return degree, z
+
     def class_of(self, z: Union[Element, Vec], degree: Optional[int] = None) -> CohomClass:
         """Coordinates of a closed element; the zero vector iff it is exact."""
-        if isinstance(z, Element):
-            degree = z.degree
-            vec = self.slices.from_element(z)
-        else:
-            if degree is None:
-                raise ValueError("degree required for coordinate-vector input")
-            vec = z
-        if degree > self.max_degree:
-            raise DegreeOverflow("class degree beyond the computed range", degree=degree)
-        dz = self.slices.d_vec(degree, vec)
-        if dz:
-            witness = self.slices.to_element(degree + 1, dz).render()
-            raise NotClosed("element is not closed", differential=witness)
+        degree, vec = self._closed(z, degree, "class degree beyond the computed range")
         coords = self._decomp[degree].solve(vec)
         if coords is None:
             raise NotClosed("element is not in ker(d) + im(d); internal inconsistency")
@@ -184,19 +180,7 @@ class CohomologyRing:
 
     def is_exact(self, z: Union[Element, Vec], degree: Optional[int] = None) -> Optional[Vec]:
         """A canonical w with d(w) = z, or None; z must be closed."""
-        if isinstance(z, Element):
-            degree = z.degree
-            vec = self.slices.from_element(z)
-        else:
-            vec = z
-        if degree is None:
-            raise ValueError("degree required for coordinate-vector input")
-        if degree > self.max_degree:
-            raise DegreeOverflow("exactness query beyond the computed range", degree=degree)
-        dz = self.slices.d_vec(degree, vec)
-        if dz:
-            raise NotClosed("element is not closed",
-                            differential=self.slices.to_element(degree + 1, dz).render())
+        degree, vec = self._closed(z, degree, "exactness query beyond the computed range")
         if not vec:
             return {}
         return self._image[degree].solve(vec)

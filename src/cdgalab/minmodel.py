@@ -26,11 +26,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from typing import Dict, List, Optional, Set, Tuple
 
-from .algebra import AlgebraSpec, Element, GeneratorDecl, element_data, monomial_names
-from .chains import FreeSlices, product
+from .algebra import AlgebraSpec, Element, GeneratorDecl, element_data
+from .chains import FreeSlices, chain_defect, extend
 from .cohomology import CohomologyRing
 from .errors import CapTooLow, NotOneConnected
-from .linalg import Echelon, Vec, kernel_image, mat_vec, vec_iadd
+from .linalg import Echelon, Vec, kernel_image, mat_vec
 from .massey import NONZERO, MasseyReport, a_massey, triple_massey
 
 CERTIFIED = "CERTIFIED"
@@ -46,7 +46,7 @@ UNKNOWN = "UNKNOWN"
 class MinimalModel:
     model: AlgebraSpec
     bound: int
-    psi: Dict[str, Tuple[int, Vec]]          # generator -> (degree, target vec)
+    psi: Dict[int, Tuple[int, Vec]]          # generator index -> (degree, target vec)
     target_ring: CohomologyRing
     cn_split: Dict[int, Tuple[List[str], List[str]]]  # degree -> (C names, N names)
     identity: bool = False
@@ -62,11 +62,7 @@ class MinimalModel:
 
     def psi_vec(self, elem: Element) -> Vec:
         """Image of a model element in the target slice coordinates."""
-        out: Vec = {}
-        for mono, c in elem.terms.items():
-            factors = [self.psi[name] for name in monomial_names(elem.parent, mono)]
-            vec_iadd(out, product(self.target_ring.slices, factors), c)
-        return out
+        return extend(self.target_ring.slices, self.psi, elem)
 
     def n_generators_through(self, s: int) -> List[str]:
         out = []
@@ -108,8 +104,8 @@ def build_minimal_model(target_ring: CohomologyRing, bound: int) -> MinimalModel
         spec = slices.spec
         psi = {}
         cn: Dict[int, Tuple[List[str], List[str]]] = {}
-        for g in spec.generators:
-            psi[g.name] = (g.degree, slices.from_element(spec.gen(g.name)))
+        for gi, g in enumerate(spec.generators):
+            psi[gi] = (g.degree, slices.from_element(spec.gen(g.name)))
             closed = spec.gen(g.name).d().is_zero()
             c, n = cn.setdefault(g.degree, ([], []))
             (c if closed else n).append(g.name)
@@ -126,12 +122,12 @@ def build_minimal_model(target_ring: CohomologyRing, bound: int) -> MinimalModel
     cap = bound + 2
     gens: List[GeneratorDecl] = []
     diff: Dict[str, List] = {}
-    psi: Dict[str, Tuple[int, Vec]] = {}
+    psi: Dict[int, Tuple[int, Vec]] = {}
     cn: Dict[int, Tuple[List[str], List[str]]] = {}
 
     # The spec is rebuilt only where the next step needs a ring of the grown
-    # model.  Generators are only appended, so elements of an older ring keep
-    # valid generator indices, and psi_vec names them through their own spec.
+    # model.  Generators are only appended, so an index names the same
+    # generator in every stage's spec, and psi is keyed by index.
     def rebuild() -> AlgebraSpec:
         return AlgebraSpec(field, gens, differential=diff,
                            degree_cap=cap).validate()
@@ -154,8 +150,8 @@ def build_minimal_model(target_ring: CohomologyRing, bound: int) -> MinimalModel
             if img_ech.add({j: field.one}):
                 name = f"v{k}_{len(new_closed)}"
                 new_closed.append(name)
+                psi[len(gens)] = (k, target_ring.rep_combination(k, {j: field.one}))
                 gens.append(GeneratorDecl(name, k))
-                psi[name] = (k, target_ring.rep_combination(k, {j: field.one}))
         if new_closed:
             mm.model = rebuild()
             model_ring = CohomologyRing(FreeSlices(mm.model), k + 1)
@@ -170,19 +166,17 @@ def build_minimal_model(target_ring: CohomologyRing, bound: int) -> MinimalModel
                 raise AssertionError("kernel class must map to an exact cocycle")
             name = f"n{k}_{len(new_closed) + len(new_n)}"
             new_n.append(name)
+            psi[len(gens)] = (k, prim)
             gens.append(GeneratorDecl(name, k))
             diff[name] = element_data(z_elem)
-            psi[name] = (k, prim)
         if new_n:
             mm.model = rebuild()
 
     # chain-map sanity: psi(d g) = d(psi g) on every generator
-    for g in mm.model.generators:
-        lhs = mm.psi_vec(mm.model.gen(g.name).d())
-        deg, gvec = psi[g.name]
-        rhs = target_ring.slices.d_vec(deg, gvec)
-        if lhs != rhs:
-            raise AssertionError(f"psi fails the chain condition on {g.name}")
+    defect = chain_defect(mm.model, target_ring.slices, psi)
+    if defect is not None:
+        raise AssertionError("psi fails the chain condition on "
+                             f"{mm.model.generators[defect[0]].name}")
     return mm
 
 

@@ -15,7 +15,7 @@ from typing import Dict, Optional, Sequence
 
 from .algebra import AlgebraSpec, Element, GeneratorDecl, Monomial, element_data
 from .errors import EulerBadDegree, EulerNotClosed, ParseError, UnknownPreset
-from .scalars import CycField
+from .scalars import CycField, lcm
 from .serialize import document_from_json
 from .symmetry import GroupActionSpec
 
@@ -82,28 +82,20 @@ def circle_bundle(base: AlgebraSpec, euler: Element, gen_name: str = "x") -> Alg
 
 def tensor(a: AlgebraSpec, b: AlgebraSpec) -> AlgebraSpec:
     """Graded tensor product; generator names must be disjoint."""
-    if a.field.modulus != b.field.modulus:
-        target = CycField.get(
-            a.field.modulus * b.field.modulus //
-            __import__("math").gcd(a.field.modulus, b.field.modulus))
-    else:
-        target = a.field
+    target = CycField.get(lcm(a.field.modulus, b.field.modulus))
     overlap = set(g.name for g in a.generators) & set(g.name for g in b.generators)
     if overlap:
         raise ParseError("tensor factors share generator names",
                          names=sorted(overlap))
+
+    def embed(elem: Element):
+        return [(c.embed(target.modulus) if c.field.modulus != target.modulus else c, names)
+                for c, names in element_data(elem)]
+
     gens = list(a.generators) + list(b.generators)
-    diff = {}
-    rels = []
-    for src in (a, b):
-        for gi, img in src.differential.items():
-            diff[src.generators[gi].name] = [
-                (c.embed(target.modulus) if c.field.modulus != target.modulus else c, names)
-                for c, names in element_data(img)]
-        for rel in src.relations:
-            rels.append([
-                (c.embed(target.modulus) if c.field.modulus != target.modulus else c, names)
-                for c, names in element_data(rel)])
+    diff = {src.generators[gi].name: embed(img)
+            for src in (a, b) for gi, img in src.differential.items()}
+    rels = [embed(rel) for src in (a, b) for rel in src.relations]
     cap = a.degree_cap + b.degree_cap - 1
     spec = AlgebraSpec(target, gens, differential=diff, relations=rels, degree_cap=cap)
     return spec.validate()

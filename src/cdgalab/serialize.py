@@ -66,14 +66,7 @@ def element_to_json(elem: Element) -> list:
 
 
 def element_from_json(data, spec: AlgebraSpec) -> Element:
-    if not isinstance(data, list):
-        raise ParseError("element expressions must be arrays of terms", got=data)
-    terms = []
-    for term in data:
-        coeff = scalar_from_json(term.get("coeff", "1"), spec.field)
-        names = tuple(term.get("monomial", []))
-        terms.append((coeff, names))
-    return spec.element(terms)
+    return spec.element(_expr_terms(data, spec.field))
 
 
 def monomial_from_json(names: List[str], spec: AlgebraSpec) -> Monomial:

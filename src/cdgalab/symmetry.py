@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional
 
 from .algebra import AlgebraSpec, Element, Monomial
-from .chains import FreeSlices, SubcomplexSlices
+from .chains import FreeSlices, SubcomplexSlices, chain_defect, extend
 from .cohomology import CohomologyRing
 from .errors import (
     CapTooLow,
@@ -24,6 +24,7 @@ from .errors import (
     NoConjugateDeclared,
     NotChainMap,
     OrderMismatch,
+    ParentMismatch,
     ParseError,
 )
 from .linalg import Vec, mat_vec, span, vec_add, vec_scale
@@ -55,6 +56,9 @@ class GroupActionSpec:
                     f"'{parent.generators[gi].name}'")
         self._validated = False
         self._slices = FreeSlices(parent)
+        # generator index -> (degree, image vector), the map rho* is extended from
+        self._image_vecs = {gi: (parent.generators[gi].degree, self._slices.from_element(img))
+                            for gi, img in self.images.items()}
         self._matrices: Dict[int, List[Vec]] = {}
         self._projectors: Dict[int, List[Vec]] = {}
 
@@ -62,55 +66,50 @@ class GroupActionSpec:
 
     def apply(self, elem: Element, power: int = 1) -> Element:
         """Apply the group generator ``power`` times; any integer, taken mod the order."""
+        if elem.parent is not self.parent:
+            raise ParentMismatch("element belongs to a different algebra")
+        elem._guard()
         if not self._validated:
             self.validate()
-        out = elem
+        sl = self._slices
+        rho = self.matrix(elem.degree)
+        vec = sl.from_element(elem)
         for _ in range(power % self.order):
-            out = self._apply_once(out)
-        return out
-
-    def _apply_once(self, elem: Element) -> Element:
-        spec = self.parent
-        acc = spec.zero(elem.degree)
-        for mono, c in elem.terms.items():
-            piece = spec.one().scale(c)
-            for g in mono:
-                piece = piece * self.images[g]
-            acc = acc + piece
-        return acc
+            vec = mat_vec(rho, vec)
+        return sl.to_element(elem.degree, vec)
 
     def matrix(self, k: int) -> List[Vec]:
         """Columns of rho* on the degree-k monomial basis, built once per degree."""
         cols = self._matrices.get(k)
         if cols is None:
             sl = self._slices
-            cols = [sl.from_element(self._apply_once(sl.basis_element(k, i)))
-                    for i in range(sl.dim(k))]
-            self._matrices[k] = cols
+            cols = self._matrices[k] = [extend(sl, self._image_vecs, sl.basis_element(k, i))
+                                        for i in range(sl.dim(k))]
         return cols
 
     # -- validation -----------------------------------------------------
 
     def validate(self) -> "GroupActionSpec":
         spec = self.parent
-        for gi, img in self.images.items():
-            g = spec.gen(spec.generators[gi].name)
-            lhs = self._apply_once(g.d())
-            rhs = img.d()
-            if lhs != rhs:
-                raise NotChainMap(
-                    f"the action does not commute with d on generator "
-                    f"'{spec.generators[gi].name}'",
-                    generator=spec.generators[gi].name,
-                    witness=(lhs - rhs).render())
+        defect = chain_defect(spec, self._slices, self._image_vecs)
+        if defect is not None:
+            gi, diff = defect
+            name = spec.generators[gi].name
+            raise NotChainMap(
+                f"the action does not commute with d on generator '{name}'",
+                generator=name,
+                witness=self._slices.to_element(spec.generators[gi].degree + 1,
+                                                diff).render())
+        gen_vecs = {gi: self._slices.from_element(spec.gen(g.name))
+                    for gi, g in enumerate(spec.generators)}
+        current = {gi: vec for gi, (_, vec) in self._image_vecs.items()}
         period = None
-        current = {gi: img for gi, img in self.images.items()}
         for j in range(1, self.order + 1):
-            if all(current[gi] == spec.gen(spec.generators[gi].name)
-                   for gi in self.images):
+            if current == gen_vecs:
                 period = j
                 break
-            current = {gi: self._apply_once(img) for gi, img in current.items()}
+            current = {gi: mat_vec(self.matrix(spec.generators[gi].degree), vec)
+                       for gi, vec in current.items()}
         if period != self.order:
             raise OrderMismatch("the action's exact order differs from the declared one",
                                 declared=self.order, actual=period)
@@ -149,13 +148,14 @@ def _orbit_sum(act: GroupActionSpec, k: int, vec: Vec) -> Vec:
     return acc
 
 
-def averaging_projector(act: GroupActionSpec, slices: FreeSlices, k: int) -> List[Vec]:
+def averaging_projector(act: GroupActionSpec, k: int) -> List[Vec]:
     """Columns of P = (1/m) sum_j rho*^j on the degree-k slice; built once, shared."""
     cols = act._projectors.get(k)
     if cols is None:
-        inv_m = slices.field.rational(Fraction(1, act.order))
-        cols = act._projectors[k] = [vec_scale(_orbit_sum(act, k, {i: slices.field.one}), inv_m)
-                                     for i in range(slices.dim(k))]
+        field = act.parent.field
+        inv_m = field.rational(Fraction(1, act.order))
+        cols = act._projectors[k] = [vec_scale(_orbit_sum(act, k, {i: field.one}), inv_m)
+                                     for i in range(len(act.matrix(k)))]
     return cols
 
 
@@ -164,12 +164,11 @@ def invariant_complex(act: GroupActionSpec, max_degree: Optional[int] = None) ->
     if not act.validated:
         act.validate()
     spec = act.parent
-    slices = FreeSlices(spec)
     top = spec.degree_cap if max_degree is None else max_degree
     # The span of the averaging projector's columns is the fixed space, since
     # rho* P = P and P v = v for fixed v; a subspace has only one RREF basis.
-    return SubcomplexSlices(slices, {
-        k: span(spec.field, averaging_projector(act, slices, k)).basis_rows()
+    return SubcomplexSlices(act._slices, {
+        k: span(spec.field, averaging_projector(act, k)).basis_rows()
         for k in range(top + 1)})
 
 
@@ -186,7 +185,7 @@ def invariant_cohomology(act: GroupActionSpec, max_degree: int,
 
 def fixed_subspace_of_cohomology(act: GroupActionSpec, ring: CohomologyRing, k: int):
     """Basis of the rho*-fixed subspace of H^k(parent), in rep coordinates."""
-    proj = averaging_projector(act, ring.slices, k)
+    proj = averaging_projector(act, k)
     cols = [ring.class_of(mat_vec(proj, rep), k).coords for rep in ring.reps(k)]
     return span(ring.field, cols).basis_rows()
 

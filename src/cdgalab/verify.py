@@ -439,13 +439,13 @@ def property_battery(cases: int = 1000, seed: int = 0) -> CheckResult:
             continue  # declared order not exact for these weights; skip
         slices = FreeSlices(spec)
         k = rng.randint(1, ngen)
-        proj = averaging_projector(act, slices, k)
+        proj = averaging_projector(act, k)
         i = rng.randrange(max(slices.dim(k), 1))
         e = {i: field.one}
         pe = mat_vec(proj, e)
         ok_proj = ok_proj and mat_vec(proj, pe) == pe
         if k + 1 <= ngen:
-            proj_next = averaging_projector(act, slices, k + 1)
+            proj_next = averaging_projector(act, k + 1)
             ok_proj = ok_proj and (
                 slices.d_vec(k, pe) == mat_vec(proj_next, slices.d_vec(k, e)))
         Hinv = invariant_cohomology(act, ngen)

@@ -5,7 +5,14 @@ import pytest
 from cdgalab.algebra import AlgebraSpec, GeneratorDecl
 from cdgalab.chains import FreeSlices, SubcomplexSlices
 from cdgalab.cohomology import cohomology
-from cdgalab.errors import NotChainMap, NotInSubcomplex, OrderMismatch
+from cdgalab.errors import (
+    NotChainMap,
+    NotInSubcomplex,
+    OrderMismatch,
+    ParentMismatch,
+    TruncatedOperand,
+)
+from cdgalab.models import preset
 from cdgalab.scalars import CycField
 from cdgalab.symmetry import (
     GroupActionSpec,
@@ -58,8 +65,10 @@ def test_wrong_weight_breaks_chain_map():
         "nubar": [(z(5), ("nubar",))],
         "thetabar": [(z(5), ("thetabar",))],
     })
-    with pytest.raises(NotChainMap):
+    with pytest.raises(NotChainMap) as err:
         act.validate()
+    # rho*(d theta) = z^5 mu nu against d(rho* theta) = z mu nu; z^5 - z = 1 - 2 zeta_12^2
+    assert err.value.details == {"generator": "theta", "witness": "(1 - 2*z12^2)*mu*nu"}
 
 
 def test_declared_order_must_be_exact():
@@ -74,7 +83,7 @@ def test_projector_identities():
     act = action_validate(z6_action(spec))
     slices = FreeSlices(spec)
     for k in (1, 2, 3):
-        proj = averaging_projector(act, slices, k)
+        proj = averaging_projector(act, k)
 
         def apply_p(vec):
             out = {}
@@ -93,7 +102,7 @@ def test_projector_identities():
             assert apply_p(pe) == pe  # P^2 = P
         # P d = d P on basis vectors
         if k + 1 <= 3:
-            proj_next = averaging_projector(act, slices, k + 1)
+            proj_next = averaging_projector(act, k + 1)
 
             def apply_p_next(vec):
                 out = {}
@@ -217,16 +226,18 @@ def test_subcomplex_degree_without_basis_holds_only_zero():
 
 def test_apply_validates_then_reduces_the_power(monkeypatch):
     # An unvalidated action is validated before it is applied, and the power
-    # is taken mod the order, so a huge power runs at most m - 1 steps and a
-    # negative power is the inverse.
+    # is taken mod the order, so a huge power runs at most m - 1 matrix
+    # applications and a negative power is the inverse.
+    from cdgalab import symmetry
+
     spec = heisenberg6().validate()
     elem = spec.gen("mu") * spec.gen("nubar") + spec.gen("theta") * spec.gen("mubar")
     act = z6_action(spec)
     assert not act.validated
     steps = []
-    apply_once = GroupActionSpec._apply_once
-    monkeypatch.setattr(GroupActionSpec, "_apply_once",
-                        lambda self, e: steps.append(e) or apply_once(self, e))
+    mat_vec = symmetry.mat_vec
+    monkeypatch.setattr(symmetry, "mat_vec",
+                        lambda cols, vec: steps.append(vec) or mat_vec(cols, vec))
     huge = act.apply(elem, 6 * 10 ** 30 + 1)
     assert huge != elem
     assert act.validated
@@ -243,3 +254,21 @@ def test_apply_refuses_an_invalid_action():
     act = GroupActionSpec(spec, 4, {"a": [(-1, ("a",))], "b": [(-1, ("b",))]})
     with pytest.raises(OrderMismatch):
         act.apply(spec.gen("a"), 10 ** 30)
+
+
+def test_apply_refuses_a_truncated_element():
+    # omega^4 has degree 8 beyond the cap 7: it is a truncated zero, which
+    # the action must not pass on as an ordinary zero.
+    bundle = preset("HEIS6_Z6")
+    omega = bundle.classes["omega"]
+    top = omega * omega * omega * omega
+    assert top.truncated
+    with pytest.raises(TruncatedOperand):
+        bundle.action.apply(top)
+
+
+def test_apply_refuses_an_element_of_another_algebra():
+    act = preset("HEIS6_Z6").action
+    foreign = preset("HEIS6").spec.gen("mu")
+    with pytest.raises(ParentMismatch):
+        act.apply(foreign)

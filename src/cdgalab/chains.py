@@ -11,12 +11,13 @@ this interface, so group-invariant complexes get every feature for free.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-from .algebra import AlgebraSpec, Element, Monomial
+from .algebra import AlgebraSpec, Element, Monomial, normal_form
 from .errors import CapExceeded, DegreeOverflow, NotInSubcomplex
-from .linalg import Echelon, Vec, mat_vec, vec_add, vec_iadd
-from .scalars import CycField
+from .linalg import Echelon, Vec, bilinear, mat_vec, vec_add, vec_iadd
+from .scalars import CycField, CycScalar
 
 
 class FreeSlices:
@@ -29,44 +30,67 @@ class FreeSlices:
         self.field: CycField = spec.field
         self.cap = spec.degree_cap
         self._d_cols: Dict[int, List[Vec]] = {}
-        self._index: Dict[int, Dict[Monomial, int]] = {}
+        self._quotient: Dict[int, Dict[int, int]] = {}  # free index -> basis index
+        # (k, l) -> i -> j -> +-(1 + free index) of basis_k[i] * basis_l[j], 0 if it vanishes
+        self._mul = defaultdict(lambda: defaultdict(dict))
 
     def dim(self, k: int) -> int:
         if k < 0:
             return 0
         return len(self.spec.basis(k))
 
-    def basis_element(self, k: int, i: int) -> Element:
-        mono = self.spec.basis(k)[i]
-        return Element(self.spec, k, {mono: self.field.one}, _reduced=True)
-
     def to_element(self, k: int, vec: Vec) -> Element:
         basis = self.spec.basis(k)
         return Element(self.spec, k, {basis[i]: c for i, c in vec.items()}, _reduced=True)
 
     def from_element(self, elem: Element) -> Vec:
-        idx = self._index.get(elem.degree)
-        if idx is None:
-            idx = {m: i for i, m in enumerate(self.spec.basis(elem.degree))}
-            self._index[elem.degree] = idx
-        return {idx[m]: c for m, c in elem.terms.items()}
+        return self._coords(elem.degree, elem.terms)
+
+    def _coords(self, k: int, terms: Dict[Monomial, CycScalar]) -> Vec:
+        index = self.spec._free_index(k)
+        return self._reduced(k, {index[m]: c for m, c in terms.items()})
+
+    def _reduced(self, k: int, free: Vec) -> Vec:
+        """A vector on the free degree-k basis, reduced by the ideal, in basis coordinates."""
+        spec = self.spec
+        if not spec.relations:
+            return free
+        residual, _ = spec._ideal_echelon(k).reduce(free)
+        pos = self._quotient.get(k)
+        if pos is None:
+            free_index = spec._free_index(k)
+            pos = self._quotient[k] = {free_index[m]: i for i, m in enumerate(spec.basis(k))}
+        return {pos[p]: c for p, c in residual.items()}
 
     def d_vec(self, k: int, vec: Vec) -> Vec:
         if k + 1 > self.cap:
             raise CapExceeded("differential would leave the capped range", degree=k + 1)
         cols = self._d_cols.setdefault(k, [])
         for j in range(len(cols), max(vec, default=-1) + 1):
-            cols.append(self.from_element(self.basis_element(k, j).d()))
+            cols.append(self._coords(k + 1, self.spec._d_monomial(self.spec.basis(k)[j])))
         return mat_vec(cols, vec)
 
     def mul_vec(self, k: int, u: Vec, l: int, v: Vec) -> Vec:
         if k + l > self.cap:
             raise DegreeOverflow("product degree exceeds the cap", degree=k + l)
-        prod = self.to_element(k, u) * self.to_element(l, v)
-        return self.from_element(prod)
+        spec, table = self.spec, self._mul[k, l]
+        acc: Vec = {}
+        for i, a in u.items():
+            entries = table[i]
+            # basis_k[i] * basis_l[j] is injective in j, so the row's terms never collide.
+            row: Vec = {}
+            for j, b in v.items():
+                hit = entries.get(j)
+                if hit is None:
+                    nf = normal_form(spec, spec.basis(k)[i] + spec.basis(l)[j])
+                    hit = entries[j] = nf[0] * (1 + spec._free_index(k + l)[nf[1]]) if nf else 0
+                if hit:
+                    row[abs(hit) - 1] = b if hit > 0 else -b
+            vec_iadd(acc, row, a)
+        return self._reduced(k + l, acc)
 
     def unit_vec(self) -> Vec:
-        return self.from_element(self.spec.one())
+        return self._reduced(0, {0: self.field.one})
 
 
 class SubcomplexSlices:
@@ -84,6 +108,8 @@ class SubcomplexSlices:
         self._bases = bases
         self._express: Dict[int, Echelon] = {}
         self._no_basis = Echelon(self.field)  # solves only the zero vector
+        # (k, l) -> i -> j -> coordinates of bases[k][i] * bases[l][j]
+        self._mul = defaultdict(lambda: defaultdict(dict))
         for k, rows in bases.items():
             ech = Echelon(self.field)
             for j, row in enumerate(rows):
@@ -116,8 +142,8 @@ class SubcomplexSlices:
         if k + l > self.cap:
             raise DegreeOverflow("product degree exceeds the subcomplex range",
                                  degree=k + l)
-        prod = self.parent.mul_vec(k, self.to_parent_vec(k, u), l, self.to_parent_vec(l, v))
-        return self.express(k + l, prod)
+        return bilinear(self._mul[k, l], u, v, lambda i, j: self.express(
+            k + l, self.parent.mul_vec(k, self._bases[k][i], l, self._bases[l][j])))
 
     def unit_vec(self) -> Vec:
         return self.express(0, self.parent.unit_vec())

@@ -71,20 +71,23 @@ def _context(args):
 def _select_class(ring: CohomologyRing, classes, token: str) -> CohomClass:
     token = token.strip()
     if token.startswith("{"):
-        data = json.loads(token)
-        degree = int(data["degree"])
-        values = data.get("coords", [])
-        if degree > ring.max_degree or len(values) > ring.betti[degree]:
+        try:
+            data = json.loads(token)
+            degree, values = data["degree"], data.get("coords", [])
+            if (type(degree) is not int or not 0 <= degree <= ring.max_degree
+                    or type(values) is not list
+                    or any(type(v) not in (int, float, str) for v in values)):
+                raise TypeError
+            values = [Fraction(str(v)) for v in values]
+        except (ValueError, TypeError, KeyError, ZeroDivisionError):
+            raise ParseError("a class selector needs an integer degree from 0 to the "
+                             "max degree and a list of numbers as coords",
+                             selector=token, max_degree=ring.max_degree) from None
+        if len(values) > ring.betti[degree]:
             raise ParseError("coordinate vector does not fit the ring",
-                             degree=degree,
-                             dimension=ring.betti[degree]
-                             if degree <= ring.max_degree else None)
-        coords = {}
-        for idx, value in enumerate(values):
-            c = ring.field.rational(Fraction(str(value)))
-            if not c.is_zero():
-                coords[idx] = c
-        return CohomClass(ring, degree, coords)
+                             degree=degree, dimension=ring.betti[degree])
+        coords = enumerate(map(ring.field.rational, values))
+        return CohomClass(ring, degree, {i: c for i, c in coords if not c.is_zero()})
     if token not in classes:
         raise ParseError(f"no class named '{token}' in the document",
                          known=sorted(classes))

@@ -13,6 +13,7 @@ an invariant subcomplex.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
@@ -24,7 +25,7 @@ from .errors import (
     NoTopDeclared,
     NotClosed,
 )
-from .linalg import Echelon, Vec, kernel_image, mat_vec, span, vec_add, vec_iadd
+from .linalg import Echelon, Vec, bilinear, kernel_image, mat_vec, span, vec_add
 from .scalars import CycField, CycScalar
 
 
@@ -88,8 +89,8 @@ class CohomologyRing:
         self._reps: List[List[Vec]] = []
         self._image: List[Echelon] = []
         self._decomp: List[Echelon] = []
-        # (p, q) -> {(i, j): coords of [rep_i * rep_j]}, filled on first use
-        self._cup: Dict[Tuple[int, int], Dict[Tuple[int, int], Vec]] = {}
+        # (p, q) -> i -> j -> coords of [rep_i * rep_j], filled on first use
+        self._cup = defaultdict(lambda: defaultdict(dict))
         # (degree, q, coords) of a class u -> span of u * H^q, on first use
         self._spans: Dict[tuple, Tuple[Echelon, List[Vec]]] = {}
         prev_image = Echelon(self.field)
@@ -153,15 +154,9 @@ class CohomologyRing:
         if p + q > self.max_degree:
             raise DegreeOverflow("cup product lands beyond the computed range",
                                  degree=p + q)
-        table = self._cup.setdefault((p, q), {})
-        out: Vec = {}
-        for i, a in u.coords.items():
-            for j, b in v.coords.items():
-                c = table.get((i, j))
-                if c is None:
-                    prod = self.slices.mul_vec(p, self._reps[p][i], q, self._reps[q][j])
-                    c = table[(i, j)] = self.class_of(prod, p + q).coords
-                vec_iadd(out, c, a * b)
+        reps = self._reps
+        out = bilinear(self._cup[p, q], u.coords, v.coords, lambda i, j: self.class_of(
+            self.slices.mul_vec(p, reps[p][i], q, reps[q][j]), p + q).coords)
         return CohomClass(self, p + q, out)
 
     def cup_span(self, u: CohomClass, q: int) -> Tuple[Echelon, List[Vec]]:

@@ -46,6 +46,19 @@ def mat_vec(cols: Sequence[Vec], vec: Vec) -> Vec:
     return out
 
 
+def bilinear(table, u: Vec, v: Vec, fill: Callable[[int, int], Vec]) -> Vec:
+    """sum over i, j of u_i v_j table[i][j]; a missing entry is fill(i, j), stored."""
+    out: Vec = {}
+    for i, a in u.items():
+        entries = table[i]
+        for j, b in v.items():
+            c = entries.get(j)
+            if c is None:
+                c = entries[j] = fill(i, j)
+            vec_iadd(out, c, a * b)
+    return out
+
+
 class Echelon:
     """A reduced row-echelon accumulator with optional source bookkeeping.
 

@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional
 
 from .algebra import AlgebraSpec, Element, Monomial
-from .chains import FreeSlices, SubcomplexSlices, chain_defect, extend
+from .chains import FreeSlices, SubcomplexSlices, chain_defect, product
 from .cohomology import CohomologyRing
 from .errors import (
     CapTooLow,
@@ -82,9 +82,9 @@ class GroupActionSpec:
         """Columns of rho* on the degree-k monomial basis, built once per degree."""
         cols = self._matrices.get(k)
         if cols is None:
-            sl = self._slices
-            cols = self._matrices[k] = [extend(sl, self._image_vecs, sl.basis_element(k, i))
-                                        for i in range(sl.dim(k))]
+            cols = self._matrices[k] = [
+                product(self._slices, [self._image_vecs[g] for g in mono])
+                for mono in self.parent.basis(k)]
         return cols
 
     # -- validation -----------------------------------------------------

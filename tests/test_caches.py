@@ -5,7 +5,9 @@ representatives of the two classes and reduces the product with class_of.
 The action on a degree-k slice comes from a cached matrix; the oracle pushes
 basis elements through Element products of the generator images.  Fixed
 spaces are taken as the image of the averaging projector P; the oracle takes
-the kernel of P - I.
+the kernel of P - I.  Slice products and differentials come from tables on
+basis indices; the oracle converts the vectors to Elements, multiplies or
+differentiates them there, and reads the result back by monomial.
 """
 
 import random
@@ -13,7 +15,8 @@ from fractions import Fraction
 
 import pytest
 
-from cdgalab.algebra import AlgebraSpec, GeneratorDecl
+from cdgalab import chains
+from cdgalab.algebra import AlgebraSpec, Element, GeneratorDecl
 from cdgalab.chains import FreeSlices, product
 from cdgalab.cohomology import CohomClass, cohomology
 from cdgalab.errors import OrderMismatch
@@ -109,7 +112,7 @@ def _element_projector(act, slices, k):
     inv_m = slices.field.rational(Fraction(1, act.order))
     cols = []
     for i in range(slices.dim(k)):
-        e = slices.basis_element(k, i)
+        e = slices.to_element(k, {i: slices.field.one})
         acc = e
         for j in range(1, act.order):
             acc = acc + _element_apply(act, e, j)
@@ -147,7 +150,7 @@ def _element_burnside(act, k):
     total = slices.field.zero
     for j in range(act.order):
         for i in range(slices.dim(k)):
-            img = slices.from_element(_element_apply(act, slices.basis_element(k, i), j))
+            img = slices.from_element(_element_apply(act, slices.to_element(k, {i: slices.field.one}), j))
             total = total + img.get(i, slices.field.zero)
     return total.rational_value() / act.order
 
@@ -211,3 +214,120 @@ def test_projector_is_built_once_per_degree(act, monkeypatch):
     assert sums == []
     burnside_invariant_dimension(act, top)
     assert len(sums) == slices.dim(top)
+
+
+# -- slice products and differentials through Elements ----------------------
+
+ALL_PRESETS = [(name, {}) for name in ("HEIS6", "HEIS6_Z6", "HEIS8", "HEIS8_Z3", "T6",
+                                       "T6_Z2", "SASAKI7_S2CUBE", "SPHERE2", "P_OVER_T6Z2")]
+ALL_PRESETS += [("CPN", {"m": 3}), ("SASAKI_CPN_S2", {"n": 4})]
+
+
+def _random_vec(rng, field, dim):
+    """A nonzero vector, most coordinates nonzero, cyclotomic where possible."""
+    support = [i for i in range(dim) if rng.random() < 0.7] or [rng.randrange(dim)]
+    return {i: field.zeta(rng.randrange(field.modulus)) * field.rational(
+                Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 3)))
+            for i in support}
+
+
+def _element_coords(elem):
+    """Slice coordinates of an Element, looked up monomial by monomial."""
+    basis = elem.parent.basis(elem.degree)
+    return {basis.index(m): c for m, c in elem.terms.items()}
+
+
+def _same(got, want):
+    return list(got.items()) == list(want.items())
+
+
+def _free_products(sl, rng, count):
+    """(k, u, l, v) with k + l within the cap and both slices nonzero."""
+    degrees = [k for k in range(sl.cap + 1) if sl.dim(k)]
+    pairs = [(k, l) for k in degrees for l in degrees if k + l <= sl.cap]
+    out = []
+    for _ in range(count):
+        k, l = pairs[rng.randrange(len(pairs))]
+        out.append((k, _random_vec(rng, sl.field, sl.dim(k)),
+                    l, _random_vec(rng, sl.field, sl.dim(l))))
+    return out
+
+
+@pytest.mark.parametrize("name,params", ALL_PRESETS, ids=[n for n, _ in ALL_PRESETS])
+def test_free_product_and_differential_match_element_path(name, params):
+    spec = preset(name, **params).spec
+    sl = FreeSlices(spec)
+    rng = random.Random(5)
+    relation_hits = 0
+    for k, u, l, v in _free_products(sl, rng, 40):
+        want = _element_coords(sl.to_element(k, u) * sl.to_element(l, v))
+        assert _same(sl.mul_vec(k, u, l, v), want)
+        assert sl.mul_vec(k, {}, l, v) == {} and sl.mul_vec(k, u, l, {}) == {}
+        if k + 1 <= sl.cap:
+            assert _same(sl.d_vec(k, u), _element_coords(sl.to_element(k, u).d()))
+        # the ideal is nonzero in degree k + l, so the product is reduced
+        relation_hits += bool(u and v and len(spec.free_basis(k + l)) > sl.dim(k + l))
+    assert relation_hits >= 5 or not spec.relations
+    assert _same(sl.unit_vec(), _element_coords(spec.one()))
+
+
+@pytest.mark.parametrize("name,params", ALL_PRESETS, ids=[n for n, _ in ALL_PRESETS])
+def test_each_free_product_entry_is_filled_once(name, params, monkeypatch):
+    spec = preset(name, **params).spec
+    sl = FreeSlices(spec)
+    calls = []
+    normal_form = chains.normal_form
+    monkeypatch.setattr(chains, "normal_form",
+                        lambda spec, word: calls.append(word) or normal_form(spec, word))
+    products = _free_products(sl, random.Random(9), 30)
+    first = [sl.mul_vec(k, u, l, v) for k, u, l, v in products]
+    pairs = {(k, l, i, j) for k, u, l, v in products for i in u for j in v}
+    assert len(calls) == len(pairs)
+    assert [sl.mul_vec(k, u, l, v) for k, u, l, v in products] == first
+    assert len(calls) == len(pairs)
+
+
+def test_slice_maps_build_no_element(monkeypatch):
+    act = preset("HEIS6_Z6").action
+    built = []
+    init = Element.__init__
+    monkeypatch.setattr(Element, "__init__",
+                        lambda self, *args, **kw: built.append(args) or init(self, *args, **kw))
+    sl = FreeSlices(act.parent)
+    one = sl.field.one
+    for k in range(sl.cap):
+        act.matrix(k)
+        for i in range(sl.dim(k)):
+            sl.d_vec(k, {i: one})
+            sl.mul_vec(k, {i: one}, 1, {j: one for j in range(sl.dim(1))})
+    sl.unit_vec()
+    assert built == []
+
+
+INVARIANT_TOPS = {"HEIS6_Z6": 6, "HEIS8_Z3": 8, "T6_Z2": 6}
+
+
+@pytest.mark.parametrize("name", sorted(INVARIANT_TOPS))
+def test_subcomplex_product_matches_parent_product(name, monkeypatch):
+    sub = invariant_complex(preset(name).action, max_degree=INVARIANT_TOPS[name])
+    parent = sub.parent
+    rng = random.Random(13)
+    degrees = [k for k in range(1, sub.cap + 1) if sub.dim(k)]
+    pairs = [(k, l) for k in degrees for l in degrees if k + l <= sub.cap]
+    products = []
+    for _ in range(30):
+        k, l = pairs[rng.randrange(len(pairs))]
+        products.append((k, _random_vec(rng, sub.field, sub.dim(k)),
+                         l, _random_vec(rng, sub.field, sub.dim(l))))
+    fills = []
+    mul_vec = parent.mul_vec
+    monkeypatch.setattr(parent, "mul_vec", lambda *args: fills.append(args) or mul_vec(*args))
+    dense = 0
+    for k, u, l, v in products:
+        pu, pv = sub.to_parent_vec(k, u), sub.to_parent_vec(l, v)
+        want = sub.express(k + l, _element_coords(
+            parent.to_element(k, pu) * parent.to_element(l, pv)))
+        assert sub.mul_vec(k, u, l, v) == want
+        dense += len(u) > 1 and len(v) > 1 and bool(want)
+    assert dense >= 5
+    assert len(fills) == len({(k, l, i, j) for k, u, l, v in products for i in u for j in v})

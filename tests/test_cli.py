@@ -60,6 +60,39 @@ def test_coordinate_selector():
     assert "verdict:" in out.stdout
 
 
+BAD_SELECTORS = {
+    "negative-degree": '{"degree": -1, "coords": ["1"]}',
+    "missing-degree": '{"coords": ["1"]}',
+    "string-degree": '{"degree": "a", "coords": ["1"]}',
+    "fractional-degree": '{"degree": 1.5, "coords": ["1"]}',
+    "scalar-coords": '{"degree": 1, "coords": 3}',
+    "word-coords": '{"degree": 1, "coords": ["x"]}',
+    "zero-denominator": '{"degree": 1, "coords": ["1/0"]}',
+    "boolean-coords": '{"degree": 1, "coords": [true]}',
+    "unclosed-json": '{"degree": 1, "coords": ["1"]',
+}
+SELECTOR_COMMANDS = [
+    lambda sel: ["massey", "--select", sel, "--select", sel, "--select", sel],
+    lambda sel: ["amassey", "--a", sel, "--b", sel],
+    lambda sel: ["higher-massey"] + ["--select", sel] * 4,
+    lambda sel: ["lefschetz", "--omega", sel, "--half-dim", "3"],
+]
+
+
+@pytest.mark.parametrize("case", sorted(BAD_SELECTORS))
+def test_malformed_class_selector_is_a_parse_error(case):
+    # Each command that selects classes reads the selector the same way; the
+    # cases are spread over all four of them.
+    doc = run(["preset", "T6"]).stdout
+    sel = BAD_SELECTORS[case]
+    command = SELECTOR_COMMANDS[sorted(BAD_SELECTORS).index(case) % len(SELECTOR_COMMANDS)]
+    out = run(command(sel), stdin=doc)
+    assert out.returncode == 1
+    diag = json.loads(out.stderr)
+    assert diag["error"] == "PARSE_ERROR"
+    assert diag["details"] == {"selector": sel, "max_degree": 6}
+
+
 def test_validation_error_exit_1():
     bad = json.dumps({
         "zeta": 1, "degree_cap": 6,

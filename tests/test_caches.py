@@ -150,7 +150,8 @@ def _element_burnside(act, k):
     total = slices.field.zero
     for j in range(act.order):
         for i in range(slices.dim(k)):
-            img = slices.from_element(_element_apply(act, slices.to_element(k, {i: slices.field.one}), j))
+            e = slices.to_element(k, {i: slices.field.one})
+            img = slices.from_element(_element_apply(act, e, j))
             total = total + img.get(i, slices.field.zero)
     return total.rational_value() / act.order
 
@@ -241,9 +242,9 @@ def _same(got, want):
     return list(got.items()) == list(want.items())
 
 
-def _free_products(sl, rng, count):
-    """(k, u, l, v) with k + l within the cap and both slices nonzero."""
-    degrees = [k for k in range(sl.cap + 1) if sl.dim(k)]
+def _random_products(sl, rng, count, low=0):
+    """(k, u, l, v) with k, l >= low, k + l within the cap and both slices nonzero."""
+    degrees = [k for k in range(low, sl.cap + 1) if sl.dim(k)]
     pairs = [(k, l) for k in degrees for l in degrees if k + l <= sl.cap]
     out = []
     for _ in range(count):
@@ -259,7 +260,7 @@ def test_free_product_and_differential_match_element_path(name, params):
     sl = FreeSlices(spec)
     rng = random.Random(5)
     relation_hits = 0
-    for k, u, l, v in _free_products(sl, rng, 40):
+    for k, u, l, v in _random_products(sl, rng, 40):
         want = _element_coords(sl.to_element(k, u) * sl.to_element(l, v))
         assert _same(sl.mul_vec(k, u, l, v), want)
         assert sl.mul_vec(k, {}, l, v) == {} and sl.mul_vec(k, u, l, {}) == {}
@@ -279,7 +280,7 @@ def test_each_free_product_entry_is_filled_once(name, params, monkeypatch):
     normal_form = chains.normal_form
     monkeypatch.setattr(chains, "normal_form",
                         lambda spec, word: calls.append(word) or normal_form(spec, word))
-    products = _free_products(sl, random.Random(9), 30)
+    products = _random_products(sl, random.Random(9), 30)
     first = [sl.mul_vec(k, u, l, v) for k, u, l, v in products]
     pairs = {(k, l, i, j) for k, u, l, v in products for i in u for j in v}
     assert len(calls) == len(pairs)
@@ -311,14 +312,8 @@ INVARIANT_TOPS = {"HEIS6_Z6": 6, "HEIS8_Z3": 8, "T6_Z2": 6}
 def test_subcomplex_product_matches_parent_product(name, monkeypatch):
     sub = invariant_complex(preset(name).action, max_degree=INVARIANT_TOPS[name])
     parent = sub.parent
-    rng = random.Random(13)
-    degrees = [k for k in range(1, sub.cap + 1) if sub.dim(k)]
-    pairs = [(k, l) for k in degrees for l in degrees if k + l <= sub.cap]
-    products = []
-    for _ in range(30):
-        k, l = pairs[rng.randrange(len(pairs))]
-        products.append((k, _random_vec(rng, sub.field, sub.dim(k)),
-                         l, _random_vec(rng, sub.field, sub.dim(l))))
+    # degree 0 is spanned by the unit, whose products say little
+    products = _random_products(sub, random.Random(13), 30, low=1)
     fills = []
     mul_vec = parent.mul_vec
     monkeypatch.setattr(parent, "mul_vec", lambda *args: fills.append(args) or mul_vec(*args))
@@ -327,6 +322,8 @@ def test_subcomplex_product_matches_parent_product(name, monkeypatch):
         pu, pv = sub.to_parent_vec(k, u), sub.to_parent_vec(l, v)
         want = sub.express(k + l, _element_coords(
             parent.to_element(k, pu) * parent.to_element(l, pv)))
+        # values only: the table sum orders keys by first appearance, the
+        # solve by its pivot eliminations
         assert sub.mul_vec(k, u, l, v) == want
         dense += len(u) > 1 and len(v) > 1 and bool(want)
     assert dense >= 5

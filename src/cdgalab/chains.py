@@ -62,13 +62,21 @@ class FreeSlices:
             pos = self._quotient[k] = {free_index[m]: i for i, m in enumerate(spec.basis(k))}
         return {pos[p]: c for p, c in residual.items()}
 
-    def d_vec(self, k: int, vec: Vec) -> Vec:
+    def _d_through(self, k: int, i: int) -> List[Vec]:
+        """The cached d columns of degree k, filled through basis index i."""
         if k + 1 > self.cap:
             raise CapExceeded("differential would leave the capped range", degree=k + 1)
         cols = self._d_cols.setdefault(k, [])
-        for j in range(len(cols), max(vec, default=-1) + 1):
+        for j in range(len(cols), i + 1):
             cols.append(self._coords(k + 1, self.spec._d_monomial(self.spec.basis(k)[j])))
-        return mat_vec(cols, vec)
+        return cols
+
+    def d_col(self, k: int, i: int) -> Vec:
+        """d of basis vector i of degree k, computed once; callers must not mutate it."""
+        return self._d_through(k, i)[i]
+
+    def d_vec(self, k: int, vec: Vec) -> Vec:
+        return mat_vec(self._d_through(k, max(vec, default=-1)), vec)
 
     def mul_vec(self, k: int, u: Vec, l: int, v: Vec) -> Vec:
         if k + l > self.cap:
@@ -108,6 +116,7 @@ class SubcomplexSlices:
         self._bases = bases
         self._express: Dict[int, Echelon] = {}
         self._no_basis = Echelon(self.field)  # solves only the zero vector
+        self._d_cols: Dict[int, Dict[int, Vec]] = defaultdict(dict)
         # (k, l) -> i -> j -> coordinates of bases[k][i] * bases[l][j]
         self._mul = defaultdict(lambda: defaultdict(dict))
         for k, rows in bases.items():
@@ -133,6 +142,13 @@ class SubcomplexSlices:
 
     def from_element(self, elem: Element) -> Vec:
         return self.express(elem.degree, self.parent.from_element(elem))
+
+    def d_col(self, k: int, i: int) -> Vec:
+        """d of basis vector i of degree k, computed once; callers must not mutate it."""
+        cols = self._d_cols[k]
+        if i not in cols:
+            cols[i] = self.express(k + 1, self.parent.d_vec(k, self._bases[k][i]))
+        return cols[i]
 
     def d_vec(self, k: int, vec: Vec) -> Vec:
         img = self.parent.d_vec(k, self.to_parent_vec(k, vec))

@@ -16,6 +16,7 @@ UNKNOWN outcome under `--strict`.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -29,6 +30,7 @@ from .massey import INCONCLUSIVE, MasseyReport, a_massey, higher_massey, triple_
 from .minmodel import UNKNOWN, build_minimal_model, formality_verdict, s_formality_check
 from .models import FIXED_PRESETS, PARAMETRIC_PRESETS, preset_document
 from .serialize import (
+    algebra_part,
     cohomology_report,
     document_from_json,
     document_to_json,
@@ -41,14 +43,17 @@ from .verify import run_all
 
 
 def _load_document(args) -> dict:
-    if getattr(args, "input", None):
-        with open(args.input) as fh:
-            doc = json.load(fh)
-    else:
-        doc = json.load(sys.stdin)
+    try:
+        if getattr(args, "input", None):
+            with open(args.input) as fh:
+                doc = json.load(fh)
+        else:
+            doc = json.load(sys.stdin)
+    except json.JSONDecodeError as exc:
+        raise ParseError("the input is not JSON", reason=exc.msg,
+                         line=exc.lineno, column=exc.colno) from None
     if args.cap is not None:
-        inner = doc.get("algebra", doc)
-        inner["degree_cap"] = args.cap
+        algebra_part(doc)["degree_cap"] = args.cap
     return doc
 
 
@@ -355,7 +360,9 @@ def cmd_verify_paper(args) -> int:
     return 1 if failed else 0
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parse_args gives a fresh Namespace."""
     parser = argparse.ArgumentParser(
         prog="cdgalab",
         description="Exact cohomology, Massey products, Lefschetz tests and "
@@ -459,8 +466,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except CdgaError as exc:

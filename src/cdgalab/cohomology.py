@@ -96,7 +96,7 @@ class CohomologyRing:
         prev_image = Echelon(self.field)
         for k in range(max_degree + 1):
             kernel, image_next = kernel_image(
-                self.field, slices.dim(k), lambda i, k=k: slices.d_vec(k, {i: self.field.one}))
+                self.field, slices.dim(k), lambda i, k=k: slices.d_col(k, i))
             residuals = (prev_image.reduce(kvec)[0] for kvec in kernel.basis_rows())
             reps = span(self.field, (r for r in residuals if r)).basis_rows()
             decomp = Echelon(self.field)

@@ -8,6 +8,7 @@ bases and solutions of linear systems are canonical and reproducible.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from typing import Callable, Iterable, Optional, Sequence
 
 from .scalars import CycField, CycScalar
@@ -72,15 +73,17 @@ class Echelon:
     def __init__(self, field: CycField):
         self.field = field
         self._rows: dict = {}  # pivot col -> (row vec, source vec)
+        self._holders = defaultdict(set)  # non-pivot col -> pivots whose row holds it
 
     @property
     def rank(self) -> int:
         return len(self._rows)
 
     def copy(self) -> "Echelon":
-        """An echelon with the same rows; inserts replace rows, never mutate them."""
+        """The same rows, own holder sets: inserts replace rows but edit holder sets."""
         out = Echelon(self.field)
         out._rows = dict(self._rows)
+        out._holders = defaultdict(set, {col: set(ps) for col, ps in self._holders.items()})
         return out
 
     def pivots(self):
@@ -117,12 +120,21 @@ class Echelon:
         row[pivot] = self.field.one
         if src is not None:
             src = vec_scale(src, inv)
-        # Back-substitute into existing rows to keep the basis fully reduced.
-        for p, (prow, psrc) in self._rows.items():
-            c = prow.get(pivot)
-            if c is not None:
-                nsrc = vec_add(psrc, src, -c) if (psrc is not None and src is not None) else psrc
-                self._rows[p] = (vec_add(prow, row, -c), nsrc)
+        # Back-substitute into the rows that hold the new pivot, keeping the RREF.
+        holders, others = self._holders, [col for col in row if col != pivot]
+        for p in holders.pop(pivot, ()):
+            old, psrc = self._rows[p]
+            c = old[pivot]
+            nsrc = vec_add(psrc, src, -c) if (psrc is not None and src is not None) else psrc
+            prow = vec_add(old, row, -c)
+            self._rows[p] = (prow, nsrc)
+            for col in others:
+                if col in prow:
+                    holders[col].add(p)
+                elif col in old:
+                    holders[col].discard(p)
+        for col in others:
+            holders[col].add(pivot)
         self._rows[pivot] = (row, src)
         return True
 

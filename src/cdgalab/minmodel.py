@@ -30,7 +30,7 @@ from .algebra import AlgebraSpec, Element, GeneratorDecl, element_data
 from .chains import FreeSlices, chain_defect, extend
 from .cohomology import CohomologyRing
 from .errors import CapTooLow, NotOneConnected
-from .linalg import Echelon, Vec, kernel_image, mat_vec
+from .linalg import Echelon, Vec, kernel_image
 from .massey import NONZERO, MasseyReport, a_massey, triple_massey
 
 CERTIFIED = "CERTIFIED"
@@ -225,19 +225,13 @@ def s_formality_check(mm: MinimalModel, s: int) -> SFormalityReport:
     n_idx = {spec.index[name] for name in n_gens}
     low_idx = {i for i, g in enumerate(spec.generators) if g.degree <= s}
     for k in range(2, mm.bound + 1):
-        basis = spec.basis(k)
-        ideal_rows: List[Vec] = []
-        for i, mono in enumerate(basis):
-            gens_used = set(mono)
-            if gens_used & n_idx and gens_used <= low_idx:
-                ideal_rows.append({i: ring.field.one})
-        if not ideal_rows:
+        ideal = [i for i, mono in enumerate(spec.basis(k))
+                 if set(mono) & n_idx and set(mono) <= low_idx]
+        if not ideal:
             continue
-        def apply(j: int) -> Vec:
-            return slices.d_vec(k, ideal_rows[j])
-        kernel, _ = kernel_image(ring.field, len(ideal_rows), apply)
+        kernel, _ = kernel_image(ring.field, len(ideal), lambda j: slices.d_col(k, ideal[j]))
         for combo in kernel.basis_rows():
-            vec = mat_vec(ideal_rows, combo)
+            vec = {ideal[j]: c for j, c in combo.items()}
             if ring.is_exact(vec, k) is None:
                 witness = slices.to_element(k, vec).render()
                 return SFormalityReport(status=REFUTED, s=s,

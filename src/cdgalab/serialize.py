@@ -30,18 +30,27 @@ def scalar_to_json(s: CycScalar):
     return {"zeta": s.field.modulus, "poly": [str(c) for c in s.coeffs]}
 
 
+def _parsed(convert, data, what: str):
+    """convert(data), or a ParseError that names the malformed value."""
+    try:
+        return convert(data)
+    except (ValueError, TypeError, ZeroDivisionError):
+        raise ParseError(f"malformed {what}", got=data) from None
+
+
 def scalar_from_json(data, field: CycField) -> CycScalar:
     if isinstance(data, str):
-        return field.rational(Fraction(data))
+        return field.rational(_parsed(Fraction, data, "rational literal"))
     if isinstance(data, (int, float)):
         if isinstance(data, float) and not data.is_integer():
             raise ParseError("scalar literals must be exact; use \"p/q\" strings",
                              got=data)
         return field.rational(int(data))
     if isinstance(data, dict) and "zeta" in data:
-        n = int(data["zeta"])
+        n = _parsed(int, data["zeta"], "modulus")
         sub = CycField.get(n)
-        value = sub.from_poly([Fraction(c) for c in data.get("poly", [])])
+        value = sub.from_poly([_parsed(Fraction, c, "rational literal")
+                               for c in data.get("poly", [])])
         if n == field.modulus:
             return value
         return value.embed(field.modulus)
@@ -50,7 +59,7 @@ def scalar_from_json(data, field: CycField) -> CycScalar:
 
 def _scalar_moduli(data) -> List[int]:
     if isinstance(data, dict) and "zeta" in data:
-        return [int(data["zeta"])]
+        return [_parsed(int, data["zeta"], "modulus")]
     return []
 
 
@@ -100,7 +109,7 @@ def algebra_to_json(spec: AlgebraSpec) -> dict:
 
 
 def _collect_moduli(doc: dict) -> int:
-    moduli = [int(doc.get("zeta", 1))]
+    moduli = [_parsed(int, doc.get("zeta", 1), "modulus")]
     for expr in list(doc.get("differential", {}).values()) + list(doc.get("relations", [])):
         for term in expr:
             moduli.extend(_scalar_moduli(term.get("coeff")))
@@ -117,22 +126,32 @@ def _expr_terms(expr, field: CycField):
              tuple(t.get("monomial", []))) for t in expr]
 
 
+def algebra_part(doc) -> dict:
+    """The algebra object of a combined document, or a bare algebra document."""
+    if not isinstance(doc, dict):
+        raise ParseError("a document must be a JSON object", got=type(doc).__name__)
+    inner = doc.get("algebra", doc)
+    if not isinstance(inner, dict) or not isinstance(inner.get("generators"), list):
+        raise ParseError("the document has no algebra: neither an \"algebra\" object "
+                         "nor a \"generators\" list", keys=sorted(doc))
+    return inner
+
+
 def algebra_from_json(doc: dict) -> AlgebraSpec:
-    if "algebra" in doc:
-        doc = doc["algebra"]
+    doc = algebra_part(doc)
     modulus = _collect_moduli(doc)
     field = CycField.get(modulus)
     gens = []
-    for g in doc.get("generators", []):
-        gens.append(GeneratorDecl(name=g["name"], degree=int(g["degree"]),
-                                  conjugate_of=g.get("conjugate_of")))
+    for g in doc["generators"]:
+        degree = _parsed(int, g["degree"], "generator degree")
+        gens.append(GeneratorDecl(name=g["name"], degree=degree, conjugate_of=g.get("conjugate_of")))
     cap = doc.get("degree_cap")
     return AlgebraSpec(
         field, gens,
         differential={name: _expr_terms(expr, field)
                       for name, expr in doc.get("differential", {}).items()},
         relations=[_expr_terms(expr, field) for expr in doc.get("relations", [])],
-        degree_cap=int(cap) if cap is not None else None)
+        degree_cap=_parsed(int, cap, "degree cap") if cap is not None else None)
 
 
 # -- actions ---------------------------------------------------------------
@@ -149,7 +168,7 @@ def action_to_json(act: GroupActionSpec) -> dict:
 def action_from_json(doc: dict, spec: AlgebraSpec) -> GroupActionSpec:
     images = {name: element_from_json(expr, spec)
               for name, expr in doc.get("images", {}).items()}
-    return GroupActionSpec(spec, int(doc["order"]), images)
+    return GroupActionSpec(spec, _parsed(int, doc["order"], "action order"), images)
 
 
 # -- combined documents ------------------------------------------------------
@@ -159,8 +178,7 @@ def document_from_json(doc: dict):
 
     Returns (spec, action, classes, volume, meta).
     """
-    inner = doc.get("algebra", doc)
-    spec = algebra_from_json(inner).validate()
+    spec = algebra_from_json(doc).validate()
     action = None
     if doc.get("action"):
         action = action_from_json(doc["action"], spec).validate()

@@ -18,7 +18,7 @@ import pytest
 from cdgalab import chains
 from cdgalab.algebra import AlgebraSpec, Element, GeneratorDecl
 from cdgalab.chains import FreeSlices, product
-from cdgalab.cohomology import CohomClass, cohomology
+from cdgalab.cohomology import CohomClass, CohomologyRing, cohomology
 from cdgalab.errors import OrderMismatch
 from cdgalab.linalg import kernel_image
 from cdgalab.models import preset
@@ -328,3 +328,60 @@ def test_subcomplex_product_matches_parent_product(name, monkeypatch):
         dense += len(u) > 1 and len(v) > 1 and bool(want)
     assert dense >= 5
     assert len(fills) == len({(k, l, i, j) for k, u, l, v in products for i in u for j in v})
+
+
+# -- d columns, read once per slice object ----------------------------------
+
+D_COL_CASES = [(name, params, False) for name, params in ALL_PRESETS]
+D_COL_CASES += [(name, {}, True) for name in ("HEIS6_Z6", "HEIS8_Z3", "T6_Z2", "P_OVER_T6Z2")]
+
+
+def _d_col_slices(name, params, invariant):
+    pre = preset(name, **params)
+    return invariant_complex(pre.action) if invariant else FreeSlices(pre.spec)
+
+
+def _columns(sl):
+    return [(k, i) for k in range(sl.cap) for i in range(sl.dim(k))]
+
+
+@pytest.mark.parametrize("name,params,invariant", D_COL_CASES,
+                         ids=[n + ("-inv" if inv else "") for n, _, inv in D_COL_CASES])
+def test_d_col_matches_d_vec_of_a_unit_vector(name, params, invariant):
+    sl = _d_col_slices(name, params, invariant)
+    fresh = _d_col_slices(name, params, invariant)  # its d_vec fills no d_col cache
+    one = sl.field.one
+    parent = sl.parent if invariant else sl
+    for k, i in _columns(sl):
+        col = sl.d_col(k, i)
+        assert _same(col, fresh.d_vec(k, {i: one}))
+        want = _element_coords(parent.to_element(k, sl.to_parent_vec(k, {i: one}) if invariant
+                                                 else {i: one}).d())
+        assert col == (sl.express(k + 1, want) if invariant else want)
+
+
+@pytest.mark.parametrize("name,params,invariant", D_COL_CASES,
+                         ids=[n + ("-inv" if inv else "") for n, _, inv in D_COL_CASES])
+def test_each_d_col_is_computed_once_and_never_mutated(name, params, invariant, monkeypatch):
+    sl = _d_col_slices(name, params, invariant)
+    spec = (sl.parent if invariant else sl).spec
+    leibniz, solves = [], []
+    d_monomial = spec._d_monomial
+    monkeypatch.setattr(spec, "_d_monomial",
+                        lambda mono: leibniz.append(mono) or d_monomial(mono))
+    if invariant:
+        express = sl.express
+        monkeypatch.setattr(sl, "express", lambda k, vec: solves.append(k) or express(k, vec))
+    cols = {(k, i): sl.d_col(k, i) for k, i in _columns(sl)}
+    first = {key: list(col.items()) for key, col in cols.items()}
+    counts = (len(leibniz), len(solves))
+    assert len(leibniz) == len(set(leibniz))
+    if invariant:
+        assert len(solves) == len(cols)
+    else:
+        assert len(leibniz) == len(cols)
+    # The ring reads every column from the cache, and its elimination copies them.
+    CohomologyRing(sl, sl.cap - 1)
+    assert all(sl.d_col(k, i) is col for (k, i), col in cols.items())
+    assert {key: list(col.items()) for key, col in cols.items()} == first
+    assert (len(leibniz), len(solves)) == counts

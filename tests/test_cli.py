@@ -1,8 +1,12 @@
+import io
 import json
 import subprocess
 import sys
 
 import pytest
+
+from cdgalab import cli
+from cdgalab.models import preset_document
 
 CLI = [sys.executable, "-m", "cdgalab.cli"]
 
@@ -206,3 +210,66 @@ def test_cap_override():
     out = run(["cohomology", "--cap", "4", "--max-degree", "3"], stdin=doc)
     assert out.returncode == 0
     assert out.stdout.splitlines()[0] == "betti: 1 6 15 20"
+
+
+# -- in process: one parser per process -------------------------------------
+
+def main_in_process(argv, stdin, capsys, monkeypatch):
+    """(exit code, stdout, stderr) of cli.main, argparse's own exit included."""
+    monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+def test_shared_parser_leaks_no_state(capsys, monkeypatch):
+    assert cli.build_parser() is cli.build_parser()
+    sas7 = json.dumps(preset_document("SASAKI7_S2CUBE"))
+    t6 = json.dumps(preset_document("T6"))
+    readme = ["massey", "--select", "a1", "--select", "a1", "--select", "a2"]
+    first = main_in_process(readme, sas7, capsys, monkeypatch)
+    assert first[0] == 0 and "verdict:  NONZERO" in first[1]
+    # the append list starts empty on each call: a fourth --select would fail
+    assert main_in_process(readme, sas7, capsys, monkeypatch) == first
+    assert cli.build_parser().parse_args(readme).select == ["a1", "a1", "a2"]
+    capped = main_in_process(["cohomology", "--cap", "4", "--max-degree", "3"], t6,
+                             capsys, monkeypatch)
+    assert capped[1].splitlines()[0] == "betti: 1 6 15 20"
+    uncapped = main_in_process(["cohomology"], t6, capsys, monkeypatch)
+    assert uncapped[1].splitlines()[0] == "betti: 1 6 15 20 15 6 1"
+    rejected = main_in_process(["massey", "--no-such-flag"], sas7, capsys, monkeypatch)
+    assert rejected[0] == 2 and rejected[1] == ""
+    assert main_in_process(readme, sas7, capsys, monkeypatch) == first
+
+
+# -- malformed documents ------------------------------------------------------
+
+def _t6_with(edit):
+    doc = preset_document("T6")
+    edit(doc)
+    return json.dumps(doc)
+
+
+MALFORMED_DOCUMENTS = {
+    "word-degree": (lambda: _t6_with(lambda d: d["algebra"]["generators"][0].update(degree="x")),
+                    {"got": "x"}),
+    "zero-denominator": (lambda: _t6_with(lambda d: d["classes"]["a1"][0].update(coeff="1/0")),
+                         {"got": "1/0"}),
+    "word-modulus": (lambda: _t6_with(lambda d: d["algebra"].update(zeta="x")), {"got": "x"}),
+    "not-json": (lambda: '{"a":', {"reason": "Expecting value", "line": 1, "column": 6}),
+    "top-level-list": (lambda: "[1, 2]", {"got": "list"}),
+    "no-algebra": (lambda: '{"dim": 6}', {"keys": ["dim"]}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_DOCUMENTS))
+def test_malformed_document_is_a_parse_error(case, capsys, monkeypatch):
+    text, details = MALFORMED_DOCUMENTS[case]
+    code, out, err = main_in_process(["cohomology"], text(), capsys, monkeypatch)
+    assert code == 1 and out == ""
+    diag = json.loads(err)
+    assert diag["error"] == "PARSE_ERROR"
+    assert diag["details"] == details

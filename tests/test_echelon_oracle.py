@@ -146,3 +146,70 @@ def test_kernel_image_matches_gauss_jordan(case):
     assert (got is None) == (expected is None)
     if got is not None:
         assert coeffs_of(got) == expected
+
+
+# -- the column index: which stored rows hold each non-pivot column -----------
+
+@st.composite
+def row_batches(draw):
+    """(modulus, columns, rows, a split point, other rows, a probe) over Q or Q(zeta_12)."""
+    n = draw(st.sampled_from([1, 12]))
+    d = CycField.get(n).degree
+    ncols = draw(st.integers(1, 8))
+    small = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+    zero = (Fraction(0),) * d
+
+    def row():
+        return [tuple(draw(small) for _ in range(d)) if draw(st.integers(0, 2)) == 0
+                else zero for _ in range(ncols)]
+
+    rows = [row() for _ in range(draw(st.integers(1, 8)))]
+    for _ in range(draw(st.integers(0, 3))):  # dependent rows, so some inserts do not grow
+        a, b = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, len(rows) - 1))
+        rows.append([ref_add(x, y) for x, y in zip(rows[a], rows[b])])
+    split = draw(st.integers(0, len(rows)))
+    others = [row() for _ in range(draw(st.integers(1, 5)))]
+    return n, ncols, rows, split, others, row()
+
+
+def holders_from_rows(ech) -> dict:
+    out = {}
+    for pivot, (row, _) in ech._rows.items():
+        for col in row:
+            if col != pivot:
+                out.setdefault(col, set()).add(pivot)
+    return out
+
+
+def check_against_reference(ech, n, rows, ncols):
+    assert [coeffs_of(r) for r in ech.basis_rows()] == \
+        [sparse(r) for r in ref_rref(n, rows, ncols)[1]]
+    assert {col: ps for col, ps in ech._holders.items() if ps} == holders_from_rows(ech)
+
+
+def snapshot(ech, probe):
+    residual, src = ech.reduce(probe, source={})
+    got = ech.solve(probe)
+    return ([(p, list(row.items()), list(src_.items())) for p, (row, src_) in ech._rows.items()],
+            list(residual.items()), list(src.items()), got and list(got.items()))
+
+
+@settings(max_examples=200, deadline=None)
+@given(row_batches())
+def test_column_index_matches_the_rows(case):
+    n, ncols, rows, split, others, probe = case
+    field = CycField.get(n)
+    ech = Echelon(field)
+    for i, row in enumerate(rows[:split]):
+        ech.add(engine_vec(field, row), source={i: field.one})
+        check_against_reference(ech, n, rows[:i + 1], ncols)
+    probe = engine_vec(field, probe)
+    before = snapshot(ech, probe)
+    twin = ech.copy()
+    for j, row in enumerate(others):
+        twin.add(engine_vec(field, row), source={len(rows) + j: field.one})
+        check_against_reference(twin, n, rows[:split] + others[:j + 1], ncols)
+        assert snapshot(ech, probe) == before
+    for i, row in enumerate(rows[split:], start=split):
+        ech.add(engine_vec(field, row), source={i: field.one})
+        check_against_reference(ech, n, rows[:i + 1], ncols)

@@ -8,7 +8,7 @@ representatives, cup products, exactness), :class:`GroupActionSpec`
 Sullivan minimal models.
 """
 
-from .algebra import AlgebraSpec, Element, GeneratorDecl, alg_validate
+from .algebra import AlgebraSpec, Element, GeneratorDecl
 from .chains import FreeSlices, SubcomplexSlices
 from .cohomology import CohomClass, CohomologyRing, cohomology
 from .errors import CdgaError
@@ -45,7 +45,6 @@ from .models import (
 from .scalars import CycField, CycScalar
 from .symmetry import (
     GroupActionSpec,
-    action_validate,
     burnside_invariant_dimension,
     invariant_cohomology,
     invariant_complex,
@@ -54,7 +53,7 @@ from .symmetry import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlgebraSpec", "Element", "GeneratorDecl", "alg_validate",
+    "AlgebraSpec", "Element", "GeneratorDecl",
     "FreeSlices", "SubcomplexSlices",
     "CohomClass", "CohomologyRing", "cohomology",
     "CdgaError",
@@ -67,6 +66,6 @@ __all__ = [
     "PresetBundle", "ce_complex", "circle_bundle", "preset",
     "sphere_product_bundle", "tensor",
     "CycField", "CycScalar",
-    "GroupActionSpec", "action_validate", "burnside_invariant_dimension",
+    "GroupActionSpec", "burnside_invariant_dimension",
     "invariant_cohomology", "invariant_complex",
 ]

@@ -9,8 +9,8 @@ sort it.  Relations are handled per degree by exact row reduction of the ideal
 slice, so every element is stored as the canonical coset representative and
 equality is a coefficient comparison.
 
-Everything is immutable after validation; per-degree bases and ideal echelons
-are cached inside the spec.
+A spec validates on construction and is immutable after it; per-degree bases
+and ideal echelons are cached inside the spec.
 """
 
 from __future__ import annotations
@@ -263,8 +263,6 @@ class AlgebraSpec:
         self._d_mono_cache: Dict[Monomial, Dict[Monomial, CycScalar]] = {}
         self.relations: Tuple[Element, ...] = ()
         self.differential: Dict[int, Element] = {}
-        self._validated = False
-        self.flags: Optional[ValidationFlags] = None
 
         rel_elems = []
         for raw in relations or ():
@@ -290,6 +288,7 @@ class AlgebraSpec:
                     generator=name, got=img.degree)
             if not img.is_zero():
                 self.differential[gi] = img
+        self.validate()
 
     # -- construction helpers ------------------------------------------
 
@@ -471,12 +470,7 @@ class AlgebraSpec:
         is_connected = len(self.basis(0)) == 1
         odd_only = all(g.degree % 2 for g in self.generators)
         self.flags = ValidationFlags(is_minimal, is_connected, odd_only)
-        self._validated = True
         return self
-
-    @property
-    def validated(self) -> bool:
-        return self._validated
 
     def __repr__(self):
         gens = ",".join(f"{g.name}:{g.degree}" for g in self.generators)
@@ -484,8 +478,3 @@ class AlgebraSpec:
 
 
 ElementData = object  # Element or iterable of (coeff, names) pairs
-
-
-def alg_validate(spec: AlgebraSpec) -> AlgebraSpec:
-    """Validate a spec in place and return it (module-level convenience)."""
-    return spec.validate()

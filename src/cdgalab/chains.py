@@ -24,8 +24,6 @@ class FreeSlices:
     """Slice view of an AlgebraSpec (quotient monomial bases per degree)."""
 
     def __init__(self, spec: AlgebraSpec):
-        if not spec.validated:
-            spec.validate()
         self.spec = spec
         self.field: CycField = spec.field
         self.cap = spec.degree_cap

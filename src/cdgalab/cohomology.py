@@ -241,6 +241,6 @@ def class_span(field: CycField,
 
 def cohomology(spec: AlgebraSpec, max_degree: int,
                volume: Optional[Monomial] = None, group_order: int = 1) -> CohomologyRing:
-    """Cohomology ring of a validated spec through the given degree."""
+    """Cohomology ring of a spec through the given degree."""
     return CohomologyRing(FreeSlices(spec), max_degree, volume=volume,
                           group_order=group_order)

@@ -98,8 +98,7 @@ def build_minimal_model(target_ring: CohomologyRing, bound: int) -> MinimalModel
         raise CapTooLow("target cohomology must be computed through bound+1",
                         bound=bound, available=target_ring.max_degree)
     slices = target_ring.slices
-    if isinstance(slices, FreeSlices) and slices.spec.flags is not None \
-            and slices.spec.flags.is_minimal \
+    if isinstance(slices, FreeSlices) and slices.spec.flags.is_minimal \
             and _differentials_independent(slices):
         spec = slices.spec
         psi = {}
@@ -125,22 +124,16 @@ def build_minimal_model(target_ring: CohomologyRing, bound: int) -> MinimalModel
     psi: Dict[int, Tuple[int, Vec]] = {}
     cn: Dict[int, Tuple[List[str], List[str]]] = {}
 
-    # The spec is rebuilt only where the next step needs a ring of the grown
-    # model.  Generators are only appended, so an index names the same
-    # generator in every stage's spec, and psi is keyed by index.
-    def rebuild() -> AlgebraSpec:
-        return AlgebraSpec(field, gens, differential=diff,
-                           degree_cap=cap).validate()
-
     def h_psi(degree: int, j: int) -> Vec:
         rep = model_ring.slices.to_element(degree, model_ring.reps(degree)[j])
-        return dict(target_ring.class_of(mm.psi_vec(rep), degree).coords)
+        return dict(target_ring.class_of(extend(target_ring.slices, psi, rep), degree).coords)
 
-    mm = MinimalModel(model=rebuild(), bound=bound, psi=psi,
-                      target_ring=target_ring, cn_split=cn)
+    # Generators are only appended, so an index names the same generator in
+    # every stage's spec, and psi is keyed by index.
+    model = AlgebraSpec(field, gens, degree_cap=cap)
     for k in range(2, bound + 1):
         new_closed, new_n = cn.setdefault(k, ([], []))
-        model_ring = CohomologyRing(FreeSlices(mm.model), k + 1)
+        model_ring = CohomologyRing(FreeSlices(model), k + 1)
         # 1. surjectivity in degree k: adjoin closed generators for a
         #    complement of the image of H^k(psi).
         img_ech = Echelon(field)
@@ -152,16 +145,15 @@ def build_minimal_model(target_ring: CohomologyRing, bound: int) -> MinimalModel
                 new_closed.append(name)
                 psi[len(gens)] = (k, target_ring.rep_combination(k, {j: field.one}))
                 gens.append(GeneratorDecl(name, k))
-        if new_closed:
-            mm.model = rebuild()
-            model_ring = CohomologyRing(FreeSlices(mm.model), k + 1)
         # 2. injectivity in degree k+1: kill the kernel of H^{k+1}(psi).
+        #    The closed generators just adjoined have degree k >= 2, so they
+        #    add no monomial of degree k+1: model_ring's H^{k+1} still holds.
         kernel, _ = kernel_image(field, model_ring.betti[k + 1],
                                  lambda j: h_psi(k + 1, j))
         for row in kernel.basis_rows():
             zvec = model_ring.rep_combination(k + 1, row)
             z_elem = model_ring.slices.to_element(k + 1, zvec)
-            prim = target_ring.is_exact(mm.psi_vec(z_elem), k + 1)
+            prim = target_ring.is_exact(extend(target_ring.slices, psi, z_elem), k + 1)
             if prim is None:
                 raise AssertionError("kernel class must map to an exact cocycle")
             name = f"n{k}_{len(new_closed) + len(new_n)}"
@@ -169,15 +161,16 @@ def build_minimal_model(target_ring: CohomologyRing, bound: int) -> MinimalModel
             psi[len(gens)] = (k, prim)
             gens.append(GeneratorDecl(name, k))
             diff[name] = element_data(z_elem)
-        if new_n:
-            mm.model = rebuild()
+        if new_closed or new_n:
+            model = AlgebraSpec(field, gens, differential=diff, degree_cap=cap)
 
     # chain-map sanity: psi(d g) = d(psi g) on every generator
-    defect = chain_defect(mm.model, target_ring.slices, psi)
+    defect = chain_defect(model, target_ring.slices, psi)
     if defect is not None:
         raise AssertionError("psi fails the chain condition on "
-                             f"{mm.model.generators[defect[0]].name}")
-    return mm
+                             f"{model.generators[defect[0]].name}")
+    return MinimalModel(model=model, bound=bound, psi=psi,
+                        target_ring=target_ring, cn_split=cn)
 
 
 def _differentials_independent(slices: FreeSlices) -> bool:

@@ -54,7 +54,7 @@ def ce_complex(field: CycField, generators: Sequence[GeneratorDecl],
             if len(mono) != 2:
                 raise ParseError("CE differentials must be quadratic",
                                  generator=spec.generators[gi].name)
-    return spec.validate()
+    return spec
 
 
 def circle_bundle(base: AlgebraSpec, euler: Element, gen_name: str = "x") -> AlgebraSpec:
@@ -75,9 +75,8 @@ def circle_bundle(base: AlgebraSpec, euler: Element, gen_name: str = "x") -> Alg
         diff[gen_name] = element_data(euler)
     rels = [element_data(rel) for rel in base.relations]
     # scale the coefficients into the same field; carry the cap one higher
-    spec = AlgebraSpec(base.field, gens, differential=diff, relations=rels,
+    return AlgebraSpec(base.field, gens, differential=diff, relations=rels,
                        degree_cap=base.degree_cap + 1)
-    return spec.validate()
 
 
 def tensor(a: AlgebraSpec, b: AlgebraSpec) -> AlgebraSpec:
@@ -97,8 +96,7 @@ def tensor(a: AlgebraSpec, b: AlgebraSpec) -> AlgebraSpec:
             for src in (a, b) for gi, img in src.differential.items()}
     rels = [embed(rel) for src in (a, b) for rel in src.relations]
     cap = a.degree_cap + b.degree_cap - 1
-    spec = AlgebraSpec(target, gens, differential=diff, relations=rels, degree_cap=cap)
-    return spec.validate()
+    return AlgebraSpec(target, gens, differential=diff, relations=rels, degree_cap=cap)
 
 
 # -- presets ---------------------------------------------------------------
@@ -166,7 +164,7 @@ def _sasaki_cpn_s2_doc(n: int) -> dict:
 
 
 def preset(name: str, **params) -> PresetBundle:
-    """Expand a named preset into a validated bundle."""
+    """Expand a named preset into its bundle; the spec and action are valid."""
     doc = preset_document(name, **params)
     spec, action, classes, volume, meta = document_from_json(doc)
     return PresetBundle(name=doc["preset"], spec=spec, action=action,
@@ -200,7 +198,7 @@ def sphere_product_bundle(n: int) -> PresetBundle:
         spheres.append(AlgebraSpec(
             field, [GeneratorDecl(f"a{i}", 2)],
             relations=[[(1, (f"a{i}", f"a{i}"))]],
-            degree_cap=4).validate())
+            degree_cap=4))
     base = spheres[0]
     for s in spheres[1:]:
         base = tensor(base, s)

@@ -178,10 +178,10 @@ def document_from_json(doc: dict):
 
     Returns (spec, action, classes, volume, meta).
     """
-    spec = algebra_from_json(doc).validate()
+    spec = algebra_from_json(doc)
     action = None
     if doc.get("action"):
-        action = action_from_json(doc["action"], spec).validate()
+        action = action_from_json(doc["action"], spec)
     # distinguished data above the cap is dropped (relevant when the caller
     # lowered degree_cap to truncate the computation)
     classes = {}

@@ -1,13 +1,13 @@
 """Finite cyclic group actions by multiplicative chain automorphisms.
 
 The generator of the group acts on algebra generators by homogeneous
-elements; the action extends multiplicatively.  Validation checks the chain
-condition, the exact order and compatibility with declared conjugation
-pairs.  The invariant subcomplex is cut out per degree by the averaging
-projector (the group order is invertible over Q(zeta_N)), applied through
-the action's matrix on that degree's monomial basis, and its cohomology
-is a full :class:`~cdgalab.cohomology.CohomologyRing` over the subcomplex
-slices, so cup products, Massey products and Lefschetz tests all apply.
+elements; the action extends multiplicatively.  An action validates on
+construction (chain condition, exact order, conjugation pairs).  The
+invariant subcomplex is cut out per degree by the averaging projector (the
+group order is invertible over Q(zeta_N)), applied through the action's
+matrix on that degree's monomial basis, and its cohomology is a full
+:class:`~cdgalab.cohomology.CohomologyRing` over the subcomplex slices, so
+cup products, Massey products and Lefschetz tests all apply.
 """
 
 from __future__ import annotations
@@ -33,8 +33,6 @@ class GroupActionSpec:
     """A Z_m action on an AlgebraSpec, given by generator images."""
 
     def __init__(self, parent: AlgebraSpec, order: int, images: Dict[str, object]):
-        if not parent.validated:
-            parent.validate()
         if order < 1:
             raise ParseError("group order must be positive", order=order)
         self.parent = parent
@@ -54,13 +52,13 @@ class GroupActionSpec:
                 raise ParseError(
                     f"action must specify an image for generator "
                     f"'{parent.generators[gi].name}'")
-        self._validated = False
         self._slices = FreeSlices(parent)
         # generator index -> (degree, image vector), the map rho* is extended from
         self._image_vecs = {gi: (parent.generators[gi].degree, self._slices.from_element(img))
                             for gi, img in self.images.items()}
         self._matrices: Dict[int, List[Vec]] = {}
         self._projectors: Dict[int, List[Vec]] = {}
+        self.validate()
 
     # -- applying the action -------------------------------------------
 
@@ -69,8 +67,6 @@ class GroupActionSpec:
         if elem.parent is not self.parent:
             raise ParentMismatch("element belongs to a different algebra")
         elem._guard()
-        if not self._validated:
-            self.validate()
         sl = self._slices
         rho = self.matrix(elem.degree)
         vec = sl.from_element(elem)
@@ -126,16 +122,7 @@ class GroupActionSpec:
                 raise ConjugationBroken(
                     "the action does not respect declared conjugation pairs",
                     generator=spec.generators[gi].name)
-        self._validated = True
         return self
-
-    @property
-    def validated(self) -> bool:
-        return self._validated
-
-
-def action_validate(act: GroupActionSpec) -> GroupActionSpec:
-    return act.validate()
 
 
 def _orbit_sum(act: GroupActionSpec, k: int, vec: Vec) -> Vec:
@@ -161,8 +148,6 @@ def averaging_projector(act: GroupActionSpec, k: int) -> List[Vec]:
 
 def invariant_complex(act: GroupActionSpec, max_degree: Optional[int] = None) -> SubcomplexSlices:
     """The fixed subcomplex, with canonical per-degree bases."""
-    if not act.validated:
-        act.validate()
     spec = act.parent
     top = spec.degree_cap if max_degree is None else max_degree
     # The span of the averaging projector's columns is the fixed space, since

@@ -165,11 +165,10 @@ def _random_weight_actions(count, seed):
         ngen = rng.randint(2, 4)
         spec = AlgebraSpec(field, [GeneratorDecl(f"x{i}", 1) for i in range(ngen)],
                            degree_cap=ngen + 1).validate()
-        act = GroupActionSpec(spec, m, {
-            f"x{i}": [(field.zeta(rng.randrange(m)), (f"x{i}",))]
-            for i in range(ngen)})
+        images = {f"x{i}": [(field.zeta(rng.randrange(m)), (f"x{i}",))]
+                  for i in range(ngen)}
         try:
-            out.append(act.validate())
+            out.append(GroupActionSpec(spec, m, images))
         except OrderMismatch:
             continue
     return out

@@ -16,7 +16,6 @@ from cdgalab.models import preset
 from cdgalab.scalars import CycField
 from cdgalab.symmetry import (
     GroupActionSpec,
-    action_validate,
     averaging_projector,
     burnside_invariant_dimension,
     fixed_subspace_of_cohomology,
@@ -44,7 +43,7 @@ def z6_action(spec):
 
 def test_z6_action_validates_with_exact_order():
     spec = heisenberg6().validate()
-    act = action_validate(z6_action(spec))
+    act = z6_action(spec)
     assert act.order == 6
 
 
@@ -57,30 +56,28 @@ def test_identity_action_order_one():
 def test_wrong_weight_breaks_chain_map():
     spec = heisenberg6().validate()
     z = lambda k: spec.field.zeta((2 * k) % 12)
-    act = GroupActionSpec(spec, 6, {
-        "mu": [(z(4), ("mu",))],
-        "nu": [(z(1), ("nu",))],
-        "theta": [(z(1), ("theta",))],  # should be z^5: rho* d theta = z^5 mu nu
-        "mubar": [(z(2), ("mubar",))],
-        "nubar": [(z(5), ("nubar",))],
-        "thetabar": [(z(5), ("thetabar",))],
-    })
     with pytest.raises(NotChainMap) as err:
-        act.validate()
+        GroupActionSpec(spec, 6, {
+            "mu": [(z(4), ("mu",))],
+            "nu": [(z(1), ("nu",))],
+            "theta": [(z(1), ("theta",))],  # should be z^5: rho* d theta = z^5 mu nu
+            "mubar": [(z(2), ("mubar",))],
+            "nubar": [(z(5), ("nubar",))],
+            "thetabar": [(z(5), ("thetabar",))],
+        })
     # rho*(d theta) = z^5 mu nu against d(rho* theta) = z mu nu; z^5 - z = 1 - 2 zeta_12^2
     assert err.value.details == {"generator": "theta", "witness": "(1 - 2*z12^2)*mu*nu"}
 
 
 def test_declared_order_must_be_exact():
     spec = exterior("ab").validate()
-    act = GroupActionSpec(spec, 4, {"a": [(-1, ("a",))], "b": [(-1, ("b",))]})
     with pytest.raises(OrderMismatch):
-        act.validate()
+        GroupActionSpec(spec, 4, {"a": [(-1, ("a",))], "b": [(-1, ("b",))]})
 
 
 def test_projector_identities():
     spec = heisenberg6().validate()
-    act = action_validate(z6_action(spec))
+    act = z6_action(spec)
     slices = FreeSlices(spec)
     for k in (1, 2, 3):
         proj = averaging_projector(act, k)
@@ -122,7 +119,7 @@ def test_projector_identities():
 
 def test_orbifold6_betti():
     spec = heisenberg6().validate()
-    act = action_validate(z6_action(spec))
+    act = z6_action(spec)
     H = invariant_cohomology(act, 6)
     assert H.betti == [1, 0, 4, 0, 4, 0, 1]
     assert H.group_order == 6
@@ -130,7 +127,7 @@ def test_orbifold6_betti():
 
 def test_orbifold6_degree2_span_matches_listed_classes():
     spec = heisenberg6().validate()
-    act = action_validate(z6_action(spec))
+    act = z6_action(spec)
     H = invariant_cohomology(act, 6)
     listed = [
         spec.element([(1, ("mu", "mubar"))]),
@@ -150,7 +147,7 @@ def test_orbifold6_degree2_span_matches_listed_classes():
 
 def test_burnside_trace_oracle_matches_invariant_dims():
     spec = heisenberg6().validate()
-    act = action_validate(z6_action(spec))
+    act = z6_action(spec)
     sub = invariant_complex(act)
     for k in range(7):
         assert burnside_invariant_dimension(act, k) == Fraction(sub.dim(k))
@@ -166,7 +163,7 @@ def test_weight_count_oracle_degree2():
         for j in range(i + 1, 6):
             if (weights[names[i]] + weights[names[j]]) % 6 == 0:
                 count += 1
-    act = action_validate(z6_action(spec))
+    act = z6_action(spec)
     sub = invariant_complex(act)
     assert sub.dim(2) == count == 5
 
@@ -192,7 +189,7 @@ def test_z2_sign_action_keeps_even_slices():
 
 def test_invariant_cohomology_equals_fixed_subspace_of_parent():
     spec = heisenberg6().validate()
-    act = action_validate(z6_action(spec))
+    act = z6_action(spec)
     Hparent = cohomology(spec, 6)
     Hinv = invariant_cohomology(act, 6)
     for k in range(7):
@@ -202,7 +199,7 @@ def test_invariant_cohomology_equals_fixed_subspace_of_parent():
 
 def test_restriction_preserves_cup_structure():
     spec = heisenberg6().validate()
-    act = action_validate(z6_action(spec))
+    act = z6_action(spec)
     Hparent = cohomology(spec, 6)
     Hinv = invariant_cohomology(act, 6)
     k, l = 2, 2
@@ -225,7 +222,7 @@ def test_subcomplex_degree_without_basis_holds_only_zero():
 
 
 def test_apply_validates_then_reduces_the_power(monkeypatch):
-    # An unvalidated action is validated before it is applied, and the power
+    # The action is validated when it is built, and the power
     # is taken mod the order, so a huge power runs at most m - 1 matrix
     # applications and a negative power is the inverse.
     from cdgalab import symmetry
@@ -233,14 +230,12 @@ def test_apply_validates_then_reduces_the_power(monkeypatch):
     spec = heisenberg6().validate()
     elem = spec.gen("mu") * spec.gen("nubar") + spec.gen("theta") * spec.gen("mubar")
     act = z6_action(spec)
-    assert not act.validated
     steps = []
     mat_vec = symmetry.mat_vec
     monkeypatch.setattr(symmetry, "mat_vec",
                         lambda cols, vec: steps.append(vec) or mat_vec(cols, vec))
     huge = act.apply(elem, 6 * 10 ** 30 + 1)
     assert huge != elem
-    assert act.validated
     steps.clear()
     assert huge == act.apply(elem, 1) and len(steps) == 1
     steps.clear()
@@ -251,8 +246,8 @@ def test_apply_validates_then_reduces_the_power(monkeypatch):
 
 def test_apply_refuses_an_invalid_action():
     spec = exterior("ab").validate()
-    act = GroupActionSpec(spec, 4, {"a": [(-1, ("a",))], "b": [(-1, ("b",))]})
     with pytest.raises(OrderMismatch):
+        act = GroupActionSpec(spec, 4, {"a": [(-1, ("a",))], "b": [(-1, ("b",))]})
         act.apply(spec.gen("a"), 10 ** 30)
 
 

@@ -252,7 +252,8 @@ class AlgebraSpec:
         if degree_cap is None:
             if any(g.degree % 2 == 0 for g in self.generators):
                 raise ParseError("degree_cap is mandatory when even-degree generators exist")
-            degree_cap = sum(g.degree for g in self.generators) + 1
+            degrees = [g.degree for g in self.generators]
+            degree_cap = max(sum(degrees) + 1, max(degrees, default=0) + 2)
         if degree_cap < 1:
             raise ParseError("degree_cap must be positive")
         self.degree_cap = degree_cap

@@ -144,7 +144,11 @@ def cmd_preset(args) -> int:
     params = {}
     for kv in args.param or ():
         key, _, value = kv.partition("=")
-        params[key] = int(value)
+        try:
+            params[key] = int(value)
+        except ValueError:
+            raise ParseError("preset parameters are key=integer", param=key,
+                             got=value) from None
     doc = preset_document(args.name, **params)
     sys.stdout.write(dumps(doc))
     return 0

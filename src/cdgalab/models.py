@@ -11,11 +11,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field as dc_field
 from importlib import resources
+from math import lcm
 from typing import Dict, Optional, Sequence
 
 from .algebra import AlgebraSpec, Element, GeneratorDecl, Monomial, element_data
 from .errors import EulerBadDegree, EulerNotClosed, ParseError, UnknownPreset
-from .scalars import CycField, lcm
+from .scalars import CycField
 from .serialize import document_from_json
 from .symmetry import GroupActionSpec
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 from typing import Sequence
 
 from .errors import FieldMismatch, ModulusTooLarge, ParseError
@@ -341,6 +341,3 @@ def _coerce(value, field: CycField) -> CycScalar:
         return field.rational(value)
     raise TypeError(f"cannot coerce {type(value).__name__} into {field!r}")
 
-
-def lcm(a: int, b: int) -> int:
-    return a * b // gcd(a, b)

@@ -13,12 +13,13 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from math import lcm
 from typing import Dict, List, Optional
 
 from .algebra import AlgebraSpec, Element, GeneratorDecl, Monomial, monomial_names
 from .cohomology import CohomologyRing
 from .errors import CapExceeded, ParseError
-from .scalars import CycField, CycScalar, lcm
+from .scalars import CycField, CycScalar
 from .symmetry import GroupActionSpec
 
 
@@ -113,10 +114,9 @@ def _collect_moduli(doc: dict) -> int:
     for expr in list(doc.get("differential", {}).values()) + list(doc.get("relations", [])):
         for term in expr:
             moduli.extend(_scalar_moduli(term.get("coeff")))
-    n = 1
-    for m in moduli:
-        n = lcm(n, m)
-    return n
+    if min(moduli) < 1:
+        raise ParseError("cyclotomic modulus must be a positive integer", modulus=min(moduli))
+    return lcm(*moduli)
 
 
 def _expr_terms(expr, field: CycField):
@@ -134,6 +134,12 @@ def algebra_part(doc) -> dict:
     if not isinstance(inner, dict) or not isinstance(inner.get("generators"), list):
         raise ParseError("the document has no algebra: neither an \"algebra\" object "
                          "nor a \"generators\" list", keys=sorted(doc))
+    for g in inner["generators"]:
+        if not isinstance(g, dict) or "name" not in g or "degree" not in g:
+            raise ParseError("a generator must be an object with a name and a degree", got=g)
+    if not isinstance(inner.get("differential", {}), dict):
+        raise ParseError("the differential must be an object keyed by generator name",
+                         got=type(inner["differential"]).__name__)
     return inner
 
 

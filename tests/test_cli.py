@@ -259,9 +259,19 @@ MALFORMED_DOCUMENTS = {
     "zero-denominator": (lambda: _t6_with(lambda d: d["classes"]["a1"][0].update(coeff="1/0")),
                          {"got": "1/0"}),
     "word-modulus": (lambda: _t6_with(lambda d: d["algebra"].update(zeta="x")), {"got": "x"}),
+    "negative-modulus": (lambda: _t6_with(lambda d: d["algebra"].update(zeta=-3)),
+                         {"modulus": -3}),
     "not-json": (lambda: '{"a":', {"reason": "Expecting value", "line": 1, "column": 6}),
     "top-level-list": (lambda: "[1, 2]", {"got": "list"}),
     "no-algebra": (lambda: '{"dim": 6}', {"keys": ["dim"]}),
+    "generator-without-degree": (
+        lambda: _t6_with(lambda d: d["algebra"]["generators"][0].pop("degree")),
+        {"got": {"name": "x1"}}),
+    "generator-as-string": (
+        lambda: _t6_with(lambda d: d["algebra"]["generators"].__setitem__(0, "x1")),
+        {"got": "x1"}),
+    "differential-as-list": (lambda: _t6_with(lambda d: d["algebra"].update(differential=[])),
+                             {"got": "list"}),
 }
 
 
@@ -273,3 +283,27 @@ def test_malformed_document_is_a_parse_error(case, capsys, monkeypatch):
     diag = json.loads(err)
     assert diag["error"] == "PARSE_ERROR"
     assert diag["details"] == details
+
+
+@pytest.mark.parametrize("param, details", [("m=x", {"param": "m", "got": "x"}),
+                                            ("m", {"param": "m", "got": ""})],
+                         ids=["word-value", "no-equals-sign"])
+def test_preset_param_must_be_an_integer(param, details, capsys, monkeypatch):
+    code, out, err = main_in_process(["preset", "CPN", "--param", param], "",
+                                     capsys, monkeypatch)
+    assert code == 1 and out == ""
+    diag = json.loads(err)
+    assert diag["error"] == "PARSE_ERROR"
+    assert diag["details"] == details
+
+
+@pytest.mark.parametrize("generators, betti", [([{"name": "x", "degree": 1}], "betti: 1 1 0"),
+                                               ([], "betti: 1 0")],
+                         ids=["one-generator", "no-generators"])
+def test_default_cap_admits_one_or_no_generator(generators, betti, capsys, monkeypatch):
+    # The default cap must reach two above the highest generator degree,
+    # which one above the sum of the degrees does not for these two.
+    code, out, _ = main_in_process(["cohomology"], json.dumps({"generators": generators}),
+                                   capsys, monkeypatch)
+    assert code == 0
+    assert out.splitlines()[0] == betti

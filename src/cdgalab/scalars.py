@@ -340,4 +340,3 @@ def _coerce(value, field: CycField) -> CycScalar:
     if isinstance(value, (int, Fraction)):
         return field.rational(value)
     raise TypeError(f"cannot coerce {type(value).__name__} into {field!r}")
-

@@ -6,15 +6,20 @@ exact ranks and kernel witnesses.  ``universal_obstruction`` searches for a
 class annihilated by every (n-k)-fold product of degree-2 classes: such a
 witness lies in the kernel of the iterated Lefschetz map of *every*
 degree-2 class, so the property fails universally.
+
+Degree-2 classes are even, hence central, and the cup on H is associative,
+so b * c_1 * ... * c_p = b * (c_1 ... c_p).  The p-fold products of H^2 are
+therefore built once, one length at a time, and b is tested against the RREF
+basis of their span: the kernel is the same subspace, so its canonical basis
+rows are the ones the stacked-products definition gives.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from itertools import combinations_with_replacement
 from typing import List, Optional
 
-from .cohomology import CohomClass, CohomologyRing
+from .cohomology import CohomClass, CohomologyRing, class_span
 from .errors import BadOmegaDegree, NoTopDeclared
 from .linalg import Vec, kernel_image
 
@@ -87,20 +92,23 @@ def universal_obstruction(ring: CohomologyRing, k: int,
     if target_degree > ring.max_degree:
         raise NoTopDeclared("ring not computed far enough for the stacked products",
                             needed=target_degree)
+    if power == 0:
+        return []  # b -> b is injective
     h2 = [ring.rep_class(2, j) for j in range(ring.betti[2])]
-    combos = list(combinations_with_replacement(range(len(h2)), power))
+    prods = list(enumerate(h2))  # (last factor's index, product), one length at a time
+    for _ in range(power - 1):
+        prods = [(j, ring.cup(m, h2[j])) for i, m in prods for j in range(i, len(h2))]
+    span, _ = class_span(ring.field, (m for _, m in prods))
+    basis = [CohomClass(ring, 2 * power, row) for row in span.basis_rows()]
     width = ring.betti[target_degree]
 
     def apply(j: int) -> Vec:
-        # stack the images of b under every (n-k)-fold multiplication
+        # stack the images of b under the basis of the p-fold products
         out: Vec = {}
         base = ring.rep_class(k, j)
-        for ci, combo in enumerate(combos):
-            cls = base
-            for idx in combo:
-                cls = ring.cup(h2[idx], cls)
-            for coord, val in cls.coords.items():
-                out[ci * width + coord] = val
+        for t, m in enumerate(basis):
+            for coord, val in ring.cup(base, m).coords.items():
+                out[t * width + coord] = val
         return out
 
     kernel, _ = kernel_image(ring.field, ring.betti[k], apply)

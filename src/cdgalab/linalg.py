@@ -4,6 +4,11 @@ Vectors are dicts ``{column index: CycScalar}`` with no zero entries.  The
 pivot policy is fixed everywhere: a row's pivot is its smallest column index
 and rows are kept fully reduced (RREF), so coset representatives, kernel
 bases and solutions of linear systems are canonical and reproducible.
+
+Work whose result is known is skipped: a zero coefficient adds nothing, a
+coefficient 1 multiplies nothing, a fresh entry (a product of nonzero field
+elements) is stored without a zero test, and a row whose lead is already 1
+is stored without inverting or scaling it.
 """
 
 from __future__ import annotations
@@ -18,12 +23,17 @@ Vec = dict
 
 def vec_iadd(acc: Vec, b: Vec, coeff: Optional[CycScalar] = None) -> Vec:
     """acc += coeff * b in place (coeff None means 1), dropping zero entries."""
+    if coeff is not None and coeff.den == 1 and coeff.num == coeff.field.one.num:
+        coeff = None
+    elif coeff is not None and not any(coeff.num):
+        return acc
     for col, val in b.items():
         v = val if coeff is None else coeff * val
         cur = acc.get(col)
-        s = v if cur is None else cur + v
-        if s.is_zero():
-            acc.pop(col, None)
+        if cur is None:
+            acc[col] = v
+        elif (s := cur + v).is_zero():
+            del acc[col]
         else:
             acc[col] = s
     return acc
@@ -114,12 +124,13 @@ class Echelon:
     def _insert(self, row: Vec, src: Optional[Vec]) -> bool:
         if not row:
             return False
-        pivot = min(row)
-        inv = row[pivot].inverse()
-        row = vec_scale(row, inv)
-        row[pivot] = self.field.one
-        if src is not None:
-            src = vec_scale(src, inv)
+        pivot, one = min(row), self.field.one
+        if row[pivot] != one:
+            inv = row[pivot].inverse()
+            row = vec_scale(row, inv)
+            row[pivot] = one
+            if src is not None:
+                src = vec_scale(src, inv)
         # Back-substitute into the rows that hold the new pivot, keeping the RREF.
         holders, others = self._holders, [col for col in row if col != pivot]
         for p in holders.pop(pivot, ()):

@@ -59,22 +59,14 @@ def triple_massey(ring: CohomologyRing, u: CohomClass, v: CohomClass,
     """<u, v, w>; defined when u*v and v*w are exact.
 
     Canonical primitives are used unless explicit ones are supplied (they
-    must satisfy d(x) = u*v, d(y) = v*w; used by the stability tests).
+    must satisfy d(x) = u*v, d(y) = v*w; massey_scan and stability tests pass them).
     """
-    uv = ring.slices.mul_vec(u.degree, u.rep_vec(), v.degree, v.rep_vec())
-    vw = ring.slices.mul_vec(v.degree, v.rep_vec(), w.degree, w.rep_vec())
-    x = primitive_uv if primitive_uv is not None else ring.is_exact(uv, u.degree + v.degree)
-    if x is None:
-        return MasseyReport(
-            kind="triple", defined=False, verdict=INCONCLUSIVE,
-            obstruction=ring.slices.to_element(u.degree + v.degree, uv).render(),
-            notes=["u*v is not exact"])
-    y = primitive_vw if primitive_vw is not None else ring.is_exact(vw, v.degree + w.degree)
-    if y is None:
-        return MasseyReport(
-            kind="triple", defined=False, verdict=INCONCLUSIVE,
-            obstruction=ring.slices.to_element(v.degree + w.degree, vw).render(),
-            notes=["v*w is not exact"])
+    x = _primitive(ring, u, v, primitive_uv, "triple", "u*v is not exact")
+    if isinstance(x, MasseyReport):
+        return x
+    y = _primitive(ring, v, w, primitive_vw, "triple", "v*w is not exact")
+    if isinstance(y, MasseyReport):
+        return y
     target = u.degree + v.degree + w.degree - 1
     sign = ring.field.rational(1 if (u.degree + 1) % 2 == 0 else -1)
     rep_vec = vec_add(
@@ -102,9 +94,27 @@ def triple_massey(ring: CohomologyRing, u: CohomClass, v: CohomClass,
         })
 
 
+def _primitive(ring: CohomologyRing, a: CohomClass, b: CohomClass,
+               given: Optional[Vec], kind: str, note: str):
+    """``given``, else the canonical primitive of a*b, else the report that it is not exact."""
+    if given is not None:
+        return given
+    ab = ring.slices.mul_vec(a.degree, a.rep_vec(), b.degree, b.rep_vec())
+    prim = ring.is_exact(ab, a.degree + b.degree)
+    if prim is not None:
+        return prim
+    return MasseyReport(kind=kind, defined=False, verdict=INCONCLUSIVE,
+                        obstruction=ring.slices.to_element(a.degree + b.degree, ab).render(),
+                        notes=[note])
+
+
 def a_massey(ring: CohomologyRing, a: CohomClass, bs: Sequence[CohomClass],
-             budget: int = 64) -> MasseyReport:
-    """n-th order product <a; b_1..b_n> for an even class a (n >= 2)."""
+             budget: int = 64,
+             primitives: Optional[Sequence[Vec]] = None) -> MasseyReport:
+    """n-th order product <a; b_1..b_n> for an even class a (n >= 2).
+
+    ``primitives``, when given, are the canonical primitives of a*b_i.
+    """
     if a.degree % 2 != 0:
         raise OddADegree("the distinguished class must have even degree",
                          degree=a.degree)
@@ -114,13 +124,10 @@ def a_massey(ring: CohomologyRing, a: CohomClass, bs: Sequence[CohomClass],
     kind = f"aMassey({n})"
     xis: List[Tuple[int, Vec]] = []
     for i, b in enumerate(bs):
-        ab = ring.slices.mul_vec(a.degree, a.rep_vec(), b.degree, b.rep_vec())
-        xi = ring.is_exact(ab, a.degree + b.degree)
-        if xi is None:
-            return MasseyReport(
-                kind=kind, defined=False, verdict=INCONCLUSIVE,
-                obstruction=ring.slices.to_element(a.degree + b.degree, ab).render(),
-                notes=[f"a*b_{i + 1} is not exact"])
+        xi = _primitive(ring, a, b, None if primitives is None else primitives[i],
+                        kind, f"a*b_{i + 1} is not exact")
+        if isinstance(xi, MasseyReport):
+            return xi
         xis.append((a.degree + b.degree - 1, xi))
 
     def representative(xi_list: Sequence[Tuple[int, Vec]]) -> CohomClass:

@@ -24,7 +24,7 @@ INCONCLUSIVE (the tool never extrapolates past its bound).
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .algebra import AlgebraSpec, Element, GeneratorDecl, element_data
 from .chains import FreeSlices, chain_defect, extend
@@ -240,22 +240,23 @@ def massey_scan(ring: CohomologyRing, budget: int = 2000) -> Optional[MasseyRepo
     """First NONZERO triple or a-product found among representative classes.
 
     Pairs whose cup product is a nonzero class can never participate, so the
-    scan first tabulates exact pairs and only evaluates products built from
-    them; the budget counts actual Massey evaluations.
+    scan first tabulates exact pairs with their canonical primitives and only
+    evaluates products built from them; the budget counts Massey evaluations.
     """
     spent = 0
     degs = [k for k in range(1, ring.max_degree + 1) if ring.betti[k]]
-    exact_pairs: Dict[Tuple[int, int], Set[Tuple[int, int]]] = {}
+    exact_pairs: Dict[Tuple[int, int], Dict[Tuple[int, int], Vec]] = {}
 
-    def pair_exact(p: int, i: int, q: int, j: int) -> bool:
+    def pair_exact(p: int, i: int, q: int, j: int) -> Optional[Vec]:
         if p + q > ring.max_degree:
-            return False
+            return None
         key = (p, q)
         if key not in exact_pairs:
+            reps, mul = ring.reps, ring.slices.mul_vec
             exact_pairs[key] = {
-                (a, b) for a in range(ring.betti[p]) for b in range(ring.betti[q])
-                if ring.cup(ring.rep_class(p, a), ring.rep_class(q, b)).is_zero()}
-        return (i, j) in exact_pairs[key]
+                (a, b): prim for a, ra in enumerate(reps(p)) for b, rb in enumerate(reps(q))
+                if (prim := ring.is_exact(mul(p, ra, q, rb), p + q)) is not None}
+        return exact_pairs[key].get((i, j))
 
     # triple products
     for p1 in degs:
@@ -267,10 +268,10 @@ def massey_scan(ring: CohomologyRing, budget: int = 2000) -> Optional[MasseyRepo
                     continue
                 for j1 in range(ring.betti[p1]):
                     for j2 in range(ring.betti[p2]):
-                        if not pair_exact(p1, j1, p2, j2):
+                        if (x := pair_exact(p1, j1, p2, j2)) is None:
                             continue
                         for j3 in range(ring.betti[p3]):
-                            if not pair_exact(p2, j2, p3, j3):
+                            if (y := pair_exact(p2, j2, p3, j3)) is None:
                                 continue
                             if spent >= budget:
                                 return None
@@ -278,7 +279,7 @@ def massey_scan(ring: CohomologyRing, budget: int = 2000) -> Optional[MasseyRepo
                             rep = triple_massey(ring,
                                                 ring.rep_class(p1, j1),
                                                 ring.rep_class(p2, j2),
-                                                ring.rep_class(p3, j3))
+                                                ring.rep_class(p3, j3), x, y)
                             if rep.defined and rep.verdict == NONZERO:
                                 return rep
     # a-products of order 3 with same-degree companions
@@ -289,17 +290,18 @@ def massey_scan(ring: CohomologyRing, budget: int = 2000) -> Optional[MasseyRepo
             if target > ring.max_degree or ring.betti[target] == 0:
                 continue
             for ja in range(ring.betti[pa]):
-                companions = [jb for jb in range(ring.betti[pb])
-                              if pair_exact(pa, ja, pb, jb)]
+                companions = [(jb, prim) for jb in range(ring.betti[pb])
+                              if (prim := pair_exact(pa, ja, pb, jb)) is not None]
                 for xi in range(len(companions)):
                     for yi in range(xi, len(companions)):
                         for zi in range(yi, len(companions)):
                             if spent >= budget:
                                 return None
                             spent += 1
-                            bs = [ring.rep_class(pb, companions[t])
-                                  for t in (xi, yi, zi)]
-                            rep = a_massey(ring, ring.rep_class(pa, ja), bs)
+                            chosen = [companions[t] for t in (xi, yi, zi)]
+                            bs = [ring.rep_class(pb, jb) for jb, _ in chosen]
+                            rep = a_massey(ring, ring.rep_class(pa, ja), bs,
+                                           primitives=[prim for _, prim in chosen])
                             if rep.defined and rep.verdict == NONZERO:
                                 return rep
     return None

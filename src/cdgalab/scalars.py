@@ -308,7 +308,7 @@ class CycScalar:
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self.field.modulus, self.coeffs))
+            self._hash = hash((self.field.modulus, self.num, self.den))
         return self._hash
 
     def __repr__(self):

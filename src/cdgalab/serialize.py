@@ -39,6 +39,14 @@ def _parsed(convert, data, what: str):
         raise ParseError(f"malformed {what}", got=data) from None
 
 
+def _typed(value, kind: type, what: str):
+    """value, or a ParseError that names the JSON type it has instead of ``kind``."""
+    if not isinstance(value, kind):
+        raise ParseError(f"{what} must be {'an object' if kind is dict else 'an array'}",
+                         got=type(value).__name__)
+    return value
+
+
 def scalar_from_json(data, field: CycField) -> CycScalar:
     if isinstance(data, str):
         return field.rational(_parsed(Fraction, data, "rational literal"))
@@ -86,6 +94,13 @@ def monomial_from_json(names: List[str], spec: AlgebraSpec) -> Monomial:
     return next(iter(elem.terms))
 
 
+def _terms(expr) -> list:
+    """The terms of an element expression: an array of objects."""
+    for term in _typed(expr, list, "an element expression"):
+        _typed(term, dict, "an element term")
+    return expr
+
+
 # -- algebra documents -----------------------------------------------------
 
 def algebra_to_json(spec: AlgebraSpec) -> dict:
@@ -111,8 +126,8 @@ def algebra_to_json(spec: AlgebraSpec) -> dict:
 
 def _collect_moduli(doc: dict) -> int:
     moduli = [_parsed(int, doc.get("zeta", 1), "modulus")]
-    for expr in list(doc.get("differential", {}).values()) + list(doc.get("relations", [])):
-        for term in expr:
+    for expr in list(doc.get("differential", {}).values()) + doc.get("relations", []):
+        for term in _terms(expr):
             moduli.extend(_scalar_moduli(term.get("coeff")))
     if min(moduli) < 1:
         raise ParseError("cyclotomic modulus must be a positive integer", modulus=min(moduli))
@@ -120,10 +135,9 @@ def _collect_moduli(doc: dict) -> int:
 
 
 def _expr_terms(expr, field: CycField):
-    if not isinstance(expr, list):
-        raise ParseError("element expressions must be arrays of terms", got=expr)
     return [(scalar_from_json(t.get("coeff", "1"), field),
-             tuple(t.get("monomial", []))) for t in expr]
+             tuple(_typed(t.get("monomial", []), list, "a term's monomial")))
+            for t in _terms(expr)]
 
 
 def algebra_part(doc) -> dict:
@@ -137,9 +151,8 @@ def algebra_part(doc) -> dict:
     for g in inner["generators"]:
         if not isinstance(g, dict) or "name" not in g or "degree" not in g:
             raise ParseError("a generator must be an object with a name and a degree", got=g)
-    if not isinstance(inner.get("differential", {}), dict):
-        raise ParseError("the differential must be an object keyed by generator name",
-                         got=type(inner["differential"]).__name__)
+    _typed(inner.get("differential", {}), dict, "the differential")
+    _typed(inner.get("relations", []), list, "the relations")
     return inner
 
 
@@ -172,9 +185,9 @@ def action_to_json(act: GroupActionSpec) -> dict:
 
 
 def action_from_json(doc: dict, spec: AlgebraSpec) -> GroupActionSpec:
-    images = {name: element_from_json(expr, spec)
-              for name, expr in doc.get("images", {}).items()}
-    return GroupActionSpec(spec, _parsed(int, doc["order"], "action order"), images)
+    images = _typed(doc.get("images", {}), dict, "the action images")
+    images = {name: element_from_json(expr, spec) for name, expr in images.items()}
+    return GroupActionSpec(spec, _parsed(int, doc.get("order"), "action order"), images)
 
 
 # -- combined documents ------------------------------------------------------
@@ -187,11 +200,11 @@ def document_from_json(doc: dict):
     spec = algebra_from_json(doc)
     action = None
     if doc.get("action"):
-        action = action_from_json(doc["action"], spec)
+        action = action_from_json(_typed(doc["action"], dict, "the action"), spec)
     # distinguished data above the cap is dropped (relevant when the caller
     # lowered degree_cap to truncate the computation)
     classes = {}
-    for name, expr in (doc.get("classes") or {}).items():
+    for name, expr in _typed(doc.get("classes") or {}, dict, "the classes").items():
         try:
             classes[name] = element_from_json(expr, spec)
         except CapExceeded:
@@ -199,7 +212,7 @@ def document_from_json(doc: dict):
     volume = None
     if doc.get("volume"):
         try:
-            volume = monomial_from_json(doc["volume"], spec)
+            volume = monomial_from_json(_typed(doc["volume"], list, "the volume"), spec)
         except CapExceeded:
             volume = None
     meta = {k: doc[k] for k in ("half_dim", "dim", "description", "preset")

@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional
 
 from .algebra import AlgebraSpec, Element, Monomial
-from .chains import FreeSlices, SubcomplexSlices, chain_defect, product
+from .chains import FreeSlices, SubcomplexSlices, chain_defect
 from .cohomology import CohomologyRing
 from .errors import (
     CapTooLow,
@@ -56,6 +56,9 @@ class GroupActionSpec:
         # generator index -> (degree, image vector), the map rho* is extended from
         self._image_vecs = {gi: (parent.generators[gi].degree, self._slices.from_element(img))
                             for gi, img in self.images.items()}
+        # free monomial -> (degree, rho* of it), filled prefix by prefix
+        self._products = {(): (0, self._slices.unit_vec()),
+                          **{(gi,): dv for gi, dv in self._image_vecs.items()}}
         self._matrices: Dict[int, List[Vec]] = {}
         self._projectors: Dict[int, List[Vec]] = {}
         self.validate()
@@ -78,10 +81,18 @@ class GroupActionSpec:
         """Columns of rho* on the degree-k monomial basis, built once per degree."""
         cols = self._matrices.get(k)
         if cols is None:
-            cols = self._matrices[k] = [
-                product(self._slices, [self._image_vecs[g] for g in mono])
-                for mono in self.parent.basis(k)]
+            cols = self._matrices[k] = [self._product(mono)[1]
+                                        for mono in self.parent.basis(k)]
         return cols
+
+    def _product(self, mono: Monomial):
+        """rho*(g_1...g_{r-1}) * rho*(g_r), chains.product's left-to-right steps,
+        each prefix once; with relations a prefix need not be a basis monomial."""
+        hit = self._products.get(mono)
+        if hit is None:
+            (deg, vec), (gdeg, gvec) = self._product(mono[:-1]), self._image_vecs[mono[-1]]
+            hit = self._products[mono] = (deg + gdeg, self._slices.mul_vec(deg, vec, gdeg, gvec))
+        return hit
 
     # -- validation -----------------------------------------------------
 

@@ -247,8 +247,8 @@ def test_shared_parser_leaks_no_state(capsys, monkeypatch):
 
 # -- malformed documents ------------------------------------------------------
 
-def _t6_with(edit):
-    doc = preset_document("T6")
+def _t6_with(edit, name="T6"):
+    doc = preset_document(name)
     edit(doc)
     return json.dumps(doc)
 
@@ -272,6 +272,21 @@ MALFORMED_DOCUMENTS = {
         {"got": "x1"}),
     "differential-as-list": (lambda: _t6_with(lambda d: d["algebra"].update(differential=[])),
                              {"got": "list"}),
+    "relations-as-object": (lambda: _t6_with(lambda d: d["algebra"].update(relations={"a": 1})),
+                            {"got": "dict"}),
+    "relations-null": (lambda: _t6_with(lambda d: d["algebra"].update(relations=None)),
+                       {"got": "NoneType"}),
+    "term-as-string": (lambda: _t6_with(lambda d: d["algebra"]["differential"].update(y=["x"])),
+                       {"got": "str"}),
+    "monomial-as-number": (
+        lambda: _t6_with(lambda d: d["classes"]["a1"][0].update(monomial=5)), {"got": "int"}),
+    "action-as-list": (lambda: _t6_with(lambda d: d.update(action=[1])), {"got": "list"}),
+    "images-as-list": (lambda: _t6_with(lambda d: d["action"].update(images=[1]), "T6_Z2"),
+                       {"got": "list"}),
+    "action-without-order": (lambda: _t6_with(lambda d: d["action"].pop("order"), "T6_Z2"),
+                             {"got": None}),
+    "classes-as-list": (lambda: _t6_with(lambda d: d.update(classes=[1])), {"got": "list"}),
+    "volume-as-number": (lambda: _t6_with(lambda d: d.update(volume=5)), {"got": "int"}),
 }
 
 

@@ -244,13 +244,6 @@ def test_apply_validates_then_reduces_the_power(monkeypatch):
     assert act.apply(act.apply(elem, -1), 1) == elem
 
 
-def test_apply_refuses_an_invalid_action():
-    spec = exterior("ab").validate()
-    with pytest.raises(OrderMismatch):
-        act = GroupActionSpec(spec, 4, {"a": [(-1, ("a",))], "b": [(-1, ("b",))]})
-        act.apply(spec.gen("a"), 10 ** 30)
-
-
 def test_apply_refuses_a_truncated_element():
     # omega^4 has degree 8 beyond the cap 7: it is a truncated zero, which
     # the action must not pass on as an ordinary zero.

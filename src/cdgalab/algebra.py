@@ -79,6 +79,17 @@ def normal_form(spec: "AlgebraSpec", word: Sequence[int]):
     return (-1 if inversions % 2 else 1), tuple(sorted(word))
 
 
+def word_terms(spec: "AlgebraSpec", sign: int, left: Monomial,
+               terms: Dict[Monomial, CycScalar], right: Monomial) -> Dict[Monomial, CycScalar]:
+    """sign * left * terms * right in normal form; distinct terms give distinct words."""
+    out: Dict[Monomial, CycScalar] = {}
+    for mono, c in terms.items():
+        hit = normal_form(spec, left + mono + right)
+        if hit is not None:
+            out[hit[1]] = c if sign * hit[0] > 0 else -c
+    return out
+
+
 class Element:
     """A sparse homogeneous element of an AlgebraSpec, in canonical form."""
 
@@ -136,14 +147,7 @@ class Element:
             return Element(spec, deg, {}, truncated=True, _reduced=True)
         acc: Dict[Monomial, CycScalar] = {}
         for m1, c1 in self.terms.items():
-            # m1 * m2 is injective in m2, so the row's terms never collide.
-            row: Dict[Monomial, CycScalar] = {}
-            for m2, c2 in other.terms.items():
-                hit = normal_form(spec, m1 + m2)
-                if hit is not None:
-                    sign, mono = hit
-                    row[mono] = c2 if sign > 0 else -c2
-            vec_iadd(acc, row, c1)
+            vec_iadd(acc, word_terms(spec, 1, m1, other.terms, UNIT), c1)
         return Element(spec, deg, acc)
 
     def d(self) -> "Element":
@@ -379,15 +383,9 @@ class AlgebraSpec:
                 if basis_idx is None:
                     basis_idx = self._free_index(k)
                 for m in self.free_basis(k - dr):
-                    # m * rm is injective in rm, so the row's terms never collide.
-                    row: Dict[int, CycScalar] = {}
-                    for rm, rc in rel.terms.items():
-                        hit = normal_form(self, m + rm)
-                        if hit is not None:
-                            sign, mono = hit
-                            row[basis_idx[mono]] = rc if sign > 0 else -rc
+                    row = word_terms(self, 1, m, rel.terms, UNIT)
                     if row:
-                        ech.add(row)
+                        ech.add({basis_idx[mono]: c for mono, c in row.items()})
             self._ideal_cache[k] = ech
         return self._ideal_cache[k]
 
@@ -428,16 +426,7 @@ class AlgebraSpec:
             if dg is None:
                 continue
             sign = -1 if sum(self._odd[a] for a in m[:j]) % 2 else 1
-            # The word m[:j] + dm + m[j+1:] is injective in dm, so the part's
-            # terms never collide.
-            part: Dict[Monomial, CycScalar] = {}
-            for dm, dc in dg.terms.items():
-                hit = normal_form(self, m[:j] + dm + m[j + 1:])
-                if hit is None:
-                    continue
-                s, mono = hit
-                part[mono] = dc if sign * s > 0 else -dc
-            vec_iadd(acc, part)
+            vec_iadd(acc, word_terms(self, sign, m[:j], dg.terms, m[j + 1:]))
         self._d_mono_cache[m] = acc
         return acc
 

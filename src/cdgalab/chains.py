@@ -4,15 +4,18 @@ A backend exposes, per degree: a finite ordered basis, the differential as a
 map of sparse coordinate vectors, and the product of two slices.  Two
 implementations exist: the monomial slices of a free-with-relations
 :class:`~cdgalab.algebra.AlgebraSpec`, and the fixed subspaces of a finite
-group action (whose basis vectors live inside the parent's slices).  The
-cohomology, Massey, Lefschetz and minimal-model machinery only ever talk to
-this interface, so group-invariant complexes get every feature for free.
+group action (whose basis vectors live inside the parent's slices).  Both
+cache the d column of each basis vector, and d of a vector is the sum of its
+columns.  A fixed subspace is held as an echelon, so a parent vector's
+coordinates are its entries at the pivots.  The cohomology, Massey,
+Lefschetz and minimal-model machinery only ever talk to this interface, so
+group-invariant complexes get every feature for free.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Mapping, Optional, Sequence, Tuple, Union
 
 from .algebra import AlgebraSpec, Element, Monomial, normal_form
 from .errors import CapExceeded, DegreeOverflow, NotInSubcomplex
@@ -27,7 +30,7 @@ class FreeSlices:
         self.spec = spec
         self.field: CycField = spec.field
         self.cap = spec.degree_cap
-        self._d_cols: Dict[int, List[Vec]] = {}
+        self._d_cols: Dict[int, Dict[int, Vec]] = defaultdict(dict)
         self._quotient: Dict[int, Dict[int, int]] = {}  # free index -> basis index
         # (k, l) -> i -> j -> +-(1 + free index) of basis_k[i] * basis_l[j], 0 if it vanishes
         self._mul = defaultdict(lambda: defaultdict(dict))
@@ -60,21 +63,17 @@ class FreeSlices:
             pos = self._quotient[k] = {free_index[m]: i for i, m in enumerate(spec.basis(k))}
         return {pos[p]: c for p, c in residual.items()}
 
-    def _d_through(self, k: int, i: int) -> List[Vec]:
-        """The cached d columns of degree k, filled through basis index i."""
-        if k + 1 > self.cap:
-            raise CapExceeded("differential would leave the capped range", degree=k + 1)
-        cols = self._d_cols.setdefault(k, [])
-        for j in range(len(cols), i + 1):
-            cols.append(self._coords(k + 1, self.spec._d_monomial(self.spec.basis(k)[j])))
-        return cols
-
     def d_col(self, k: int, i: int) -> Vec:
         """d of basis vector i of degree k, computed once; callers must not mutate it."""
-        return self._d_through(k, i)[i]
+        if k + 1 > self.cap:
+            raise CapExceeded("differential would leave the capped range", degree=k + 1)
+        cols = self._d_cols[k]
+        if i not in cols:
+            cols[i] = self._coords(k + 1, self.spec._d_monomial(self.spec.basis(k)[i]))
+        return cols[i]
 
     def d_vec(self, k: int, vec: Vec) -> Vec:
-        return mat_vec(self._d_through(k, max(vec, default=-1)), vec)
+        return mat_vec({i: self.d_col(k, i) for i in vec}, vec)
 
     def mul_vec(self, k: int, u: Vec, l: int, v: Vec) -> Vec:
         if k + l > self.cap:
@@ -100,28 +99,23 @@ class FreeSlices:
 
 
 class SubcomplexSlices:
-    """Slices of a subcomplex given by explicit basis vectors in a parent.
+    """Slices of a subcomplex given by an echelon per degree in a parent.
 
-    ``bases[k]`` is an ordered list of parent-slice vectors spanning a
-    subspace closed under d and products.  Coordinates here refer to those
-    basis vectors; conversions solve exactly against the stored echelons.
+    ``bases[k]`` is the echelon of a subspace of the parent's degree-k slice,
+    and the subspaces are closed under d and products.  Coordinates here
+    refer to its ``basis_rows()``, and ``express`` reads them at the pivots.
     """
 
-    def __init__(self, parent: FreeSlices, bases: Dict[int, List[Vec]]):
+    def __init__(self, parent: FreeSlices, bases: Dict[int, Echelon]):
         self.parent = parent
         self.field = parent.field
         self.cap = max(bases.keys(), default=0)
-        self._bases = bases
-        self._express: Dict[int, Echelon] = {}
-        self._no_basis = Echelon(self.field)  # solves only the zero vector
+        self._echelons = bases
+        self._bases = {k: ech.basis_rows() for k, ech in bases.items()}
+        self._no_basis = Echelon(self.field)  # expresses only the zero vector
         self._d_cols: Dict[int, Dict[int, Vec]] = defaultdict(dict)
         # (k, l) -> i -> j -> coordinates of bases[k][i] * bases[l][j]
         self._mul = defaultdict(lambda: defaultdict(dict))
-        for k, rows in bases.items():
-            ech = Echelon(self.field)
-            for j, row in enumerate(rows):
-                ech.add(row, source={j: self.field.one})
-            self._express[k] = ech
 
     def dim(self, k: int) -> int:
         return len(self._bases.get(k, ()))
@@ -130,10 +124,10 @@ class SubcomplexSlices:
         return mat_vec(self._bases.get(k, ()), vec)
 
     def express(self, k: int, parent_vec: Vec) -> Vec:
-        sol = self._express.get(k, self._no_basis).solve(parent_vec)
-        if sol is None:
+        coords = self._echelons.get(k, self._no_basis).coordinates(parent_vec)
+        if coords is None:
             raise NotInSubcomplex("vector does not lie in the subcomplex slice", degree=k)
-        return sol
+        return coords
 
     def to_element(self, k: int, vec: Vec) -> Element:
         return self.parent.to_element(k, self.to_parent_vec(k, vec))
@@ -149,8 +143,7 @@ class SubcomplexSlices:
         return cols[i]
 
     def d_vec(self, k: int, vec: Vec) -> Vec:
-        img = self.parent.d_vec(k, self.to_parent_vec(k, vec))
-        return self.express(k + 1, img)
+        return mat_vec({i: self.d_col(k, i) for i in vec}, vec)
 
     def mul_vec(self, k: int, u: Vec, l: int, v: Vec) -> Vec:
         if k + l > self.cap:

@@ -219,10 +219,10 @@ def cmd_higher_massey(args) -> int:
 
 def cmd_lefschetz(args) -> int:
     spec, action, classes, volume, meta, ring = _context(args)
+    n = args.half_dim or meta.get("dim", ring.max_degree) // 2
     if args.universal:
         if args.degree is None:
             raise ParseError("--universal needs --degree")
-        n = args.half_dim or (meta.get("dim", 2 * (ring.max_degree // 2)) // 2)
         witnesses = universal_obstruction(ring, args.degree, n=n)
         if args.format == "json":
             sys.stdout.write(dumps({
@@ -238,7 +238,6 @@ def cmd_lefschetz(args) -> int:
     if not args.omega:
         raise ParseError("either --omega or --universal is required")
     omega = _select_class(ring, classes, args.omega)
-    n = args.half_dim or (meta.get("dim", ring.max_degree) // 2)
     report = lefschetz_test(ring, omega, n)
     if args.format == "json":
         sys.stdout.write(dumps({

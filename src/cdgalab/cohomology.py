@@ -2,8 +2,9 @@
 
 Representatives are canonical: the kernel basis of d is reduced against the
 reduced row-echelon form of the previous image, so golden outputs are
-reproducible bit for bit.  ``class_of`` returns coordinates in that
-representative basis, ``cup`` is the bilinear sum over structure constants
+reproducible bit for bit.  ``class_of`` reduces a closed vector by that
+image and reads its coordinates in the representative basis at the
+representatives' pivots, ``cup`` is the bilinear sum over structure constants
 [rep_i * rep_j] that are each computed once through ``class_of``,
 ``is_exact`` solves d(w) = z with free variables pinned to zero
 (leftmost-pivot policy), and ``integrate`` evaluates a top class against a
@@ -88,7 +89,7 @@ class CohomologyRing:
         self.betti: List[int] = []
         self._reps: List[List[Vec]] = []
         self._image: List[Echelon] = []
-        self._decomp: List[Echelon] = []
+        self._rep_echelons: List[Echelon] = []
         # (p, q) -> i -> j -> coords of [rep_i * rep_j], filled on first use
         self._cup = defaultdict(lambda: defaultdict(dict))
         # (degree, q, coords) of a class u -> span of u * H^q, on first use
@@ -98,16 +99,12 @@ class CohomologyRing:
             kernel, image_next = kernel_image(
                 self.field, slices.dim(k), lambda i, k=k: slices.d_col(k, i))
             residuals = (prev_image.reduce(kvec)[0] for kvec in kernel.basis_rows())
-            reps = span(self.field, (r for r in residuals if r)).basis_rows()
-            decomp = Echelon(self.field)
-            for row in prev_image.basis_rows():
-                decomp.add(dict(row), source={})
-            for j, rep in enumerate(reps):
-                decomp.add(dict(rep), source={j: self.field.one})
+            rep_echelon = span(self.field, (r for r in residuals if r))
+            reps = rep_echelon.basis_rows()
             self.betti.append(len(reps))
             self._reps.append(reps)
             self._image.append(prev_image)
-            self._decomp.append(decomp)
+            self._rep_echelons.append(rep_echelon)
             prev_image = image_next
 
     # -- classes ---------------------------------------------------------
@@ -143,7 +140,9 @@ class CohomologyRing:
     def class_of(self, z: Union[Element, Vec], degree: Optional[int] = None) -> CohomClass:
         """Coordinates of a closed element; the zero vector iff it is exact."""
         degree, vec = self._closed(z, degree, "class degree beyond the computed range")
-        coords = self._decomp[degree].solve(vec)
+        # The representatives vanish at the image's pivots, so reducing by
+        # the image leaves exactly the combination of representatives.
+        coords = self._rep_echelons[degree].coordinates(self._image[degree].reduce(vec)[0])
         if coords is None:
             raise NotClosed("element is not in ker(d) + im(d); internal inconsistency")
         return CohomClass(self, degree, coords)

@@ -164,6 +164,16 @@ class Echelon:
             return None
         return {k: -v for k, v in src.items()} if src else {}
 
+    def coordinates(self, vec: Vec) -> Optional[Vec]:
+        """Coordinates of ``vec`` in ``basis_rows()``, or None outside their span.
+
+        A stored row is 1 at its pivot and 0 at every other pivot, so the
+        coordinate on row j is the entry of ``vec`` at row j's pivot.
+        """
+        if self.reduce(vec)[0]:
+            return None
+        return {j: vec[p] for j, p in enumerate(self.pivots()) if p in vec}
+
     def basis_rows(self):
         return [self._rows[p][0] for p in sorted(self._rows)]
 

@@ -36,16 +36,27 @@ INCONCLUSIVE = "INCONCLUSIVE"
 
 @dataclass
 class MasseyReport:
+    """A Massey product's verdict; it is defined exactly when it has a representative."""
+
     kind: str
-    defined: bool
     verdict: str
-    degree: Optional[int] = None
     representative: Optional[CohomClass] = None
-    representative_nonzero: Optional[bool] = None
     indeterminacy: List[CohomClass] = dc_field(default_factory=list)
     obstruction: Optional[str] = None
     certificate: Dict[str, object] = dc_field(default_factory=dict)
     notes: List[str] = dc_field(default_factory=list)
+
+    @property
+    def defined(self) -> bool:
+        return self.representative is not None
+
+    @property
+    def degree(self) -> Optional[int]:
+        return None if self.representative is None else self.representative.degree
+
+    @property
+    def representative_nonzero(self) -> Optional[bool]:
+        return None if self.representative is None else not self.representative.is_zero()
 
     @property
     def indeterminacy_dimension(self) -> int:
@@ -83,11 +94,8 @@ def triple_massey(ring: CohomologyRing, u: CohomClass, v: CohomClass,
     if second is not first:
         indet += [c for c in second[1] if span.add(c)]
     return MasseyReport(
-        kind="triple", defined=True,
-        verdict=ZERO if span.contains(rep.coords) else NONZERO,
-        degree=target, representative=rep,
-        representative_nonzero=not rep.is_zero(),
-        indeterminacy=[CohomClass(ring, target, c) for c in indet],
+        kind="triple", verdict=ZERO if span.contains(rep.coords) else NONZERO,
+        representative=rep, indeterminacy=[CohomClass(ring, target, c) for c in indet],
         certificate={
             "primitive_uv": ring.slices.to_element(u.degree + v.degree - 1, x).render(),
             "primitive_vw": ring.slices.to_element(v.degree + w.degree - 1, y).render(),
@@ -103,7 +111,7 @@ def _primitive(ring: CohomologyRing, a: CohomClass, b: CohomClass,
     prim = ring.is_exact(ab, a.degree + b.degree)
     if prim is not None:
         return prim
-    return MasseyReport(kind=kind, defined=False, verdict=INCONCLUSIVE,
+    return MasseyReport(kind=kind, verdict=INCONCLUSIVE,
                         obstruction=ring.slices.to_element(a.degree + b.degree, ab).render(),
                         notes=[note])
 
@@ -142,7 +150,6 @@ def a_massey(ring: CohomologyRing, a: CohomClass, bs: Sequence[CohomClass],
         return ring.class_of(total, sum(deg for deg, _ in factors))
 
     rep = representative(xis)
-    target = rep.degree
     certificate = {
         "primitives": [ring.slices.to_element(d, v).render() for d, v in xis]}
     shift_dims = []
@@ -155,20 +162,15 @@ def a_massey(ring: CohomologyRing, a: CohomClass, bs: Sequence[CohomClass],
         verdict = ZERO if rep.is_zero() else NONZERO
         certificate["no_indeterminacy"] = \
             "every primitive degree has vanishing cohomology"
-        return MasseyReport(kind=kind, defined=True, verdict=verdict, degree=target,
-                            representative=rep,
-                            representative_nonzero=not rep.is_zero(),
+        return MasseyReport(kind=kind, verdict=verdict, representative=rep,
                             indeterminacy=[], certificate=certificate)
     if rep.is_zero():
-        return MasseyReport(kind=kind, defined=True, verdict=ZERO, degree=target,
-                            representative=rep, representative_nonzero=False,
-                            certificate=certificate,
+        return MasseyReport(kind=kind, verdict=ZERO, representative=rep, certificate=certificate,
                             notes=["zero exhibited by the canonical primitives"])
     param_dim = sum(b or 0 for b in shift_dims)
     if param_dim > budget or None in shift_dims:
-        return MasseyReport(kind=kind, defined=True, verdict=INCONCLUSIVE,
-                            degree=target, representative=rep,
-                            representative_nonzero=True, certificate=certificate,
+        return MasseyReport(kind=kind, verdict=INCONCLUSIVE, representative=rep,
+                            certificate=certificate,
                             notes=[f"shift space of dimension {param_dim} exceeds "
                                    f"budget {budget}" if param_dim > budget else
                                    "a primitive degree lies beyond the computed range"])
@@ -187,12 +189,9 @@ def a_massey(ring: CohomologyRing, a: CohomClass, bs: Sequence[CohomClass],
     if n == 2:
         # Shifts enter each term linearly and never jointly: the family is
         # exactly rep + span(directions).
-        return MasseyReport(kind=kind, defined=True,
-                            verdict=ZERO if span.contains(rep.coords) else NONZERO,
-                            degree=target, representative=rep,
-                            representative_nonzero=True,
-                            indeterminacy=directions, certificate=certificate,
-                            notes=["order-2 family is affine"])
+        return MasseyReport(kind=kind, verdict=ZERO if span.contains(rep.coords) else NONZERO,
+                            representative=rep, indeterminacy=directions,
+                            certificate=certificate, notes=["order-2 family is affine"])
     # n >= 3: joint shifts create cross terms.  Solve the affine part and
     # verify the candidate by recomputing the representative exactly.
     sol_ech = Echelon(ring.field)
@@ -212,12 +211,10 @@ def a_massey(ring: CohomologyRing, a: CohomClass, bs: Sequence[CohomClass],
             combined[i] = (deg_i, vec_add(xis[i][1], shift))
         candidate = representative(combined)
         if candidate.is_zero():
-            return MasseyReport(kind=kind, defined=True, verdict=ZERO, degree=target,
-                                representative=rep, representative_nonzero=True,
+            return MasseyReport(kind=kind, verdict=ZERO, representative=rep,
                                 indeterminacy=directions, certificate=certificate,
                                 notes=["zero exhibited by an explicit shifted system"])
-    return MasseyReport(kind=kind, defined=True, verdict=INCONCLUSIVE, degree=target,
-                        representative=rep, representative_nonzero=True,
+    return MasseyReport(kind=kind, verdict=INCONCLUSIVE, representative=rep,
                         indeterminacy=directions, certificate=certificate,
                         notes=["cross terms prevent an exact decision within budget"])
 
@@ -237,7 +234,7 @@ def higher_massey(ring: CohomologyRing, classes: Sequence[CohomClass],
                    else higher_massey(ring, window, budget=budget))
             if not sub.defined or sub.verdict == NONZERO:
                 return MasseyReport(
-                    kind=kind, defined=False, verdict=INCONCLUSIVE,
+                    kind=kind, verdict=INCONCLUSIVE,
                     obstruction=f"window {start + 1}..{start + width} has verdict "
                                 f"{sub.verdict}",
                     certificate={"failing_window": [start + 1, start + width],
@@ -262,40 +259,33 @@ def higher_massey(ring: CohomologyRing, classes: Sequence[CohomClass],
             deg = dl + dr
         return deg, acc or {}
 
-    for width in range(2, t):
-        for i in range(1, t - width + 2):
-            j = i + width - 1
-            if (i, j) == (1, t):
-                continue
-            deg, vec = rhs(system, i, j)
-            prim = ring.is_exact(vec, deg)
-            if prim is None:
-                return MasseyReport(
-                    kind=kind, defined=False, verdict=INCONCLUSIVE,
-                    obstruction=sl.to_element(deg, vec).render(),
-                    notes=[f"stage ({i},{j}) has no primitive under canonical choices"])
-            system[(i, j)] = (deg - 1, prim)
+    # The entries a_{i,j} with 2 <= j - i + 1 < t, in the order they are solved.
+    stages = [(i, i + width - 1) for width in range(2, t) for i in range(1, t - width + 2)]
+    for i, j in stages:
+        deg, vec = rhs(system, i, j)
+        prim = ring.is_exact(vec, deg)
+        if prim is None:
+            return MasseyReport(
+                kind=kind, verdict=INCONCLUSIVE,
+                obstruction=sl.to_element(deg, vec).render(),
+                notes=[f"stage ({i},{j}) has no primitive under canonical choices"])
+        system[(i, j)] = (deg - 1, prim)
 
     deg, vec = rhs(system, 1, t)
     rep = ring.class_of(vec, deg)
-    keys = sorted(k for k in system if k[0] != k[1])
+    keys = sorted(stages)
     certificate = {"system": {f"a[{i},{j}]": sl.to_element(*system[(i, j)]).render()
                               for (i, j) in keys}}
     pdim = sum(ring.betti[system[k][0]] for k in keys
                if system[k][0] <= ring.max_degree)
     if rep.is_zero():
-        return MasseyReport(kind=kind, defined=True, verdict=ZERO, degree=deg,
-                            representative=rep, representative_nonzero=False,
-                            certificate=certificate,
+        return MasseyReport(kind=kind, verdict=ZERO, representative=rep, certificate=certificate,
                             notes=["zero exhibited by the canonical defining system"])
     if pdim == 0:
-        return MasseyReport(kind=kind, defined=True, verdict=NONZERO, degree=deg,
-                            representative=rep, representative_nonzero=True,
-                            certificate=certificate,
+        return MasseyReport(kind=kind, verdict=NONZERO, representative=rep, certificate=certificate,
                             notes=["no parameter freedom: single-valued product"])
     if pdim > budget:
-        return MasseyReport(kind=kind, defined=True, verdict=INCONCLUSIVE, degree=deg,
-                            representative=rep, representative_nonzero=True,
+        return MasseyReport(kind=kind, verdict=INCONCLUSIVE, representative=rep,
                             certificate=certificate,
                             notes=[f"parameter space {pdim} exceeds budget {budget}"])
     # Valid single-group perturbations give affine directions; quadratic
@@ -308,7 +298,7 @@ def higher_massey(ring: CohomologyRing, classes: Sequence[CohomClass],
         for jj in range(ring.betti[d]):
             trial = dict(system)
             trial[key] = (d, vec_add(base_vec, ring.rep_combination(d, {jj: ring.field.one})))
-            value = _system_value(ring, trial, t, rhs)
+            value = _system_value(ring, trial, t, stages, rhs)
             if value is not None:
                 shifts.append((key, trial[key], value))
     span, directions = class_span(ring.field, (value - rep for _, _, value in shifts))
@@ -319,7 +309,7 @@ def higher_massey(ring: CohomologyRing, classes: Sequence[CohomClass],
             return False
         trial = dict(system)
         trial[k1], trial[k2] = slot1, slot2
-        both = _system_value(ring, trial, t, rhs)
+        both = _system_value(ring, trial, t, stages, rhs)
         return both is not None and not (both - only1 - only2 + rep).is_zero()
 
     affine = not any(cross_term(*pair) for pair in combinations(shifts, 2))
@@ -333,23 +323,14 @@ def higher_massey(ring: CohomologyRing, classes: Sequence[CohomClass],
     else:
         verdict = INCONCLUSIVE
         note = "cross terms present; zero not exhibited"
-    return MasseyReport(kind=kind, defined=True, verdict=verdict, degree=deg,
-                        representative=rep, representative_nonzero=True,
-                        indeterminacy=directions, certificate=certificate,
-                        notes=[note])
+    return MasseyReport(kind=kind, verdict=verdict, representative=rep,
+                        indeterminacy=directions, certificate=certificate, notes=[note])
 
 
-def _system_value(ring: CohomologyRing, system, t, rhs) -> Optional[CohomClass]:
+def _system_value(ring: CohomologyRing, system, t, stages, rhs) -> Optional[CohomClass]:
     """Check a perturbed defining system still solves every stage; evaluate it."""
-    sl = ring.slices
-    for width in range(2, t):
-        for i in range(1, t - width + 2):
-            j = i + width - 1
-            if (i, j) == (1, t):
-                continue
-            deg, vec = rhs(system, i, j)
-            d_prim = sl.d_vec(system[(i, j)][0], system[(i, j)][1])
-            if d_prim != vec:
-                return None
+    for i, j in stages:
+        if rhs(system, i, j)[1] != ring.slices.d_vec(*system[(i, j)]):
+            return None
     deg, vec = rhs(system, 1, t)
     return ring.class_of(vec, deg)

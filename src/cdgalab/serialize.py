@@ -39,6 +39,13 @@ def _parsed(convert, data, what: str):
         raise ParseError(f"malformed {what}", got=data) from None
 
 
+def _integer(value, what: str) -> int:
+    """An integer field: a bool or a float with a fractional part is refused, not truncated."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ParseError(f"malformed {what}", got=value)
+    return _parsed(int, value, what)
+
+
 def _typed(value, kind: type, what: str):
     """value, or a ParseError that names the JSON type it has instead of ``kind``."""
     if not isinstance(value, kind):
@@ -56,7 +63,7 @@ def scalar_from_json(data, field: CycField) -> CycScalar:
                              got=data)
         return field.rational(int(data))
     if isinstance(data, dict) and "zeta" in data:
-        n = _parsed(int, data["zeta"], "modulus")
+        n = _integer(data["zeta"], "modulus")
         sub = CycField.get(n)
         value = sub.from_poly([_parsed(Fraction, c, "rational literal")
                                for c in data.get("poly", [])])
@@ -68,7 +75,7 @@ def scalar_from_json(data, field: CycField) -> CycScalar:
 
 def _scalar_moduli(data) -> List[int]:
     if isinstance(data, dict) and "zeta" in data:
-        return [_parsed(int, data["zeta"], "modulus")]
+        return [_integer(data["zeta"], "modulus")]
     return []
 
 
@@ -125,7 +132,7 @@ def algebra_to_json(spec: AlgebraSpec) -> dict:
 
 
 def _collect_moduli(doc: dict) -> int:
-    moduli = [_parsed(int, doc.get("zeta", 1), "modulus")]
+    moduli = [_integer(doc.get("zeta", 1), "modulus")]
     for expr in list(doc.get("differential", {}).values()) + doc.get("relations", []):
         for term in _terms(expr):
             moduli.extend(_scalar_moduli(term.get("coeff")))
@@ -149,8 +156,9 @@ def algebra_part(doc) -> dict:
         raise ParseError("the document has no algebra: neither an \"algebra\" object "
                          "nor a \"generators\" list", keys=sorted(doc))
     for g in inner["generators"]:
-        if not isinstance(g, dict) or "name" not in g or "degree" not in g:
-            raise ParseError("a generator must be an object with a name and a degree", got=g)
+        if not isinstance(g, dict) or not isinstance(g.get("name"), str) or "degree" not in g:
+            raise ParseError("a generator must be an object with a string name and a degree",
+                             got=g)
     _typed(inner.get("differential", {}), dict, "the differential")
     _typed(inner.get("relations", []), list, "the relations")
     return inner
@@ -160,17 +168,15 @@ def algebra_from_json(doc: dict) -> AlgebraSpec:
     doc = algebra_part(doc)
     modulus = _collect_moduli(doc)
     field = CycField.get(modulus)
-    gens = []
-    for g in doc["generators"]:
-        degree = _parsed(int, g["degree"], "generator degree")
-        gens.append(GeneratorDecl(name=g["name"], degree=degree, conjugate_of=g.get("conjugate_of")))
+    gens = [GeneratorDecl(name=g["name"], degree=_integer(g["degree"], "generator degree"),
+                          conjugate_of=g.get("conjugate_of")) for g in doc["generators"]]
     cap = doc.get("degree_cap")
     return AlgebraSpec(
         field, gens,
         differential={name: _expr_terms(expr, field)
                       for name, expr in doc.get("differential", {}).items()},
         relations=[_expr_terms(expr, field) for expr in doc.get("relations", [])],
-        degree_cap=_parsed(int, cap, "degree cap") if cap is not None else None)
+        degree_cap=_integer(cap, "degree cap") if cap is not None else None)
 
 
 # -- actions ---------------------------------------------------------------
@@ -187,7 +193,7 @@ def action_to_json(act: GroupActionSpec) -> dict:
 def action_from_json(doc: dict, spec: AlgebraSpec) -> GroupActionSpec:
     images = _typed(doc.get("images", {}), dict, "the action images")
     images = {name: element_from_json(expr, spec) for name, expr in images.items()}
-    return GroupActionSpec(spec, _parsed(int, doc.get("order"), "action order"), images)
+    return GroupActionSpec(spec, _integer(doc.get("order"), "action order"), images)
 
 
 # -- combined documents ------------------------------------------------------
@@ -217,6 +223,8 @@ def document_from_json(doc: dict):
             volume = None
     meta = {k: doc[k] for k in ("half_dim", "dim", "description", "preset")
             if k in doc}
+    if "dim" in meta:
+        meta["dim"] = _integer(meta["dim"], "dimension")
     return spec, action, classes, volume, meta
 
 

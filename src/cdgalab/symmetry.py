@@ -164,8 +164,7 @@ def invariant_complex(act: GroupActionSpec, max_degree: Optional[int] = None) ->
     # The span of the averaging projector's columns is the fixed space, since
     # rho* P = P and P v = v for fixed v; a subspace has only one RREF basis.
     return SubcomplexSlices(act._slices, {
-        k: span(spec.field, averaging_projector(act, k)).basis_rows()
-        for k in range(top + 1)})
+        k: span(spec.field, averaging_projector(act, k)) for k in range(top + 1)})
 
 
 def invariant_cohomology(act: GroupActionSpec, max_degree: int,

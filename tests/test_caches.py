@@ -348,7 +348,7 @@ def _columns(sl):
                          ids=[n + ("-inv" if inv else "") for n, _, inv in D_COL_CASES])
 def test_d_col_matches_d_vec_of_a_unit_vector(name, params, invariant):
     sl = _d_col_slices(name, params, invariant)
-    fresh = _d_col_slices(name, params, invariant)  # its d_vec fills no d_col cache
+    fresh = _d_col_slices(name, params, invariant)  # its d_vec fills its own columns
     one = sl.field.one
     parent = sl.parent if invariant else sl
     for k, i in _columns(sl):

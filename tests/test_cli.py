@@ -287,6 +287,29 @@ MALFORMED_DOCUMENTS = {
                              {"got": None}),
     "classes-as-list": (lambda: _t6_with(lambda d: d.update(classes=[1])), {"got": "list"}),
     "volume-as-number": (lambda: _t6_with(lambda d: d.update(volume=5)), {"got": "int"}),
+    # Integer fields are read exactly: a fraction or a bool is refused, not truncated.
+    "fractional-degree": (lambda: '{"generators": [{"name": "x", "degree": 1.5}]}',
+                          {"got": 1.5}),
+    "boolean-degree": (lambda: '{"generators": [{"name": "x", "degree": true}]}',
+                       {"got": True}),
+    "fractional-cap": (lambda: _t6_with(lambda d: d["algebra"].update(degree_cap=7.5)),
+                       {"got": 7.5}),
+    "fractional-modulus": (lambda: _t6_with(lambda d: d["algebra"].update(zeta=1.5)),
+                           {"got": 1.5}),
+    "fractional-literal-modulus": (
+        lambda: _t6_with(lambda d: d["algebra"]["differential"]["theta"][0].update(
+            coeff={"zeta": 2.5, "poly": ["1"]}), "HEIS6"),
+        {"got": 2.5}),
+    "boolean-literal-modulus": (
+        lambda: _t6_with(lambda d: d["classes"]["a1"][0].update(coeff={"zeta": True,
+                                                                      "poly": ["1"]})),
+        {"got": True}),
+    "fractional-order": (lambda: _t6_with(lambda d: d["action"].update(order=2.5), "T6_Z2"),
+                         {"got": 2.5}),
+    "list-name": (lambda: _t6_with(lambda d: d["algebra"]["generators"][0].update(name=["x1"])),
+                  {"got": {"name": ["x1"], "degree": 1}}),
+    "word-dim": (lambda: _t6_with(lambda d: d.update(dim="x")), {"got": "x"}),
+    "boolean-dim": (lambda: _t6_with(lambda d: d.update(dim=True)), {"got": True}),
 }
 
 
@@ -298,6 +321,15 @@ def test_malformed_document_is_a_parse_error(case, capsys, monkeypatch):
     diag = json.loads(err)
     assert diag["error"] == "PARSE_ERROR"
     assert diag["details"] == details
+
+
+@pytest.mark.parametrize("degree, cap, dim", [(1, 3, 2), (1.0, 3.0, 2.0), ("1", "3", "2")],
+                         ids=["int", "integral-float", "string"])
+def test_integer_fields_read_integral_values(degree, cap, dim, capsys, monkeypatch):
+    doc = {"generators": [{"name": "x", "degree": degree}], "degree_cap": cap, "dim": dim}
+    code, out, _ = main_in_process(["cohomology"], json.dumps(doc), capsys, monkeypatch)
+    assert code == 0
+    assert out.splitlines()[0] == "betti: 1 1 0"
 
 
 @pytest.mark.parametrize("param, details", [("m=x", {"param": "m", "got": "x"}),

@@ -311,10 +311,10 @@ def test_higher_massey_evaluates_each_defining_system_once(monkeypatch):
     seen = []
     evaluate = massey._system_value
 
-    def counted(ring, system, t, rhs):
+    def counted(ring, system, *rest):
         seen.append(frozenset((key, deg, frozenset(vec.items()))
                               for key, (deg, vec) in system.items()))
-        return evaluate(ring, system, t, rhs)
+        return evaluate(ring, system, *rest)
 
     monkeypatch.setattr(massey, "_system_value", counted)
     rep = higher_massey(H, classes)

@@ -12,6 +12,7 @@ from cdgalab.errors import (
     ParentMismatch,
     TruncatedOperand,
 )
+from cdgalab.linalg import span
 from cdgalab.models import preset
 from cdgalab.scalars import CycField
 from cdgalab.symmetry import (
@@ -215,7 +216,7 @@ def test_restriction_preserves_cup_structure():
 
 
 def test_subcomplex_degree_without_basis_holds_only_zero():
-    slices = SubcomplexSlices(FreeSlices(exterior("ab").validate()), {0: [{0: Q.one}]})
+    slices = SubcomplexSlices(FreeSlices(exterior("ab").validate()), {0: span(Q, [{0: Q.one}])})
     assert slices.express(1, {}) == {}
     with pytest.raises(NotInSubcomplex):
         slices.express(1, {0: Q.one})

@@ -65,8 +65,8 @@ def _combination(rows, coeffs):
 @given(st.data())
 def test_coordinates_match_a_unit_source_solve(data):
     field = data.draw(st.sampled_from([CycField.get(1), CycField.get(12)]))
-    ech = span(field, [data.draw(vectors(field, width=8)) for _ in range(data.draw(
-        st.integers(0, 6)))])
+    count = data.draw(st.integers(0, 6))
+    ech = span(field, [data.draw(vectors(field, width=8)) for _ in range(count)])
     rows = ech.basis_rows()
     ref = unit_source_echelon(field, rows)
     inside = _combination(rows, [data.draw(scalars(field)) for _ in rows])

@@ -96,8 +96,7 @@ def _select_class(ring: CohomologyRing, classes, token: str) -> CohomClass:
     if token not in classes:
         raise ParseError(f"no class named '{token}' in the document",
                          known=sorted(classes))
-    elem = classes[token]
-    return ring.class_of(ring.slices.from_element(elem), elem.degree)
+    return ring.class_of(classes[token])
 
 
 def _massey_report_json(ring, rep: MasseyReport) -> dict:
@@ -219,7 +218,7 @@ def cmd_higher_massey(args) -> int:
 
 def cmd_lefschetz(args) -> int:
     spec, action, classes, volume, meta, ring = _context(args)
-    n = args.half_dim or meta.get("dim", ring.max_degree) // 2
+    n = args.half_dim or meta.get("half_dim", meta.get("dim", ring.max_degree) // 2)
     if args.universal:
         if args.degree is None:
             raise ParseError("--universal needs --degree")

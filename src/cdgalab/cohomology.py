@@ -197,33 +197,19 @@ class CohomologyRing:
         coeff = elem.coefficient(self.volume)
         return coeff * self.field.rational(order)
 
-    def pairing_matrix(self, k: int, n: int):
-        """Matrix of H^k x H^{n-k} -> H^n in rep coordinates (n-th slice 1-dim)."""
-        rows = []
-        for j in range(self.betti[k]):
-            row = []
-            for l in range(self.betti[n - k]):
-                prod = self.cup(self.rep_class(k, j), self.rep_class(n - k, l))
-                row.append(prod.coords.get(0, self.field.zero))
-            rows.append(row)
-        return rows
-
     def pairing_nondegenerate(self, n: int) -> bool:
         if self.betti[n] != 1:
             return False
         for k in range(n + 1):
             if self.betti[k] != self.betti[n - k]:
                 return False
-            if self.betti[k] == 0:
-                continue
-            rows = ({i: c for i, c in enumerate(row) if not c.is_zero()}
-                    for row in self.pairing_matrix(k, n))
+            # H^n is one-dimensional: a cup is {0: c}, or {} when it vanishes.
+            rows = ({l: c for l in range(self.betti[n - k]) for c in self.cup(
+                        self.rep_class(k, j), self.rep_class(n - k, l)).coords.values()}
+                    for j in range(self.betti[k]))
             if span(self.field, rows).rank != self.betti[k]:
                 return False
         return True
-
-    def euler_characteristic(self) -> int:
-        return sum((-1) ** k * b for k, b in enumerate(self.betti))
 
 
 def class_span(field: CycField,

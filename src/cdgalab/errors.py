@@ -7,9 +7,18 @@ along in ``details``.
 
 from __future__ import annotations
 
+import re
+
+_WORD_BREAK = re.compile(r"(?<=[a-z0-9])(?=[A-Z])|(?<=[A-Z])(?=[A-Z][a-z])")
+
 
 class CdgaError(Exception):
     code = "CDGA_ERROR"
+
+    def __init_subclass__(cls, **kwargs):
+        """A subclass's code is its name in UPPER_SNAKE: OddADegree is ODD_A_DEGREE."""
+        super().__init_subclass__(**kwargs)
+        cls.code = _WORD_BREAK.sub("_", cls.__name__).upper()
 
     def __init__(self, message: str, **details):
         super().__init__(message)
@@ -17,112 +26,108 @@ class CdgaError(Exception):
 
 
 class ParseError(CdgaError):
-    code = "PARSE_ERROR"
+    pass
 
 
 class InhomogeneousElement(CdgaError):
-    code = "INHOMOGENEOUS_ELEMENT"
+    pass
 
 
 class InhomogeneousRelation(CdgaError):
-    code = "INHOMOGENEOUS_RELATION"
+    pass
 
 
 class BadDifferentialDegree(CdgaError):
-    code = "BAD_DIFFERENTIAL_DEGREE"
+    pass
 
 
 class D2Nonzero(CdgaError):
-    code = "D2_NONZERO"
+    pass
 
 
 class IdealNotStable(CdgaError):
-    code = "IDEAL_NOT_STABLE"
+    pass
 
 
 class ParentMismatch(CdgaError):
-    code = "PARENT_MISMATCH"
+    pass
 
 
 class CapExceeded(CdgaError):
-    code = "CAP_EXCEEDED"
+    pass
 
 
 class CapTooLow(CdgaError):
-    code = "CAP_TOO_LOW"
+    pass
 
 
 class TruncatedOperand(CdgaError):
     """A cap-truncated element was fed into a downstream operation."""
 
-    code = "TRUNCATED_OPERAND"
-
 
 class NoConjugateDeclared(CdgaError):
-    code = "NO_CONJUGATE_DECLARED"
+    pass
 
 
 class NotClosed(CdgaError):
-    code = "NOT_CLOSED"
+    pass
 
 
 class NotInSubcomplex(CdgaError):
     """A vector or element lies outside the slice of a subcomplex."""
 
-    code = "NOT_IN_SUBCOMPLEX"
-
 
 class NotChainMap(CdgaError):
-    code = "NOT_CHAIN_MAP"
+    pass
 
 
 class OrderMismatch(CdgaError):
-    code = "ORDER_MISMATCH"
+    pass
 
 
 class ConjugationBroken(CdgaError):
-    code = "CONJUGATION_BROKEN"
+    pass
 
 
 class DegreeOverflow(CdgaError):
-    code = "DEGREE_OVERFLOW"
+    pass
 
 
 class NoTopDeclared(CdgaError):
-    code = "NO_TOP_DECLARED"
+    pass
 
 
 class BadOmegaDegree(CdgaError):
-    code = "BAD_OMEGA_DEGREE"
+    pass
 
 
 class OddADegree(CdgaError):
-    code = "ODD_A_DEGREE"
+    pass
 
 
 class OrderUnsupported(CdgaError):
-    code = "ORDER_UNSUPPORTED"
+    pass
 
 
 class NotOneConnected(CdgaError):
-    code = "NOT_ONE_CONNECTED"
+    pass
 
 
 class UnknownPreset(CdgaError):
-    code = "UNKNOWN_PRESET"
+    pass
 
 
 class EulerNotClosed(CdgaError):
-    code = "EULER_NOT_CLOSED"
+    pass
 
 
 class EulerBadDegree(CdgaError):
-    code = "EULER_BAD_DEGREE"
+    pass
 
 
 class FieldMismatch(CdgaError):
-    code = "FIELD_MISMATCH"
+    pass
 
 
 class ModulusTooLarge(CdgaError):
-    code = "MODULUS_TOO_LARGE"
+    pass

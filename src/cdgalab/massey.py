@@ -27,7 +27,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .chains import product
 from .cohomology import CohomClass, CohomologyRing, class_span
 from .errors import OddADegree, OrderUnsupported
-from .linalg import Echelon, Vec, vec_add
+from .linalg import Echelon, Vec, vec_add, vec_iadd
 
 NONZERO = "NONZERO"
 ZERO = "ZERO"
@@ -139,14 +139,12 @@ def a_massey(ring: CohomologyRing, a: CohomClass, bs: Sequence[CohomClass],
         xis.append((a.degree + b.degree - 1, xi))
 
     def representative(xi_list: Sequence[Tuple[int, Vec]]) -> CohomClass:
-        total: Optional[Vec] = None
+        total: Vec = {}
         for i in range(n):
             factors = list(xi_list)
             factors[i] = (bs[i].degree, bs[i].rep_vec())
-            vec = product(ring.slices, factors)
-            if sum(xi_list[j][0] for j in range(i)) % 2:
-                vec = {k: -c for k, c in vec.items()}
-            total = vec if total is None else vec_add(total, vec)
+            odd = sum(xi_list[j][0] for j in range(i)) % 2
+            vec_iadd(total, product(ring.slices, factors), -ring.field.one if odd else None)
         return ring.class_of(total, sum(deg for deg, _ in factors))
 
     rep = representative(xis)
@@ -248,16 +246,13 @@ def higher_massey(ring: CohomologyRing, classes: Sequence[CohomClass],
 
     def rhs(sys: Dict, i: int, j: int):
         deg = None
-        acc: Optional[Vec] = None
+        acc: Vec = {}
         for k in range(i, j):
             dl, vl = sys[(i, k)]
             dr, vr = sys[(k + 1, j)]
-            piece = sl.mul_vec(dl, vl, dr, vr)
-            if dl % 2:
-                piece = {m: -c for m, c in piece.items()}
-            acc = piece if acc is None else vec_add(acc, piece)
+            vec_iadd(acc, sl.mul_vec(dl, vl, dr, vr), -ring.field.one if dl % 2 else None)
             deg = dl + dr
-        return deg, acc or {}
+        return deg, acc
 
     # The entries a_{i,j} with 2 <= j - i + 1 < t, in the order they are solved.
     stages = [(i, i + width - 1) for width in range(2, t) for i in range(1, t - width + 2)]

@@ -26,11 +26,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from typing import Dict, List, Optional, Tuple
 
-from .algebra import AlgebraSpec, Element, GeneratorDecl, element_data
+from .algebra import AlgebraSpec, GeneratorDecl, element_data
 from .chains import FreeSlices, chain_defect, extend
 from .cohomology import CohomologyRing
 from .errors import CapTooLow, NotOneConnected
-from .linalg import Echelon, Vec, kernel_image
+from .linalg import Echelon, Vec, kernel_image, span
 from .massey import NONZERO, MasseyReport, a_massey, triple_massey
 
 CERTIFIED = "CERTIFIED"
@@ -59,10 +59,6 @@ class MinimalModel:
         top = self.bound + 1 if max_degree is None else max_degree
         top = min(top, self.model.degree_cap - 1)
         return CohomologyRing(FreeSlices(self.model), top)
-
-    def psi_vec(self, elem: Element) -> Vec:
-        """Image of a model element in the target slice coordinates."""
-        return extend(self.target_ring.slices, self.psi, elem)
 
     def n_generators_through(self, s: int) -> List[str]:
         out = []
@@ -178,17 +174,10 @@ def _differentials_independent(slices: FreeSlices) -> bool:
     independent for the namewise C/N split of an already-minimal spec to be
     legitimate (d injective on the N span)."""
     spec = slices.spec
-    for degree in sorted({g.degree for g in spec.generators}):
-        ech = Echelon(spec.field)
-        for g in spec.generators:
-            if g.degree != degree:
-                continue
-            img = spec.gen(g.name).d()
-            if img.is_zero():
-                continue
-            if not ech.add(slices.from_element(img)):
-                return False
-    return True
+    images: Dict[int, List[Vec]] = {}
+    for gi, img in spec.differential.items():
+        images.setdefault(spec.generators[gi].degree, []).append(slices.from_element(img))
+    return all(span(spec.field, vecs).rank == len(vecs) for vecs in images.values())
 
 
 def s_formality_check(mm: MinimalModel, s: int) -> SFormalityReport:

@@ -36,10 +36,6 @@ class PresetBundle:
     volume: Optional[Monomial]
     meta: Dict[str, object] = dc_field(default_factory=dict)
 
-    @property
-    def dim(self) -> Optional[int]:
-        return self.meta.get("dim")
-
 
 def ce_complex(field: CycField, generators: Sequence[GeneratorDecl],
                structure: Dict[str, object], degree_cap: Optional[int] = None) -> AlgebraSpec:

@@ -282,12 +282,6 @@ class CycScalar:
                 poly[k * step] += c
         return _make(target, _reduce(target, poly), self.den)
 
-    def real_part(self) -> "CycScalar":
-        return (self + self.conj()) * self.field.rational(Fraction(1, 2))
-
-    def imag_is_zero(self) -> bool:
-        return self == self.conj()
-
     def is_zero(self) -> bool:
         return not any(self.num)
 

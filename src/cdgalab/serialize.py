@@ -1,12 +1,12 @@
 """JSON documents: algebras, actions, elements, scalars, reports.
 
-Scalar literals are either a rational string ``"p/q"`` or an object
-``{"zeta": N, "poly": ["p/q", ...]}``.  Element expressions are arrays of
-``{"coeff": <scalar>, "monomial": ["gen", ...]}`` terms (generator names
-repeat for powers).  An algebra document fixes the global modulus; scalars
-written over a smaller field are promoted at parse time, and the document
-modulus itself is raised to the lcm of everything that appears, so no
-promotion logic is needed downstream.
+Scalar literals are either a rational literal (a string ``"p/q"``, an integer
+or an integral float) or an object ``{"zeta": N, "poly": [<rational>, ...]}``.
+Element expressions are arrays of ``{"coeff": <scalar>, "monomial": ["gen",
+...]}`` terms (generator names repeat for powers).  An algebra document fixes
+the global modulus; scalars written over a smaller field are promoted at parse
+time, and the document modulus itself is raised to the lcm of everything that
+appears, so no promotion logic is needed downstream.
 """
 
 from __future__ import annotations
@@ -54,23 +54,25 @@ def _typed(value, kind: type, what: str):
     return value
 
 
+def _rational(value) -> Fraction:
+    """A rational literal: a "p/q" string, an int that is not a bool, or an integral float."""
+    if isinstance(value, str):
+        return _parsed(Fraction, value, "rational literal")
+    if type(value) is int or (isinstance(value, float) and value.is_integer()):
+        return Fraction(int(value))
+    raise ParseError("a rational literal is a \"p/q\" string, an integer or an integral float",
+                     got=value)
+
+
 def scalar_from_json(data, field: CycField) -> CycScalar:
-    if isinstance(data, str):
-        return field.rational(_parsed(Fraction, data, "rational literal"))
-    if isinstance(data, (int, float)):
-        if isinstance(data, float) and not data.is_integer():
-            raise ParseError("scalar literals must be exact; use \"p/q\" strings",
-                             got=data)
-        return field.rational(int(data))
     if isinstance(data, dict) and "zeta" in data:
         n = _integer(data["zeta"], "modulus")
-        sub = CycField.get(n)
-        value = sub.from_poly([_parsed(Fraction, c, "rational literal")
-                               for c in data.get("poly", [])])
+        poly = _typed(data.get("poly", []), list, "a scalar's poly")
+        value = CycField.get(n).from_poly([_rational(c) for c in poly])
         if n == field.modulus:
             return value
         return value.embed(field.modulus)
-    raise ParseError("unrecognized scalar literal", got=data)
+    return field.rational(_rational(data))
 
 
 def _scalar_moduli(data) -> List[int]:
@@ -223,8 +225,11 @@ def document_from_json(doc: dict):
             volume = None
     meta = {k: doc[k] for k in ("half_dim", "dim", "description", "preset")
             if k in doc}
-    if "dim" in meta:
-        meta["dim"] = _integer(meta["dim"], "dimension")
+    for key, what in (("dim", "dimension"), ("half_dim", "half dimension")):
+        if key in meta:
+            meta[key] = _integer(meta[key], what)
+    if "dim" in meta and meta.get("half_dim", meta["dim"] // 2) != meta["dim"] // 2:
+        raise ParseError("half_dim must be dim // 2", half_dim=meta["half_dim"], dim=meta["dim"])
     return spec, action, classes, volume, meta
 
 

@@ -20,9 +20,9 @@ from typing import Callable, List, Tuple
 from .algebra import AlgebraSpec, Element, GeneratorDecl
 from .chains import FreeSlices
 from .errors import OrderMismatch
-from .cohomology import CohomologyRing, cohomology
+from .cohomology import class_span, cohomology
 from .lefschetz import lefschetz_test, universal_obstruction
-from .linalg import Echelon, mat_vec, span, vec_add
+from .linalg import mat_vec, vec_add
 from .massey import NONZERO, ZERO, a_massey, triple_massey
 from .minmodel import (
     CERTIFIED,
@@ -82,10 +82,6 @@ def _named_element(spec: AlgebraSpec, names: str) -> Element:
     return spec.element([(1, tuple(names.split()))])
 
 
-def _class_span(ring: CohomologyRing, classes) -> Echelon:
-    return span(ring.field, (cls.coords for cls in classes))
-
-
 # -- checks 1..10 -------------------------------------------------------------
 
 def check_heis6_betti() -> CheckResult:
@@ -104,7 +100,7 @@ def check_heis6_betti() -> CheckResult:
             closed = closed and elem.d().is_zero()
             classes.append(ring.class_of(elem))
         _expect(res, closed, f"degree {k}: all listed cocycles closed")
-        rank = _class_span(ring, classes).rank
+        rank = class_span(ring.field, classes)[0].rank
         _expect(res, rank == len(names) == ring.betti[k],
                 f"degree {k}: listed classes span H^{k} "
                 f"(rank {rank} of {ring.betti[k]})")
@@ -119,9 +115,8 @@ def check_orbifold6() -> CheckResult:
     ring = invariant_cohomology(bundle.action, 6, volume=bundle.volume)
     _expect(res, ring.betti == [1, 0, 4, 0, 4, 0, 1],
             f"invariant Betti numbers {ring.betti}")
-    classes = [ring.class_of(ring.slices.from_element(
-        _named_element(bundle.spec, text)), 2) for text in ORBIFOLD6_H2_LIST]
-    _expect(res, _class_span(ring, classes).rank == 4 == ring.betti[2],
+    classes = [ring.class_of(_named_element(bundle.spec, text)) for text in ORBIFOLD6_H2_LIST]
+    _expect(res, class_span(ring.field, classes)[0].rank == 4 == ring.betti[2],
             "the four listed classes span H^2")
     sub = invariant_complex(bundle.action)
     trace_ok = all(
@@ -160,16 +155,17 @@ def check_lefschetz_failure() -> CheckResult:
                       "for its own form and for every degree-2 class", True)
     bundle = preset("HEIS6_Z6")
     ring = invariant_cohomology(bundle.action, 6, volume=bundle.volume)
-    omega = ring.class_of(ring.slices.from_element(bundle.classes["omega"]), 2)
-    beta = ring.class_of(ring.slices.from_element(bundle.classes["beta"]), 2)
+    omega = ring.class_of(bundle.classes["omega"])
+    beta = ring.class_of(bundle.classes["beta"])
     report = lefschetz_test(ring, omega, 3)
     _expect(res, not report.overall, "overall verdict: fails")
     _expect(res, report.verdict(0).isomorphism, "degree 0 map is iso")
     _expect(res, not report.verdict(2).isomorphism, "degree 2 map is not iso")
-    _expect(res, _class_span(ring, report.verdict(2).kernel).contains(beta.coords),
+    _expect(res, class_span(ring.field, report.verdict(2).kernel)[0].contains(beta.coords),
             "the degree-2 kernel contains the distinguished class")
     witnesses = universal_obstruction(ring, 2, n=3)
-    _expect(res, bool(witnesses) and _class_span(ring, witnesses).contains(beta.coords),
+    _expect(res, bool(witnesses)
+            and class_span(ring.field, witnesses)[0].contains(beta.coords),
             "universal witness space at degree 2 contains the class")
     double_kill = all(
         ring.cup(ring.cup(beta, ring.rep_class(2, i)), ring.rep_class(2, j)).is_zero()
@@ -186,9 +182,8 @@ def check_amassey_8dim() -> CheckResult:
     bundle = preset("HEIS8_Z3")
     ring = invariant_cohomology(bundle.action, 8, volume=bundle.volume)
     _expect(res, ring.betti[3] == 0, "H^3 of the quotient vanishes")
-    a = ring.class_of(ring.slices.from_element(bundle.classes["a"]), 2)
-    bs = [ring.class_of(ring.slices.from_element(bundle.classes[n]), 2)
-          for n in ("b1", "b2", "b3")]
+    a = ring.class_of(bundle.classes["a"])
+    bs = [ring.class_of(bundle.classes[n]) for n in ("b1", "b2", "b3")]
     rep = a_massey(ring, a, bs)
     _expect(res, rep.defined, "product defined")
     _expect(res, rep.verdict == NONZERO, f"verdict {rep.verdict}")
@@ -262,7 +257,7 @@ def check_sasaki_general_n() -> CheckResult:
         _expect(res, not disp_cls.is_zero(),
                 f"n={n}: displayed representative class is nonzero")
         delta = disp_cls - rep.representative
-        _expect(res, _class_span(ring, rep.indeterminacy).contains(delta.coords),
+        _expect(res, class_span(ring.field, rep.indeterminacy)[0].contains(delta.coords),
                 f"n={n}: displayed and canonical representatives agree "
                 f"modulo indeterminacy")
         _expect(res, rep.verdict == ZERO and len(rep.indeterminacy) > 0,
@@ -312,8 +307,8 @@ def check_quasi_regular() -> CheckResult:
     ring = invariant_cohomology(bundle.action, 7, volume=bundle.volume)
     _expect(res, ring.betti[1] == 0, "b1 of the bundle vanishes")
     _expect(res, ring.betti[3] == 0, "H^3 of the bundle vanishes (rank check)")
-    a1 = ring.class_of(ring.slices.from_element(bundle.classes["a1"]), 2)
-    a2 = ring.class_of(ring.slices.from_element(bundle.classes["a2"]), 2)
+    a1 = ring.class_of(bundle.classes["a1"])
+    a2 = ring.class_of(bundle.classes["a2"])
     rep = triple_massey(ring, a1, a1, a2)
     _expect(res, rep.defined and rep.verdict == NONZERO,
             f"<a1,a1,a2> defined with verdict {rep.verdict}")
@@ -323,9 +318,8 @@ def check_quasi_regular() -> CheckResult:
         (Fraction(1, 2), ("x1", "x2", "x3", "x4", "eta")),
         (Fraction(-1, 2), ("x1", "x2", "x5", "x6", "eta")),
     ])
-    _expect(res, rep.representative == ring.class_of(
-        ring.slices.from_element(expected), 5),
-        "representative equals 1/2[(a1*a2 - a1*a3)*eta] exactly")
+    _expect(res, rep.representative == ring.class_of(expected),
+            "representative equals 1/2[(a1*a2 - a1*a3)*eta] exactly")
     return res
 
 
@@ -460,7 +454,7 @@ def property_battery(cases: int = 1000, seed: int = 0) -> CheckResult:
     u = hring.class_of(heis.gen("mu"))
     v = hring.class_of(heis.gen("nu"))
     base = triple_massey(hring, u, v, u)
-    indeterminacy = _class_span(hring, base.indeterminacy)
+    indeterminacy = class_span(hring.field, base.indeterminacy)[0]
     uv = hring.slices.mul_vec(1, u.rep_vec(), 1, v.rep_vec())
     prim = hring.is_exact(uv, 2)
     closed_names = ("mu", "nu", "mubar", "nubar")

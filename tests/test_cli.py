@@ -253,6 +253,11 @@ def _t6_with(edit, name="T6"):
     return json.dumps(doc)
 
 
+def _heis6_theta_coeff(coeff):
+    return _t6_with(lambda d: d["algebra"]["differential"]["theta"][0].update(coeff=coeff),
+                    "HEIS6")
+
+
 MALFORMED_DOCUMENTS = {
     "word-degree": (lambda: _t6_with(lambda d: d["algebra"]["generators"][0].update(degree="x")),
                     {"got": "x"}),
@@ -310,6 +315,18 @@ MALFORMED_DOCUMENTS = {
                   {"got": {"name": ["x1"], "degree": 1}}),
     "word-dim": (lambda: _t6_with(lambda d: d.update(dim="x")), {"got": "x"}),
     "boolean-dim": (lambda: _t6_with(lambda d: d.update(dim=True)), {"got": True}),
+    # One reader for rational literals, alone or inside a poly.
+    "boolean-literal": (lambda: _t6_with(lambda d: d["classes"]["a1"][0].update(coeff=True)),
+                        {"got": True}),
+    "poly-as-string": (lambda: _heis6_theta_coeff({"zeta": 12, "poly": "12"}), {"got": "str"}),
+    "boolean-in-poly": (lambda: _heis6_theta_coeff({"zeta": 12, "poly": [True, "1"]}),
+                        {"got": True}),
+    "fractional-float-in-poly": (lambda: _heis6_theta_coeff({"zeta": 12, "poly": [0.1]}),
+                                 {"got": 0.1}),
+    "poly-null": (lambda: _heis6_theta_coeff({"zeta": 12, "poly": None}), {"got": "NoneType"}),
+    "half-dim-disagrees": (lambda: _t6_with(lambda d: d.update(half_dim=2)),
+                           {"half_dim": 2, "dim": 6}),
+    "word-half-dim": (lambda: _t6_with(lambda d: d.update(half_dim="x")), {"got": "x"}),
 }
 
 
@@ -321,6 +338,16 @@ def test_malformed_document_is_a_parse_error(case, capsys, monkeypatch):
     diag = json.loads(err)
     assert diag["error"] == "PARSE_ERROR"
     assert diag["details"] == details
+
+
+def test_lefschetz_defaults_to_the_document_half_dim(capsys, monkeypatch):
+    doc = preset_document("T6")
+    del doc["dim"]
+    doc["half_dim"] = 2
+    argv = ["lefschetz", "--omega", "omega", "--format", "json"]
+    code, out, _ = main_in_process(argv, json.dumps(doc), capsys, monkeypatch)
+    assert code == 0
+    assert json.loads(out)["half_dim"] == 2
 
 
 @pytest.mark.parametrize("degree, cap, dim", [(1, 3, 2), (1.0, 3.0, 2.0), ("1", "3", "2")],

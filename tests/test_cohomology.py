@@ -113,7 +113,7 @@ def test_euler_characteristic_on_odd_free_algebra():
     spec = exterior("abcd").validate()
     H = cohomology(spec, 4)
     slice_euler = sum((-1) ** k * len(spec.basis(k)) for k in range(5))
-    assert H.euler_characteristic() == slice_euler
+    assert sum((-1) ** k * b for k, b in enumerate(H.betti)) == slice_euler
 
 
 def test_integrate_against_volume():

@@ -194,10 +194,11 @@ def stacked_obstruction(ring: CohomologyRing, k: int, n: int):
 def _preset_ring(name, **params):
     """The ring the CLI builds for a preset: invariant when it has an action."""
     bundle = preset(name, **params)
-    top = bundle.dim or bundle.spec.degree_cap - 1
+    dim = bundle.meta.get("dim")
+    top = dim or bundle.spec.degree_cap - 1
     if bundle.action is not None:
-        return invariant_cohomology(bundle.action, top), bundle.dim
-    return cohomology(bundle.spec, top), bundle.dim
+        return invariant_cohomology(bundle.action, top), dim
+    return cohomology(bundle.spec, top), dim
 
 
 RINGS = [(name, {}) for name in FIXED_PRESETS] + [("CPN", {"m": 3}),

@@ -1,5 +1,6 @@
 import pytest
 
+from cdgalab.chains import extend
 from cdgalab.cohomology import cohomology
 from cdgalab.errors import NotOneConnected
 from cdgalab.minmodel import (
@@ -191,7 +192,7 @@ def test_massey_model_independence():
         ech = Echelon(ring.field)
         for j in range(model_ring.betti[2]):
             rep = model_ring.slices.to_element(2, model_ring.reps(2)[j])
-            img = ring.class_of(mm.psi_vec(rep), 2)
+            img = ring.class_of(extend(ring.slices, mm.psi, rep), 2)
             ech.add(dict(img.coords), source={j: ring.field.one})
         sol = ech.solve(dict(cls.coords))
         assert sol is not None
@@ -203,15 +204,15 @@ def test_massey_model_independence():
     m1, m2 = pull_back(a1), pull_back(a2)
     # sanity: the pullbacks map forward to the original classes
     for target, model_cls in ((a1, m1), (a2, m2)):
-        fwd = ring.class_of(
-            mm.psi_vec(model_ring.slices.to_element(2, model_cls.rep_vec())), 2)
+        fwd = ring.class_of(extend(
+            ring.slices, mm.psi, model_ring.slices.to_element(2, model_cls.rep_vec())), 2)
         assert fwd == target
     rep_model = triple_massey(model_ring, m1, m1, m2)
     rep_target = triple_massey(ring, a1, a1, a2)
     assert rep_model.defined and rep_target.defined
     assert rep_model.verdict == rep_target.verdict == "NONZERO"
-    pushed = ring.class_of(
-        mm.psi_vec(model_ring.slices.to_element(5, rep_model.representative.rep_vec())), 5)
+    pushed = ring.class_of(extend(ring.slices, mm.psi, model_ring.slices.to_element(
+        5, rep_model.representative.rep_vec())), 5)
     # both indeterminacies vanish (H^3 = 0 on both sides), so classes agree
     assert model_ring.betti[3] == 0
     assert pushed == rep_target.representative

@@ -11,7 +11,10 @@ that used to be kept beside it, reproduced here as references:
   ``d_vec`` sums cached d columns; the references solve against a unit-source
   echelon and map the whole vector through the parent's d;
 * ``algebra.word_terms`` serves Element products, the ideal rows and the
-  Leibniz rule; the references are the three loops it replaced.
+  Leibniz rule; the references are the three loops it replaced;
+* ``minmodel._differentials_independent`` compares each degree's span rank
+  with its count of differentials; the reference is the echelon loop with an
+  early exit that it replaced.
 """
 
 import random
@@ -20,9 +23,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cdgalab.algebra import Element, normal_form
+from cdgalab.algebra import AlgebraSpec, Element, GeneratorDecl, normal_form
+from cdgalab.chains import FreeSlices
 from cdgalab.cohomology import cohomology
 from cdgalab.linalg import Echelon, span, vec_iadd
+from cdgalab.minmodel import _differentials_independent
 from cdgalab.models import preset
 from cdgalab.scalars import CycField
 from cdgalab.symmetry import invariant_cohomology, invariant_complex
@@ -80,7 +85,7 @@ def test_coordinates_match_a_unit_source_solve(data):
 
 def _rings(name, params):
     pre = preset(name, **params)
-    top = pre.dim or pre.spec.degree_cap - 1
+    top = pre.meta.get("dim") or pre.spec.degree_cap - 1
     yield cohomology(pre.spec, top)
     if pre.action is not None:
         yield invariant_cohomology(pre.action, top)
@@ -225,3 +230,46 @@ def test_word_terms_serves_the_three_loops(name, params):
         if k + l <= spec.degree_cap:
             got, want = a * b, ref_element_mul(a, b)
             assert list(got.terms.items()) == list(want.terms.items())
+
+
+# -- independent differentials ----------------------------------------------------
+
+def ref_differentials_independent(slices):
+    """The per-degree echelon loop, stopping at the first dependent differential."""
+    spec = slices.spec
+    for degree in sorted({g.degree for g in spec.generators}):
+        ech = Echelon(spec.field)
+        for g in spec.generators:
+            if g.degree != degree:
+                continue
+            img = spec.gen(g.name).d()
+            if img.is_zero():
+                continue
+            if not ech.add(slices.from_element(img)):
+                return False
+    return True
+
+
+def _odd_pair(second):
+    """a, b of degree 2 and x, y of degree 3 with dx = a^2 and dy = second."""
+    gens = [GeneratorDecl(n, d) for n, d in (("a", 2), ("b", 2), ("x", 3), ("y", 3))]
+    diff = {"x": [(1, ("a", "a"))], "y": second}
+    return AlgebraSpec(CycField.get(1), gens, differential=diff, degree_cap=8)
+
+
+SPECS = [(name, lambda name=name, params=params: preset(name, **params).spec)
+         for name, params in ALL_PRESETS]
+SPECS += [("shared", lambda: _odd_pair([(1, ("a", "a"))])),
+          ("multiple", lambda: _odd_pair([(-3, ("a", "a"))])),
+          ("independent", lambda: _odd_pair([(1, ("a", "b"))]))]
+
+
+@pytest.mark.parametrize("name,build", SPECS, ids=[n for n, _ in SPECS])
+def test_differentials_independent_matches_the_loop(name, build):
+    slices = FreeSlices(build())
+    got = _differentials_independent(slices)
+    assert got == ref_differentials_independent(slices)
+    if name in ("shared", "multiple"):
+        assert not got
+    elif name == "independent":
+        assert got

@@ -49,6 +49,18 @@ def test_scalar_rejects_floats():
     assert scalar_from_json(3, field) == field.rational(3)
 
 
+def test_one_reader_for_literals_alone_and_in_poly():
+    field = CycField.get(12)
+    for literal in (3, 3.0, "3", "6/2"):
+        assert scalar_from_json(literal, field) == field.rational(3)
+        assert scalar_from_json({"zeta": 12, "poly": [literal]}, field) == field.rational(3)
+    for literal in (True, 0.5, None, [1], {"poly": ["1"]}):
+        with pytest.raises(ParseError):
+            scalar_from_json(literal, field)
+        with pytest.raises(ParseError):
+            scalar_from_json({"zeta": 12, "poly": [literal]}, field)
+
+
 def test_element_roundtrip():
     bundle = preset("HEIS6")
     omega = bundle.classes["omega"]

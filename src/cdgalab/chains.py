@@ -7,15 +7,16 @@ implementations exist: the monomial slices of a free-with-relations
 group action (whose basis vectors live inside the parent's slices).  Both
 cache the d column of each basis vector, and d of a vector is the sum of its
 columns.  A fixed subspace is held as an echelon, so a parent vector's
-coordinates are its entries at the pivots.  The cohomology, Massey,
-Lefschetz and minimal-model machinery only ever talk to this interface, so
-group-invariant complexes get every feature for free.
+coordinates are its entries at the pivots; each degree's echelon is computed
+on first read.  The cohomology, Massey, Lefschetz and minimal-model
+machinery only ever talk to this interface, so group-invariant complexes get
+every feature for free.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .algebra import AlgebraSpec, Element, Monomial, normal_form
 from .errors import CapExceeded, DegreeOverflow, NotInSubcomplex
@@ -101,30 +102,44 @@ class FreeSlices:
 class SubcomplexSlices:
     """Slices of a subcomplex given by an echelon per degree in a parent.
 
-    ``bases[k]`` is the echelon of a subspace of the parent's degree-k slice,
-    and the subspaces are closed under d and products.  Coordinates here
-    refer to its ``basis_rows()``, and ``express`` reads them at the pivots.
+    ``fixed(k)`` is the echelon of a subspace of the parent's degree-k slice,
+    for 0 <= k <= cap, asked once, when degree k is first read; the subspaces
+    are closed under d and products.  Coordinates here refer to its
+    ``basis_rows()``, and ``express`` reads them at the pivots.
     """
 
-    def __init__(self, parent: FreeSlices, bases: Dict[int, Echelon]):
+    def __init__(self, parent: FreeSlices, cap: int, fixed: Callable[[int], Echelon]):
         self.parent = parent
         self.field = parent.field
-        self.cap = max(bases.keys(), default=0)
-        self._echelons = bases
-        self._bases = {k: ech.basis_rows() for k, ech in bases.items()}
-        self._no_basis = Echelon(self.field)  # expresses only the zero vector
+        self.cap = cap
+        self._fixed = fixed
+        self._echelons: Dict[int, Echelon] = {}
+        self._bases: Dict[int, List[Vec]] = {}
         self._d_cols: Dict[int, Dict[int, Vec]] = defaultdict(dict)
-        # (k, l) -> i -> j -> coordinates of bases[k][i] * bases[l][j]
+        # (k, l) -> i -> j -> coordinates of basis(k)[i] * basis(l)[j]
         self._mul = defaultdict(lambda: defaultdict(dict))
 
+    def echelon(self, k: int) -> Echelon:
+        """The degree-k subspace's echelon, computed on first read."""
+        ech = self._echelons.get(k)
+        if ech is None:
+            ech = self._echelons[k] = self._fixed(k) if 0 <= k <= self.cap else Echelon(self.field)
+        return ech
+
+    def basis(self, k: int) -> List[Vec]:
+        rows = self._bases.get(k)
+        if rows is None:
+            rows = self._bases[k] = self.echelon(k).basis_rows()
+        return rows
+
     def dim(self, k: int) -> int:
-        return len(self._bases.get(k, ()))
+        return len(self.basis(k))
 
     def to_parent_vec(self, k: int, vec: Vec) -> Vec:
-        return mat_vec(self._bases.get(k, ()), vec)
+        return mat_vec(self.basis(k), vec)
 
     def express(self, k: int, parent_vec: Vec) -> Vec:
-        coords = self._echelons.get(k, self._no_basis).coordinates(parent_vec)
+        coords = self.echelon(k).coordinates(parent_vec)
         if coords is None:
             raise NotInSubcomplex("vector does not lie in the subcomplex slice", degree=k)
         return coords
@@ -139,7 +154,7 @@ class SubcomplexSlices:
         """d of basis vector i of degree k, computed once; callers must not mutate it."""
         cols = self._d_cols[k]
         if i not in cols:
-            cols[i] = self.express(k + 1, self.parent.d_vec(k, self._bases[k][i]))
+            cols[i] = self.express(k + 1, self.parent.d_vec(k, self.basis(k)[i]))
         return cols[i]
 
     def d_vec(self, k: int, vec: Vec) -> Vec:
@@ -150,7 +165,7 @@ class SubcomplexSlices:
             raise DegreeOverflow("product degree exceeds the subcomplex range",
                                  degree=k + l)
         return bilinear(self._mul[k, l], u, v, lambda i, j: self.express(
-            k + l, self.parent.mul_vec(k, self._bases[k][i], l, self._bases[l][j])))
+            k + l, self.parent.mul_vec(k, self.basis(k)[i], l, self.basis(l)[j])))
 
     def unit_vec(self) -> Vec:
         return self.express(0, self.parent.unit_vec())

@@ -19,7 +19,6 @@ import argparse
 import functools
 import json
 import sys
-from fractions import Fraction
 from typing import List, Optional
 
 from .algebra import element_data
@@ -30,6 +29,7 @@ from .massey import INCONCLUSIVE, MasseyReport, a_massey, higher_massey, triple_
 from .minmodel import UNKNOWN, build_minimal_model, formality_verdict, s_formality_check
 from .models import FIXED_PRESETS, PARAMETRIC_PRESETS, preset_document
 from .serialize import (
+    _rational,
     algebra_part,
     cohomology_report,
     document_from_json,
@@ -80,11 +80,10 @@ def _select_class(ring: CohomologyRing, classes, token: str) -> CohomClass:
             data = json.loads(token)
             degree, values = data["degree"], data.get("coords", [])
             if (type(degree) is not int or not 0 <= degree <= ring.max_degree
-                    or type(values) is not list
-                    or any(type(v) not in (int, float, str) for v in values)):
+                    or type(values) is not list):
                 raise TypeError
-            values = [Fraction(str(v)) for v in values]
-        except (ValueError, TypeError, KeyError, ZeroDivisionError):
+            values = [_rational(v) for v in values]
+        except (ValueError, TypeError, KeyError, ParseError):
             raise ParseError("a class selector needs an integer degree from 0 to the "
                              "max degree and a list of numbers as coords",
                              selector=token, max_degree=ring.max_degree) from None

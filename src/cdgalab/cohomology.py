@@ -1,5 +1,7 @@
 """Per-degree cohomology of a capped slice complex.
 
+Each degree is computed on first read: a degree-k query eliminates d_{k-1} and d_k
+once, when it first needs them, and construction only checks its arguments.
 Representatives are canonical: the kernel basis of d is reduced against the
 reduced row-echelon form of the previous image, so golden outputs are
 reproducible bit for bit.  ``class_of`` reduces a closed vector by that
@@ -15,6 +17,7 @@ an invariant subcomplex.
 from __future__ import annotations
 
 from collections import defaultdict
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
@@ -68,8 +71,31 @@ class CohomClass:
                 and self.degree == other.degree and self.coords == other.coords)
 
 
+class BettiNumbers(Sequence):
+    """b_0, ..., b_max of a ring, each computed on first read; equal to the list of them.
+
+    ``CohomologyRing.betti`` makes one per read: kept on the ring, a view would
+    make a reference cycle that only the cycle collector frees."""
+
+    def __init__(self, ring: "CohomologyRing"):
+        self._ring = ring
+
+    def __len__(self) -> int:
+        return self._ring.max_degree + 1
+
+    def __getitem__(self, k):
+        # k as a list reads it: negatives count from the end, IndexError past it
+        return list(self)[k] if isinstance(k, slice) else len(self._ring.reps(range(len(self))[k]))
+
+    def __eq__(self, other):
+        return list(self) == (list(other) if isinstance(other, BettiNumbers) else other)
+
+    def __repr__(self) -> str:
+        return repr(list(self))
+
+
 class CohomologyRing:
-    """Betti numbers, canonical representatives and cup products."""
+    """Betti numbers, canonical representatives and cup products, per degree on first read."""
 
     def __init__(self, slices: Slices, max_degree: int,
                  volume: Optional[Monomial] = None, group_order: int = 1):
@@ -86,37 +112,48 @@ class CohomologyRing:
         if volume is not None:
             spec = slices.spec if isinstance(slices, FreeSlices) else slices.parent.spec
             self.top_degree = monomial_degree(spec, volume)
-        self.betti: List[int] = []
-        self._reps: List[List[Vec]] = []
-        self._image: List[Echelon] = []
-        self._rep_echelons: List[Echelon] = []
+        # k -> (ker d_k, im d_k), eliminated on first use; d_{-1} is the zero map
+        self._d: Dict[int, Tuple[Echelon, Echelon]] = {
+            -1: (Echelon(self.field), Echelon(self.field))}
+        # k -> (representatives of H^k, their echelon), on first read
+        self._degrees: Dict[int, Tuple[List[Vec], Echelon]] = {}
         # (p, q) -> i -> j -> coords of [rep_i * rep_j], filled on first use
         self._cup = defaultdict(lambda: defaultdict(dict))
         # (degree, q, coords) of a class u -> span of u * H^q, on first use
         self._spans: Dict[tuple, Tuple[Echelon, List[Vec]]] = {}
-        prev_image = Echelon(self.field)
-        for k in range(max_degree + 1):
-            kernel, image_next = kernel_image(
-                self.field, slices.dim(k), lambda i, k=k: slices.d_col(k, i))
-            residuals = (prev_image.reduce(kvec)[0] for kvec in kernel.basis_rows())
+
+    betti = property(BettiNumbers)  # a fresh view per read
+
+    def _kernel_image(self, k: int) -> Tuple[Echelon, Echelon]:
+        hit = self._d.get(k)
+        if hit is None:
+            hit = self._d[k] = kernel_image(self.field, self.slices.dim(k),
+                                            lambda i: self.slices.d_col(k, i))
+        return hit
+
+    def image(self, k: int) -> Echelon:
+        """The RREF of im d_{k-1} in degree k."""
+        return self._kernel_image(k - 1)[1]
+
+    def _degree(self, k: int) -> Tuple[List[Vec], Echelon]:
+        hit = self._degrees.get(k)
+        if hit is None:
+            image = self.image(k)
+            residuals = (image.reduce(kvec)[0] for kvec in self._kernel_image(k)[0].basis_rows())
             rep_echelon = span(self.field, (r for r in residuals if r))
-            reps = rep_echelon.basis_rows()
-            self.betti.append(len(reps))
-            self._reps.append(reps)
-            self._image.append(prev_image)
-            self._rep_echelons.append(rep_echelon)
-            prev_image = image_next
+            hit = self._degrees[k] = (rep_echelon.basis_rows(), rep_echelon)
+        return hit
 
     # -- classes ---------------------------------------------------------
 
     def reps(self, k: int) -> List[Vec]:
-        return self._reps[k]
+        return self._degree(k)[0]
 
     def rep_class(self, k: int, j: int) -> CohomClass:
         return CohomClass(self, k, {j: self.field.one})
 
     def rep_combination(self, k: int, coords: Vec) -> Vec:
-        return mat_vec(self._reps[k], coords)
+        return mat_vec(self.reps(k), coords)
 
     def _closed(self, z: Union[Element, Vec], degree: Optional[int],
                 overflow: str) -> Tuple[int, Vec]:
@@ -142,7 +179,7 @@ class CohomologyRing:
         degree, vec = self._closed(z, degree, "class degree beyond the computed range")
         # The representatives vanish at the image's pivots, so reducing by
         # the image leaves exactly the combination of representatives.
-        coords = self._rep_echelons[degree].coordinates(self._image[degree].reduce(vec)[0])
+        coords = self._degree(degree)[1].coordinates(self.image(degree).reduce(vec)[0])
         if coords is None:
             raise NotClosed("element is not in ker(d) + im(d); internal inconsistency")
         return CohomClass(self, degree, coords)
@@ -153,9 +190,8 @@ class CohomologyRing:
         if p + q > self.max_degree:
             raise DegreeOverflow("cup product lands beyond the computed range",
                                  degree=p + q)
-        reps = self._reps
         out = bilinear(self._cup[p, q], u.coords, v.coords, lambda i, j: self.class_of(
-            self.slices.mul_vec(p, reps[p][i], q, reps[q][j]), p + q).coords)
+            self.slices.mul_vec(p, self.reps(p)[i], q, self.reps(q)[j]), p + q).coords)
         return CohomClass(self, p + q, out)
 
     def cup_span(self, u: CohomClass, q: int) -> Tuple[Echelon, List[Vec]]:
@@ -177,7 +213,7 @@ class CohomologyRing:
         degree, vec = self._closed(z, degree, "exactness query beyond the computed range")
         if not vec:
             return {}
-        return self._image[degree].solve(vec)
+        return self.image(degree).solve(vec)
 
     # -- top class and duality --------------------------------------------
 

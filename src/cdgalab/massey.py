@@ -21,6 +21,7 @@ else is INCONCLUSIVE.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -36,15 +37,22 @@ INCONCLUSIVE = "INCONCLUSIVE"
 
 @dataclass
 class MasseyReport:
-    """A Massey product's verdict; it is defined exactly when it has a representative."""
+    """A Massey product's verdict; it is defined exactly when it has a representative.
+
+    ``evidence`` keeps primitives and defining systems as (degree, vector) pairs;
+    ``certificate`` is the evidence with those rendered, on first read."""
 
     kind: str
     verdict: str
     representative: Optional[CohomClass] = None
     indeterminacy: List[CohomClass] = dc_field(default_factory=list)
     obstruction: Optional[str] = None
-    certificate: Dict[str, object] = dc_field(default_factory=dict)
+    evidence: Dict[str, object] = dc_field(default_factory=dict)
     notes: List[str] = dc_field(default_factory=list)
+
+    @cached_property
+    def certificate(self) -> Dict[str, object]:
+        return _rendered(self.evidence, self.representative)
 
     @property
     def defined(self) -> bool:
@@ -61,6 +69,17 @@ class MasseyReport:
     @property
     def indeterminacy_dimension(self) -> int:
         return len(self.indeterminacy)
+
+
+def _rendered(value, rep: Optional[CohomClass]):
+    """value with each (degree, vector) pair in it rendered in rep's ring."""
+    if isinstance(value, tuple):
+        return rep.ring.slices.to_element(*value).render()
+    if isinstance(value, list):
+        return [_rendered(v, rep) for v in value]
+    if isinstance(value, dict):
+        return {key: _rendered(v, rep) for key, v in value.items()}
+    return value
 
 
 def triple_massey(ring: CohomologyRing, u: CohomClass, v: CohomClass,
@@ -96,10 +115,8 @@ def triple_massey(ring: CohomologyRing, u: CohomClass, v: CohomClass,
     return MasseyReport(
         kind="triple", verdict=ZERO if span.contains(rep.coords) else NONZERO,
         representative=rep, indeterminacy=[CohomClass(ring, target, c) for c in indet],
-        certificate={
-            "primitive_uv": ring.slices.to_element(u.degree + v.degree - 1, x).render(),
-            "primitive_vw": ring.slices.to_element(v.degree + w.degree - 1, y).render(),
-        })
+        evidence={"primitive_uv": (u.degree + v.degree - 1, x),
+                  "primitive_vw": (v.degree + w.degree - 1, y)})
 
 
 def _primitive(ring: CohomologyRing, a: CohomClass, b: CohomClass,
@@ -148,8 +165,7 @@ def a_massey(ring: CohomologyRing, a: CohomClass, bs: Sequence[CohomClass],
         return ring.class_of(total, sum(deg for deg, _ in factors))
 
     rep = representative(xis)
-    certificate = {
-        "primitives": [ring.slices.to_element(d, v).render() for d, v in xis]}
+    evidence = {"primitives": list(xis)}
     shift_dims = []
     for deg, _ in xis:
         if deg > ring.max_degree:
@@ -158,17 +174,16 @@ def a_massey(ring: CohomologyRing, a: CohomClass, bs: Sequence[CohomClass],
             shift_dims.append(ring.betti[deg])
     if all(b == 0 for b in shift_dims if b is not None) and None not in shift_dims:
         verdict = ZERO if rep.is_zero() else NONZERO
-        certificate["no_indeterminacy"] = \
-            "every primitive degree has vanishing cohomology"
+        evidence["no_indeterminacy"] = "every primitive degree has vanishing cohomology"
         return MasseyReport(kind=kind, verdict=verdict, representative=rep,
-                            indeterminacy=[], certificate=certificate)
+                            indeterminacy=[], evidence=evidence)
     if rep.is_zero():
-        return MasseyReport(kind=kind, verdict=ZERO, representative=rep, certificate=certificate,
+        return MasseyReport(kind=kind, verdict=ZERO, representative=rep, evidence=evidence,
                             notes=["zero exhibited by the canonical primitives"])
     param_dim = sum(b or 0 for b in shift_dims)
     if param_dim > budget or None in shift_dims:
         return MasseyReport(kind=kind, verdict=INCONCLUSIVE, representative=rep,
-                            certificate=certificate,
+                            evidence=evidence,
                             notes=[f"shift space of dimension {param_dim} exceeds "
                                    f"budget {budget}" if param_dim > budget else
                                    "a primitive degree lies beyond the computed range"])
@@ -189,7 +204,7 @@ def a_massey(ring: CohomologyRing, a: CohomClass, bs: Sequence[CohomClass],
         # exactly rep + span(directions).
         return MasseyReport(kind=kind, verdict=ZERO if span.contains(rep.coords) else NONZERO,
                             representative=rep, indeterminacy=directions,
-                            certificate=certificate, notes=["order-2 family is affine"])
+                            evidence=evidence, notes=["order-2 family is affine"])
     # n >= 3: joint shifts create cross terms.  Solve the affine part and
     # verify the candidate by recomputing the representative exactly.
     sol_ech = Echelon(ring.field)
@@ -210,10 +225,10 @@ def a_massey(ring: CohomologyRing, a: CohomClass, bs: Sequence[CohomClass],
         candidate = representative(combined)
         if candidate.is_zero():
             return MasseyReport(kind=kind, verdict=ZERO, representative=rep,
-                                indeterminacy=directions, certificate=certificate,
+                                indeterminacy=directions, evidence=evidence,
                                 notes=["zero exhibited by an explicit shifted system"])
     return MasseyReport(kind=kind, verdict=INCONCLUSIVE, representative=rep,
-                        indeterminacy=directions, certificate=certificate,
+                        indeterminacy=directions, evidence=evidence,
                         notes=["cross terms prevent an exact decision within budget"])
 
 
@@ -235,8 +250,8 @@ def higher_massey(ring: CohomologyRing, classes: Sequence[CohomClass],
                     kind=kind, verdict=INCONCLUSIVE,
                     obstruction=f"window {start + 1}..{start + width} has verdict "
                                 f"{sub.verdict}",
-                    certificate={"failing_window": [start + 1, start + width],
-                                 "window_verdict": sub.verdict},
+                    evidence={"failing_window": [start + 1, start + width],
+                              "window_verdict": sub.verdict},
                     notes=["a lower-order product is undefined or nonzero"])
 
     sl = ring.slices
@@ -269,19 +284,18 @@ def higher_massey(ring: CohomologyRing, classes: Sequence[CohomClass],
     deg, vec = rhs(system, 1, t)
     rep = ring.class_of(vec, deg)
     keys = sorted(stages)
-    certificate = {"system": {f"a[{i},{j}]": sl.to_element(*system[(i, j)]).render()
-                              for (i, j) in keys}}
+    evidence = {"system": {f"a[{i},{j}]": system[(i, j)] for (i, j) in keys}}
     pdim = sum(ring.betti[system[k][0]] for k in keys
                if system[k][0] <= ring.max_degree)
     if rep.is_zero():
-        return MasseyReport(kind=kind, verdict=ZERO, representative=rep, certificate=certificate,
+        return MasseyReport(kind=kind, verdict=ZERO, representative=rep, evidence=evidence,
                             notes=["zero exhibited by the canonical defining system"])
     if pdim == 0:
-        return MasseyReport(kind=kind, verdict=NONZERO, representative=rep, certificate=certificate,
+        return MasseyReport(kind=kind, verdict=NONZERO, representative=rep, evidence=evidence,
                             notes=["no parameter freedom: single-valued product"])
     if pdim > budget:
         return MasseyReport(kind=kind, verdict=INCONCLUSIVE, representative=rep,
-                            certificate=certificate,
+                            evidence=evidence,
                             notes=[f"parameter space {pdim} exceeds budget {budget}"])
     # Valid single-group perturbations give affine directions; quadratic
     # cross-terms are probed on pairs of them, reusing each one's value.
@@ -319,7 +333,7 @@ def higher_massey(ring: CohomologyRing, classes: Sequence[CohomClass],
         verdict = INCONCLUSIVE
         note = "cross terms present; zero not exhibited"
     return MasseyReport(kind=kind, verdict=verdict, representative=rep,
-                        indeterminacy=directions, certificate=certificate, notes=[note])
+                        indeterminacy=directions, evidence=evidence, notes=[note])
 
 
 def _system_value(ring: CohomologyRing, system, t, stages, rhs) -> Optional[CohomClass]:

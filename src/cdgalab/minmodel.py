@@ -225,6 +225,12 @@ def s_formality_check(mm: MinimalModel, s: int) -> SFormalityReport:
                             checked_through=mm.bound, splitting_unique=unique)
 
 
+def _zero_differential(ring: CohomologyRing) -> bool:
+    """Whether d vanishes below the top degree (each H^k there is the whole slice);
+    every defined Massey product then has zero primitives, so none is NONZERO."""
+    return all(ring.betti[k] == ring.slices.dim(k) for k in range(ring.max_degree))
+
+
 def massey_scan(ring: CohomologyRing, budget: int = 2000) -> Optional[MasseyReport]:
     """First NONZERO triple or a-product found among representative classes.
 
@@ -232,6 +238,8 @@ def massey_scan(ring: CohomologyRing, budget: int = 2000) -> Optional[MasseyRepo
     scan first tabulates exact pairs with their canonical primitives and only
     evaluates products built from them; the budget counts Massey evaluations.
     """
+    if _zero_differential(ring):
+        return None
     spent = 0
     degs = [k for k in range(1, ring.max_degree + 1) if ring.betti[k]]
     exact_pairs: Dict[Tuple[int, int], Dict[Tuple[int, int], Vec]] = {}
@@ -300,13 +308,8 @@ def formality_verdict(ring: CohomologyRing, *,
                       poincare_dimension: Optional[int] = None,
                       simply_connected: bool = False,
                       budget: int = 400) -> FormalityReport:
-    """Combine obstruction scans, the duality criterion and small-dimension facts.
-
-    Zero differential is checked first: every defined Massey product then has
-    zero primitives, so the scan could not find a witness.  d vanishes below
-    the top degree exactly when each H^k there is the whole slice.
-    """
-    if all(ring.betti[k] == ring.slices.dim(k) for k in range(ring.max_degree)):
+    """Combine obstruction scans, the duality criterion and small-dimension facts."""
+    if _zero_differential(ring):
         return FormalityReport(verdict=FORMAL, route="zero_differential",
                                certificate={"reason": "the algebra equals its "
                                                       "own cohomology"})

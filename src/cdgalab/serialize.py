@@ -11,8 +11,8 @@ appears, so no promotion logic is needed downstream.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from math import lcm
 from typing import Dict, List, Optional
 
@@ -133,9 +133,14 @@ def algebra_to_json(spec: AlgebraSpec) -> dict:
     return doc
 
 
-def _collect_moduli(doc: dict) -> int:
-    moduli = [_integer(doc.get("zeta", 1), "modulus")]
-    for expr in list(doc.get("differential", {}).values()) + doc.get("relations", []):
+def _collect_moduli(doc: dict, inner: dict) -> int:
+    """The lcm of every modulus in the algebra ``inner``, the classes and the action images."""
+    moduli = [_integer(inner.get("zeta", 1), "modulus")]
+    exprs = list(inner.get("differential", {}).values()) + inner.get("relations", [])
+    action = doc.get("action")
+    for part in (doc.get("classes"), action.get("images") if isinstance(action, dict) else None):
+        exprs += part.values() if isinstance(part, dict) else ()
+    for expr in exprs:
         for term in _terms(expr):
             moduli.extend(_scalar_moduli(term.get("coeff")))
     if min(moduli) < 1:
@@ -167,17 +172,16 @@ def algebra_part(doc) -> dict:
 
 
 def algebra_from_json(doc: dict) -> AlgebraSpec:
-    doc = algebra_part(doc)
-    modulus = _collect_moduli(doc)
-    field = CycField.get(modulus)
+    inner = algebra_part(doc)
+    field = CycField.get(_collect_moduli(doc, inner))
     gens = [GeneratorDecl(name=g["name"], degree=_integer(g["degree"], "generator degree"),
-                          conjugate_of=g.get("conjugate_of")) for g in doc["generators"]]
-    cap = doc.get("degree_cap")
+                          conjugate_of=g.get("conjugate_of")) for g in inner["generators"]]
+    cap = inner.get("degree_cap")
     return AlgebraSpec(
         field, gens,
         differential={name: _expr_terms(expr, field)
-                      for name, expr in doc.get("differential", {}).items()},
-        relations=[_expr_terms(expr, field) for expr in doc.get("relations", [])],
+                      for name, expr in inner.get("differential", {}).items()},
+        relations=[_expr_terms(expr, field) for expr in inner.get("relations", [])],
         degree_cap=_integer(cap, "degree cap") if cap is not None else None)
 
 
@@ -262,4 +266,22 @@ def cohomology_report(ring: CohomologyRing, pairing_degree: Optional[int] = None
 
 
 def dumps(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=False) + "\n"
+    """``json.dumps(obj, indent=2) + "\\n"`` in one recursive pass, for str keys and
+    str, int, bool, None, list and dict values; anything else is a TypeError."""
+    return _json(obj, "\n") + "\n"
+
+
+def _json(obj, newline: str) -> str:
+    """obj as json.dumps(indent=2) writes it at the indentation that ``newline`` ends in."""
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if isinstance(obj, (dict, list)):
+        inner, ends = newline + "  ", "{}" if isinstance(obj, dict) else "[]"
+        items = ([f"{encode_basestring_ascii(k)}: {_json(v, inner)}" for k, v in obj.items()]
+                 if ends == "{}" else [_json(v, inner) for v in obj])
+        return ends[0] + inner + ("," + inner).join(items) + newline + ends[1] if items else ends
+    if obj is None or isinstance(obj, bool):
+        return "null" if obj is None else "true" if obj else "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")

@@ -158,13 +158,13 @@ def averaging_projector(act: GroupActionSpec, k: int) -> List[Vec]:
 
 
 def invariant_complex(act: GroupActionSpec, max_degree: Optional[int] = None) -> SubcomplexSlices:
-    """The fixed subcomplex, with canonical per-degree bases."""
+    """The fixed subcomplex, with canonical per-degree bases, each built on first read."""
     spec = act.parent
     top = spec.degree_cap if max_degree is None else max_degree
     # The span of the averaging projector's columns is the fixed space, since
     # rho* P = P and P v = v for fixed v; a subspace has only one RREF basis.
-    return SubcomplexSlices(act._slices, {
-        k: span(spec.field, averaging_projector(act, k)) for k in range(top + 1)})
+    return SubcomplexSlices(act._slices, top,
+                            lambda k: span(spec.field, averaging_projector(act, k)))
 
 
 def invariant_cohomology(act: GroupActionSpec, max_degree: int,

@@ -379,8 +379,9 @@ def test_each_d_col_is_computed_once_and_never_mutated(name, params, invariant, 
         assert len(solves) == len(cols)
     else:
         assert len(leibniz) == len(cols)
-    # The ring reads every column from the cache, and its elimination copies them.
-    CohomologyRing(sl, sl.cap - 1)
+    # The ring, every degree read, takes each column from the cache, and its
+    # elimination copies them.
+    assert list(CohomologyRing(sl, sl.cap - 1).betti)
     assert all(sl.d_col(k, i) is col for (k, i), col in cols.items())
     assert {key: list(col.items()) for key, col in cols.items()} == first
     assert (len(leibniz), len(solves)) == counts

@@ -73,6 +73,7 @@ BAD_SELECTORS = {
     "word-coords": '{"degree": 1, "coords": ["x"]}',
     "zero-denominator": '{"degree": 1, "coords": ["1/0"]}',
     "boolean-coords": '{"degree": 1, "coords": [true]}',
+    "fractional-float-coords": '{"degree": 1, "coords": [0.1]}',
     "unclosed-json": '{"degree": 1, "coords": ["1"]',
 }
 SELECTOR_COMMANDS = [
@@ -328,6 +329,19 @@ MALFORMED_DOCUMENTS = {
                            {"half_dim": 2, "dim": 6}),
     "word-half-dim": (lambda: _t6_with(lambda d: d.update(half_dim="x")), {"got": "x"}),
 }
+
+
+def test_class_and_image_moduli_raise_the_document_modulus(capsys, monkeypatch):
+    # The modulus is the lcm of every modulus that appears, classes and images too.
+    zeta4 = {"zeta": 4, "poly": ["0", "1"]}
+    t6 = _t6_with(lambda d: d["classes"]["a1"][0].update(coeff=zeta4))
+    code, out, err = main_in_process(["massey", "--select", "a1", "--select", "a2", "--select",
+                                      "a1", "--format", "json"], t6, capsys, monkeypatch)
+    assert (code, err) == (0, "") and "(z4)" in out
+    minus_one = {"zeta": 4, "poly": ["-1"]}
+    t6z2 = _t6_with(lambda d: d["action"]["images"]["x1"][0].update(coeff=minus_one), "T6_Z2")
+    code, out, err = main_in_process(["invariants"], t6z2, capsys, monkeypatch)
+    assert (code, err) == (0, "") and out.startswith("betti: 1 0 15 0 15 0 1")
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED_DOCUMENTS))

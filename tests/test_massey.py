@@ -324,8 +324,9 @@ def test_higher_massey_evaluates_each_defining_system_once(monkeypatch):
 
 
 def test_massey_scan_builds_one_span_per_piece(monkeypatch):
-    # T6 has d = 0, so the scan runs through its whole budget of triples;
-    # each indeterminacy piece u * H^q is built once and then shared.
+    # T6 has d = 0, so with the zero-differential shortcut off the scan runs
+    # through its whole budget of triples; each indeterminacy piece u * H^q
+    # is built once and then shared.
     import importlib
 
     from cdgalab import minmodel
@@ -344,6 +345,7 @@ def test_massey_scan_builds_one_span_per_piece(monkeypatch):
 
     monkeypatch.setattr(cohomology_module, "class_span", counted_span)
     monkeypatch.setattr(minmodel, "triple_massey", counted_triple)
+    monkeypatch.setattr(minmodel, "_zero_differential", lambda ring: False)
     ring = cohomology(preset("T6").spec, 6)
     assert minmodel.massey_scan(ring) is None
     assert counts["triples"] == 2000

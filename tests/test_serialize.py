@@ -2,6 +2,7 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cdgalab.errors import InhomogeneousElement, ParseError
 from cdgalab.models import preset, preset_document
@@ -12,6 +13,7 @@ from cdgalab.serialize import (
     cohomology_report,
     document_from_json,
     document_to_json,
+    dumps,
     element_from_json,
     element_to_json,
     scalar_from_json,
@@ -124,3 +126,26 @@ def test_full_document_roundtrip_bit_exact():
         emitted2 = document_to_json(spec2, action=action2, classes=classes2,
                                     volume=volume2, meta=meta2)
         assert json.dumps(emitted) == json.dumps(emitted2)
+
+
+# -- the report writer ------------------------------------------------------------
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-10**40, 10**40)
+    | st.text(alphabet=st.characters(codec="utf-8"), max_size=6)
+    | st.sampled_from(["", "\"", "\\", "\n\t", "é", "ζ₁₂", "\x00", "\U0001d49e"]),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=20)
+
+
+@settings(max_examples=300, deadline=None)
+@given(JSON_VALUES)
+def test_dumps_writes_what_the_stdlib_encoder_writes(value):
+    assert dumps(value) == json.dumps(value, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("value", [1.5, (1, 2), {1: "a"}, {"a": [set()]}])
+def test_dumps_refuses_what_a_report_never_holds(value):
+    with pytest.raises(TypeError):
+        dumps(value)

@@ -216,7 +216,8 @@ def test_restriction_preserves_cup_structure():
 
 
 def test_subcomplex_degree_without_basis_holds_only_zero():
-    slices = SubcomplexSlices(FreeSlices(exterior("ab").validate()), {0: span(Q, [{0: Q.one}])})
+    slices = SubcomplexSlices(FreeSlices(exterior("ab").validate()), 0,
+                              lambda k: span(Q, [{0: Q.one}]))
     assert slices.express(1, {}) == {}
     with pytest.raises(NotInSubcomplex):
         slices.express(1, {0: Q.one})

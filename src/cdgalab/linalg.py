@@ -7,8 +7,9 @@ bases and solutions of linear systems are canonical and reproducible.
 
 Work whose result is known is skipped: a zero coefficient adds nothing, a
 coefficient 1 multiplies nothing, a fresh entry (a product of nonzero field
-elements) is stored without a zero test, and a row whose lead is already 1
-is stored without inverting or scaling it.
+elements) is stored without a zero test, a row whose lead is already 1
+is stored without inverting or scaling it, and the entry an elimination
+step clears (c + (-c) * 1 at a stored row's pivot) is dropped, not summed.
 """
 
 from __future__ import annotations
@@ -111,8 +112,9 @@ class Echelon:
         rows = self._rows
         for col in sorted(col for col in row if col in rows):
             prow, psrc = rows[col]
-            c = -row[col]
+            c = -row.pop(col)
             vec_iadd(row, prow, c)
+            del row[col]  # prow is 1 at col: the entry cancels, so it is dropped
             if src is not None and psrc is not None:
                 vec_iadd(src, psrc, c)
         return row, src
@@ -135,9 +137,11 @@ class Echelon:
         holders, others = self._holders, [col for col in row if col != pivot]
         for p in holders.pop(pivot, ()):
             old, psrc = self._rows[p]
-            c = old[pivot]
+            prow = dict(old)
+            c = prow.pop(pivot)
             nsrc = vec_add(psrc, src, -c) if (psrc is not None and src is not None) else psrc
-            prow = vec_add(old, row, -c)
+            vec_iadd(prow, row, -c)
+            del prow[pivot]  # row is 1 at pivot: the entry cancels, so it is dropped
             self._rows[p] = (prow, nsrc)
             for col in others:
                 if col in prow:

@@ -2,12 +2,15 @@
 
 The generator of the group acts on algebra generators by homogeneous
 elements; the action extends multiplicatively.  An action validates on
-construction (chain condition, exact order, conjugation pairs).  The
-invariant subcomplex is cut out per degree by the averaging projector (the
-group order is invertible over Q(zeta_N)), applied through the action's
-matrix on that degree's monomial basis, and its cohomology is a full
-:class:`~cdgalab.cohomology.CohomologyRing` over the subcomplex slices, so
-cup products, Massey products and Lefschetz tests all apply.
+construction (chain condition, a relation ideal it preserves, exact order,
+conjugation pairs).  The invariant subcomplex is cut out per degree by the
+averaging projector (the group order is invertible over Q(zeta_N)), applied
+through the action's matrix on that degree's monomial basis; a column that
+is an eigenvector of the action is read off, every other sums its orbit,
+and the Burnside trace sums every orbit, as an independent check.  Its
+cohomology is a full :class:`~cdgalab.cohomology.CohomologyRing` over the
+subcomplex slices, so cup products, Massey products and Lefschetz tests all
+apply.
 """
 
 from __future__ import annotations
@@ -16,11 +19,12 @@ from fractions import Fraction
 from typing import Dict, List, Optional
 
 from .algebra import AlgebraSpec, Element, Monomial
-from .chains import FreeSlices, SubcomplexSlices, chain_defect
+from .chains import FreeSlices, SubcomplexSlices, chain_defect, extend
 from .cohomology import CohomologyRing
 from .errors import (
     CapTooLow,
     ConjugationBroken,
+    IdealNotStable,
     NoConjugateDeclared,
     NotChainMap,
     OrderMismatch,
@@ -107,6 +111,11 @@ class GroupActionSpec:
                 generator=name,
                 witness=self._slices.to_element(spec.generators[gi].degree + 1,
                                                 diff).render())
+        # rho* is defined on the quotient only if it maps each relation into the ideal
+        for rel in spec.relations:
+            if extend(self._slices, self._image_vecs, rel):
+                raise IdealNotStable("the action does not map a relation into the relation ideal",
+                                     relation=rel.render(), degree=rel.degree)
         gen_vecs = {gi: self._slices.from_element(spec.gen(g.name))
                     for gi, g in enumerate(spec.generators)}
         current = {gi: vec for gi, (_, vec) in self._image_vecs.items()}
@@ -152,8 +161,11 @@ def averaging_projector(act: GroupActionSpec, k: int) -> List[Vec]:
     if cols is None:
         field = act.parent.field
         inv_m = field.rational(Fraction(1, act.order))
-        cols = act._projectors[k] = [vec_scale(_orbit_sum(act, k, {i: field.one}), inv_m)
-                                     for i in range(len(act.matrix(k)))]
+        # rho* e_i = lam e_i has lam^m = 1, so P e_i is e_i if lam = 1, else 0
+        cols = act._projectors[k] = [
+            ({i: field.one} if col[i] == field.one else {}) if col.keys() == {i}
+            else vec_scale(_orbit_sum(act, k, {i: field.one}), inv_m)
+            for i, col in enumerate(act.matrix(k))]
     return cols
 
 

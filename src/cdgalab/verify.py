@@ -38,6 +38,7 @@ from .symmetry import (
     GroupActionSpec,
     averaging_projector,
     burnside_invariant_dimension,
+    fixed_subspace_of_cohomology,
     invariant_cohomology,
     invariant_complex,
 )
@@ -443,7 +444,6 @@ def property_battery(cases: int = 1000, seed: int = 0) -> CheckResult:
                 slices.d_vec(k, pe) == mat_vec(proj_next, slices.d_vec(k, e)))
         Hinv = invariant_cohomology(act, ngen)
         Hfull = cohomology(spec, ngen)
-        from .symmetry import fixed_subspace_of_cohomology
         for kk in range(ngen + 1):
             fixed = fixed_subspace_of_cohomology(act, Hfull, kk)
             ok_dims = ok_dims and len(fixed) == Hinv.betti[kk]

@@ -174,10 +174,35 @@ def _random_weight_actions(count, seed):
     return out
 
 
-ACTIONS = _random_weight_actions(24, seed=3) + [preset("HEIS6_Z6").action]
+def _permutation_action(field, order, images):
+    """An action on degree-1 generators that moves some generator off its own line."""
+    spec = AlgebraSpec(field, [GeneratorDecl(name, 1) for name in images],
+                       degree_cap=len(images) + 1)
+    return GroupActionSpec(spec, order, {name: [(c, (target,)) for c, target in terms]
+                                         for name, terms in images.items()})
 
 
-@pytest.mark.parametrize("act", ACTIONS, ids=lambda a: f"m{a.order}-{len(a.parent.generators)}gen")
+Q, Z6 = CycField.get(1), CycField.get(6)
+# Each mixes eigenvector columns (xy -> -xy under the swap) with columns
+# that are not eigenvectors, so both ways of building P are reached.
+PERMUTATION_ACTIONS = [
+    _permutation_action(Q, 2, {"x": [(1, "y")], "y": [(1, "x")]}),
+    _permutation_action(Q, 3, {"x": [(1, "y")], "y": [(1, "z")], "z": [(1, "x")]}),
+    _permutation_action(Q, 4, {"x": [(1, "y")], "y": [(-1, "x")]}),
+    _permutation_action(Z6, 6, {"a": [(1, "b")], "b": [(1, "a")],
+                                "c": [(Z6.zeta(1), "c")], "d": [(Z6.zeta(2), "d")]}),
+]
+ACTIONS = (_random_weight_actions(24, seed=3) + PERMUTATION_ACTIONS
+           + [preset("HEIS6_Z6").action])
+
+
+def _action_id(act):
+    # the suffix keeps the diagonal actions' ids as they were
+    diagonal = all(list(img.terms) == [(gi,)] for gi, img in act.images.items())
+    return f"m{act.order}-{len(act.parent.generators)}gen" + ("" if diagonal else "-perm")
+
+
+@pytest.mark.parametrize("act", ACTIONS, ids=_action_id)
 def test_action_matrix_paths_match_element_paths(act):
     slices = FreeSlices(act.parent)
     top = min(act.parent.degree_cap - 1, 6)
@@ -192,8 +217,7 @@ def test_action_matrix_paths_match_element_paths(act):
                 == _element_fixed_subspace(act, ring, k))
 
 
-@pytest.mark.parametrize("act", ACTIONS[:6] + ACTIONS[-1:],
-                         ids=lambda a: f"m{a.order}-{len(a.parent.generators)}gen")
+@pytest.mark.parametrize("act", ACTIONS[:6] + PERMUTATION_ACTIONS + ACTIONS[-1:], ids=_action_id)
 def test_projector_is_built_once_per_degree(act, monkeypatch):
     # The battery asks for P on a degree and then for the invariant complex
     # and the fixed spaces of the same action: only the first call sums orbits.

@@ -6,6 +6,7 @@ from cdgalab.algebra import AlgebraSpec, GeneratorDecl
 from cdgalab.chains import FreeSlices, SubcomplexSlices
 from cdgalab.cohomology import cohomology
 from cdgalab.errors import (
+    IdealNotStable,
     NotChainMap,
     NotInSubcomplex,
     OrderMismatch,
@@ -68,6 +69,20 @@ def test_wrong_weight_breaks_chain_map():
         })
     # rho*(d theta) = z^5 mu nu against d(rho* theta) = z mu nu; z^5 - z = 1 - 2 zeta_12^2
     assert err.value.details == {"generator": "theta", "witness": "(1 - 2*z12^2)*mu*nu"}
+
+
+def test_action_must_preserve_the_relation_ideal():
+    # rho(a^2 - ab) = a^2 + ab = 2ab modulo a^2 = ab, which is not in the ideal,
+    # so rho is not defined on the quotient.
+    spec = AlgebraSpec(Q, [GeneratorDecl("x", 1), GeneratorDecl("y", 1),
+                           GeneratorDecl("a", 2), GeneratorDecl("b", 2)],
+                       relations=[[(1, ("a", "a")), (-1, ("a", "b"))]], degree_cap=7)
+    images = {"x": [(-1, ("x",))], "y": [(1, ("y",))], "a": [(-1, ("a",))]}
+    with pytest.raises(IdealNotStable) as err:
+        GroupActionSpec(spec, 2, {**images, "b": [(1, ("b",))]})
+    assert err.value.details == {"relation": "(1)*a^2 + (-1)*a*b", "degree": 4}
+    # b -> -b keeps a^2 - ab on its own line, so that action validates
+    assert GroupActionSpec(spec, 2, {**images, "b": [(-1, ("b",))]}).order == 2
 
 
 def test_declared_order_must_be_exact():

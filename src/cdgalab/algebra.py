@@ -10,7 +10,8 @@ slice, so every element is stored as the canonical coset representative and
 equality is a coefficient comparison.
 
 A spec validates on construction and is immutable after it; per-degree bases
-and ideal echelons are cached inside the spec.
+and ideal echelons are cached inside the spec.  ``AlgebraSpec.adjoin`` returns
+a new spec with generators appended and leaves the old one untouched.
 """
 
 from __future__ import annotations
@@ -56,11 +57,6 @@ def monomial_degree(spec: "AlgebraSpec", m: Monomial) -> int:
 def monomial_names(spec: "AlgebraSpec", m: Monomial) -> Tuple[str, ...]:
     """Generator names of a monomial in normal order, each repeated by its exponent."""
     return tuple(spec.generators[g].name for g in m)
-
-
-def element_data(elem: "Element") -> List[Tuple[CycScalar, Tuple[str, ...]]]:
-    """(coeff, names) terms of an element, to rebuild it by name in another spec."""
-    return [(c, monomial_names(elem.parent, m)) for m, c in elem.terms.items()]
 
 
 def normal_form(spec: "AlgebraSpec", word: Sequence[int]):
@@ -228,11 +224,59 @@ class AlgebraSpec:
                  relations: Optional[Sequence["ElementData"]] = None,
                  degree_cap: Optional[int] = None):
         self.field = field
+        self._declare(generators, degree_cap)
+        self._free_basis_cache: Dict[int, List[Monomial]] = {}
+        self._free_index_cache: Dict[int, Dict[Monomial, int]] = {}
+        self._ideal_cache: Dict[int, Echelon] = {}
+        self._basis_cache: Dict[int, List[Monomial]] = {}
+        self._d_mono_cache: Dict[Monomial, Dict[Monomial, CycScalar]] = {}
+        self.differential: Dict[int, Element] = {}
+
+        rel_elems = []
+        for raw in relations or ():
+            try:
+                rel = self.element(raw, reduce=False)
+            except InhomogeneousElement as exc:
+                raise InhomogeneousRelation("relations must be homogeneous",
+                                            **exc.details) from exc
+            if not rel.is_zero():
+                rel_elems.append(rel)
+        self.relations: Tuple[Element, ...] = tuple(rel_elems)
+        # Relation list changed after elements above were built unreduced; any
+        # element constructed from here on is reduced against the ideal.
+        self._put_differentials(differential or {})
+        self.validate()
+
+    def adjoin(self, generators: Sequence[GeneratorDecl], differential: Dict[str, Element],
+               degree_cap: Optional[int] = None) -> "AlgebraSpec":
+        """A new spec with ``generators`` appended, d of each new name an Element of
+        this spec, which is left unchanged.  Old generators keep their indices, so
+        d of an old monomial, d^2 on old generators and the bases below the lowest
+        new degree carry over; relations are checked again under the new cap."""
+        for img in differential.values():
+            self.zero()._guard(img)  # refuses a cap-truncated or foreign image
+        new = object.__new__(type(self))
+        new.field, first = self.field, len(self.generators)
+        new._declare(self.generators + tuple(generators),
+                     self.degree_cap if degree_cap is None else degree_cap)
+        low = min((g.degree for g in new.generators[first:]), default=new.degree_cap + 1)
+        for cache in ("_free_basis_cache", "_free_index_cache", "_ideal_cache", "_basis_cache"):
+            setattr(new, cache, {k: v for k, v in getattr(self, cache).items() if k < low})
+        new._d_mono_cache = dict(self._d_mono_cache)
+        new.relations = tuple(Element(new, r.degree, r.terms, _reduced=True)
+                              for r in self.relations)
+        new.differential = {gi: Element(new, img.degree, img.terms, _reduced=True)
+                            for gi, img in self.differential.items()}
+        new._put_differentials({name: Element(new, img.degree, img.terms)
+                                for name, img in differential.items()}, first)
+        return new.validate(first)
+
+    def _declare(self, generators: Sequence[GeneratorDecl], degree_cap: Optional[int]):
+        """Set and check the generators (names, degrees, conjugates) and the cap."""
         self.generators: Tuple[GeneratorDecl, ...] = tuple(generators)
-        names = [g.name for g in self.generators]
-        if len(set(names)) != len(names):
-            raise ParseError("generator names must be unique")
         self.index: Dict[str, int] = {g.name: i for i, g in enumerate(self.generators)}
+        if len(self.index) != len(self.generators):
+            raise ParseError("generator names must be unique")
         self._odd: Tuple[int, ...] = tuple(g.degree % 2 for g in self.generators)
         for g in self.generators:
             if g.degree < 1:
@@ -261,48 +305,39 @@ class AlgebraSpec:
         if degree_cap < 1:
             raise ParseError("degree_cap must be positive")
         self.degree_cap = degree_cap
-        self._free_basis_cache: Dict[int, List[Monomial]] = {}
-        self._free_index_cache: Dict[int, Dict[Monomial, int]] = {}
-        self._ideal_cache: Dict[int, Echelon] = {}
-        self._basis_cache: Dict[int, List[Monomial]] = {}
-        self._d_mono_cache: Dict[Monomial, Dict[Monomial, CycScalar]] = {}
-        self.relations: Tuple[Element, ...] = ()
-        self.differential: Dict[int, Element] = {}
 
-        rel_elems = []
-        for raw in relations or ():
-            try:
-                rel = self._element_from_data(raw, reduce=False)
-            except InhomogeneousElement as exc:
-                raise InhomogeneousRelation("relations must be homogeneous",
-                                            **exc.details) from exc
-            if rel.is_zero():
-                continue
-            rel_elems.append(rel)
-        self.relations = tuple(rel_elems)
-        # Relation list changed after elements above were built unreduced; any
-        # element constructed from here on is reduced against the ideal.
-        for name, raw in (differential or {}).items():
-            if name not in self.index:
+    def _put_differentials(self, differential: Dict[str, "ElementData"], first: int = 0):
+        """Record d of generators from index ``first`` on, checking each degree."""
+        for name, raw in differential.items():
+            gi = self.index.get(name, -1)
+            if gi < first:
                 raise ParseError(f"differential given for unknown generator '{name}'")
-            gi = self.index[name]
-            img = self._element_from_data(raw)
+            img = self.element(raw)
             if not img.is_zero() and img.degree != self.generators[gi].degree + 1:
                 raise BadDifferentialDegree(
                     f"d({name}) must have degree {self.generators[gi].degree + 1}",
                     generator=name, got=img.degree)
             if not img.is_zero():
                 self.differential[gi] = img
-        self.validate()
 
     # -- construction helpers ------------------------------------------
 
-    def _element_from_data(self, data, reduce=True) -> Element:
-        """Accepts an Element or a list of (coeff, (name, ...)) term pairs."""
+    def element(self, data, reduce: bool = True) -> Element:
+        """Build an element from (coeff, (generator name, ...)) term pairs, or carry
+        over an Element of this spec or of one whose generators prefix this one's.
+        Relations are read with ``reduce=False``, before their ideal exists."""
         if isinstance(data, Element):
-            if data.parent is not self:
+            src = data.parent
+            if src is self:
+                return data
+            if src.field is not self.field or \
+                    self.generators[:len(src.generators)] != src.generators:
                 raise ParentMismatch("element belongs to a different algebra")
-            return data
+            data._guard()
+            if data.terms and data.degree > self.degree_cap:
+                raise CapExceeded("term degree exceeds cap", degree=data.degree,
+                                  cap=self.degree_cap)
+            return Element(self, data.degree, data.terms)
         terms: Dict[Monomial, CycScalar] = {}
         degree = None
         for coeff, names in data:
@@ -331,10 +366,6 @@ class AlgebraSpec:
         if degree is None:
             degree = 0
         return Element(self, degree, terms, _reduced=not reduce)
-
-    def element(self, terms) -> Element:
-        """Build an element from (coeff, (generator name, ...)) term pairs."""
-        return self._element_from_data(terms)
 
     def zero(self, degree: int = 0) -> Element:
         return Element(self, degree, {}, _reduced=True)
@@ -432,20 +463,17 @@ class AlgebraSpec:
 
     # -- validation -----------------------------------------------------
 
-    def validate(self) -> "AlgebraSpec":
-        """Check d^2 = 0, ideal stability and homogeneity; record flags."""
+    def validate(self, first: int = 0) -> "AlgebraSpec":
+        """Check the cap, d^2 = 0 and ideal stability; record flags.  d^2 is checked
+        from generator ``first`` on: ``adjoin``'s source checked the ones before."""
         max_gen = max((g.degree for g in self.generators), default=0)
         if self.degree_cap < max_gen + 2:
             raise CapTooLow(
                 "degree_cap must reach two above the highest generator degree "
                 "so that d^2 can be verified",
                 cap=self.degree_cap, needed=max_gen + 2)
-        for rel in self.relations:
-            if rel.degree > self.degree_cap:
-                raise CapExceeded("relation degree exceeds cap", degree=rel.degree)
         for gi, img in self.differential.items():
-            dd = img.d()
-            if not dd.is_zero():
+            if gi >= first and not (dd := img.d()).is_zero():
                 raise D2Nonzero(
                     f"d^2 is nonzero on generator '{self.generators[gi].name}'",
                     generator=self.generators[gi].name, witness=dd.render())

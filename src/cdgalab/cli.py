@@ -21,7 +21,6 @@ import json
 import sys
 from typing import List, Optional
 
-from .algebra import element_data
 from .cohomology import CohomClass, CohomologyRing, cohomology
 from .errors import CdgaError, ParseError
 from .lefschetz import lefschetz_test, universal_obstruction
@@ -264,18 +263,11 @@ def cmd_circle_bundle(args) -> int:
     from .models import circle_bundle
     doc = _load_document(args)
     spec, action, classes, volume, meta = document_from_json(doc)
-    if args.euler in classes:
-        euler = classes[args.euler]
-    else:
-        euler = element_from_json(json.loads(args.euler), spec)
+    euler = classes[args.euler] if args.euler in classes else \
+        element_from_json(json.loads(args.euler), spec)
     total = circle_bundle(spec, euler, gen_name=args.gen_name)
-    out_classes = {}
-    for name, elem in classes.items():
-        try:
-            out_classes[name] = total.element(element_data(elem))
-        except CdgaError:
-            continue
-    sys.stdout.write(dumps(document_to_json(total, classes=out_classes)))
+    classes = {name: total.element(elem) for name, elem in classes.items()}
+    sys.stdout.write(dumps(document_to_json(total, classes=classes)))
     return 0
 
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from typing import Dict, List, Optional, Tuple
 
-from .algebra import AlgebraSpec, GeneratorDecl, element_data
+from .algebra import AlgebraSpec, Element, GeneratorDecl
 from .chains import FreeSlices, chain_defect, extend
 from .cohomology import CohomologyRing
 from .errors import CapTooLow, NotOneConnected
@@ -61,11 +61,7 @@ class MinimalModel:
         return CohomologyRing(FreeSlices(self.model), top)
 
     def n_generators_through(self, s: int) -> List[str]:
-        out = []
-        for k in sorted(self.cn_split):
-            if k <= s:
-                out.extend(self.cn_split[k][1])
-        return out
+        return [name for k in sorted(self.cn_split) if k <= s for name in self.cn_split[k][1]]
 
 
 @dataclass
@@ -101,9 +97,8 @@ def build_minimal_model(target_ring: CohomologyRing, bound: int) -> MinimalModel
         cn: Dict[int, Tuple[List[str], List[str]]] = {}
         for gi, g in enumerate(spec.generators):
             psi[gi] = (g.degree, slices.from_element(spec.gen(g.name)))
-            closed = spec.gen(g.name).d().is_zero()
             c, n = cn.setdefault(g.degree, ([], []))
-            (c if closed else n).append(g.name)
+            (n if gi in spec.differential else c).append(g.name)
         return MinimalModel(model=spec, bound=bound, psi=psi,
                             target_ring=target_ring, cn_split=cn, identity=True)
 
@@ -114,9 +109,7 @@ def build_minimal_model(target_ring: CohomologyRing, bound: int) -> MinimalModel
                               betti1=target_ring.betti[1])
 
     field = target_ring.field
-    cap = bound + 2
     gens: List[GeneratorDecl] = []
-    diff: Dict[str, List] = {}
     psi: Dict[int, Tuple[int, Vec]] = {}
     cn: Dict[int, Tuple[List[str], List[str]]] = {}
 
@@ -124,11 +117,12 @@ def build_minimal_model(target_ring: CohomologyRing, bound: int) -> MinimalModel
         rep = model_ring.slices.to_element(degree, model_ring.reps(degree)[j])
         return dict(target_ring.class_of(extend(target_ring.slices, psi, rep), degree).coords)
 
-    # Generators are only appended, so an index names the same generator in
-    # every stage's spec, and psi is keyed by index.
-    model = AlgebraSpec(field, gens, degree_cap=cap)
+    # Generators are only appended (``adjoin``), so an index names the same
+    # generator in every stage's spec, and psi is keyed by index.
+    model = AlgebraSpec(field, [], degree_cap=bound + 2)
     for k in range(2, bound + 1):
         new_closed, new_n = cn.setdefault(k, ([], []))
+        diff: Dict[str, Element] = {}
         model_ring = CohomologyRing(FreeSlices(model), k + 1)
         # 1. surjectivity in degree k: adjoin closed generators for a
         #    complement of the image of H^k(psi).
@@ -156,9 +150,9 @@ def build_minimal_model(target_ring: CohomologyRing, bound: int) -> MinimalModel
             new_n.append(name)
             psi[len(gens)] = (k, prim)
             gens.append(GeneratorDecl(name, k))
-            diff[name] = element_data(z_elem)
+            diff[name] = z_elem
         if new_closed or new_n:
-            model = AlgebraSpec(field, gens, differential=diff, degree_cap=cap)
+            model = model.adjoin(gens[len(model.generators):], diff)
 
     # chain-map sanity: psi(d g) = d(psi g) on every generator
     defect = chain_defect(model, target_ring.slices, psi)

@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field as dc_field
+from functools import reduce
 from importlib import resources
 from math import lcm
 from typing import Dict, Optional, Sequence
 
-from .algebra import AlgebraSpec, Element, GeneratorDecl, Monomial, element_data
+from .algebra import AlgebraSpec, Element, GeneratorDecl, Monomial, monomial_names
 from .errors import EulerBadDegree, EulerNotClosed, ParseError, UnknownPreset
 from .scalars import CycField
 from .serialize import document_from_json
@@ -56,24 +57,14 @@ def ce_complex(field: CycField, generators: Sequence[GeneratorDecl],
 
 def circle_bundle(base: AlgebraSpec, euler: Element, gen_name: str = "x") -> AlgebraSpec:
     """Adjoin a degree-1 generator x with dx = euler (a closed 2-cocycle)."""
-    if euler.parent is not base:
-        raise ParseError("Euler class must live in the base algebra")
     if euler.degree != 2 and not euler.is_zero():
         raise EulerBadDegree("Euler class must have degree 2", degree=euler.degree)
     if not euler.d().is_zero():
-        raise EulerNotClosed("Euler class must be closed",
-                             witness=euler.d().render())
+        raise EulerNotClosed("Euler class must be closed", witness=euler.d().render())
     if gen_name in base.index:
         raise ParseError(f"generator name '{gen_name}' already used in the base")
-    gens = list(base.generators) + [GeneratorDecl(gen_name, 1)]
-    diff = {base.generators[gi].name: element_data(img)
-            for gi, img in base.differential.items()}
-    if not euler.is_zero():
-        diff[gen_name] = element_data(euler)
-    rels = [element_data(rel) for rel in base.relations]
-    # scale the coefficients into the same field; carry the cap one higher
-    return AlgebraSpec(base.field, gens, differential=diff, relations=rels,
-                       degree_cap=base.degree_cap + 1)
+    # the total space reaches one degree above the base
+    return base.adjoin([GeneratorDecl(gen_name, 1)], {gen_name: euler}, base.degree_cap + 1)
 
 
 def tensor(a: AlgebraSpec, b: AlgebraSpec) -> AlgebraSpec:
@@ -85,8 +76,8 @@ def tensor(a: AlgebraSpec, b: AlgebraSpec) -> AlgebraSpec:
                          names=sorted(overlap))
 
     def embed(elem: Element):
-        return [(c.embed(target.modulus) if c.field.modulus != target.modulus else c, names)
-                for c, names in element_data(elem)]
+        return [(c.embed(target.modulus) if c.field.modulus != target.modulus else c,
+                 monomial_names(elem.parent, m)) for m, c in elem.terms.items()]
 
     gens = list(a.generators) + list(b.generators)
     diff = {src.generators[gi].name: embed(img)
@@ -190,15 +181,9 @@ def sphere_product_bundle(n: int) -> PresetBundle:
     if n < 2:
         raise ParseError("need at least two sphere factors", n=n)
     field = CycField.get(1)
-    spheres = []
-    for i in range(1, n + 1):
-        spheres.append(AlgebraSpec(
-            field, [GeneratorDecl(f"a{i}", 2)],
-            relations=[[(1, (f"a{i}", f"a{i}"))]],
-            degree_cap=4))
-    base = spheres[0]
-    for s in spheres[1:]:
-        base = tensor(base, s)
+    base = reduce(tensor, (AlgebraSpec(field, [GeneratorDecl(f"a{i}", 2)],
+                                       relations=[[(1, (f"a{i}", f"a{i}"))]], degree_cap=4)
+                           for i in range(1, n + 1)))
     euler = base.element([(1, (f"a{i}",)) for i in range(1, n + 1)])
     total = circle_bundle(base, euler, gen_name="x")
     classes = {f"a{i}": total.element([(1, (f"a{i}",))]) for i in range(1, n + 1)}

@@ -46,7 +46,7 @@ class GroupActionSpec:
             if name not in parent.index:
                 raise ParseError(f"action image given for unknown generator '{name}'")
             gi = parent.index[name]
-            img = parent._element_from_data(raw)
+            img = parent.element(raw)
             if img.degree != parent.generators[gi].degree and not img.is_zero():
                 raise ParseError("action images must preserve degree",
                                  generator=name, got=img.degree)

@@ -224,55 +224,6 @@ class AlgebraSpec:
                  relations: Optional[Sequence["ElementData"]] = None,
                  degree_cap: Optional[int] = None):
         self.field = field
-        self._declare(generators, degree_cap)
-        self._free_basis_cache: Dict[int, List[Monomial]] = {}
-        self._free_index_cache: Dict[int, Dict[Monomial, int]] = {}
-        self._ideal_cache: Dict[int, Echelon] = {}
-        self._basis_cache: Dict[int, List[Monomial]] = {}
-        self._d_mono_cache: Dict[Monomial, Dict[Monomial, CycScalar]] = {}
-        self.differential: Dict[int, Element] = {}
-
-        rel_elems = []
-        for raw in relations or ():
-            try:
-                rel = self.element(raw, reduce=False)
-            except InhomogeneousElement as exc:
-                raise InhomogeneousRelation("relations must be homogeneous",
-                                            **exc.details) from exc
-            if not rel.is_zero():
-                rel_elems.append(rel)
-        self.relations: Tuple[Element, ...] = tuple(rel_elems)
-        # Relation list changed after elements above were built unreduced; any
-        # element constructed from here on is reduced against the ideal.
-        self._put_differentials(differential or {})
-        self.validate()
-
-    def adjoin(self, generators: Sequence[GeneratorDecl], differential: Dict[str, Element],
-               degree_cap: Optional[int] = None) -> "AlgebraSpec":
-        """A new spec with ``generators`` appended, d of each new name an Element of
-        this spec, which is left unchanged.  Old generators keep their indices, so
-        d of an old monomial, d^2 on old generators and the bases below the lowest
-        new degree carry over; relations are checked again under the new cap."""
-        for img in differential.values():
-            self.zero()._guard(img)  # refuses a cap-truncated or foreign image
-        new = object.__new__(type(self))
-        new.field, first = self.field, len(self.generators)
-        new._declare(self.generators + tuple(generators),
-                     self.degree_cap if degree_cap is None else degree_cap)
-        low = min((g.degree for g in new.generators[first:]), default=new.degree_cap + 1)
-        for cache in ("_free_basis_cache", "_free_index_cache", "_ideal_cache", "_basis_cache"):
-            setattr(new, cache, {k: v for k, v in getattr(self, cache).items() if k < low})
-        new._d_mono_cache = dict(self._d_mono_cache)
-        new.relations = tuple(Element(new, r.degree, r.terms, _reduced=True)
-                              for r in self.relations)
-        new.differential = {gi: Element(new, img.degree, img.terms, _reduced=True)
-                            for gi, img in self.differential.items()}
-        new._put_differentials({name: Element(new, img.degree, img.terms)
-                                for name, img in differential.items()}, first)
-        return new.validate(first)
-
-    def _declare(self, generators: Sequence[GeneratorDecl], degree_cap: Optional[int]):
-        """Set and check the generators (names, degrees, conjugates) and the cap."""
         self.generators: Tuple[GeneratorDecl, ...] = tuple(generators)
         self.index: Dict[str, int] = {g.name: i for i, g in enumerate(self.generators)}
         if len(self.index) != len(self.generators):
@@ -305,6 +256,51 @@ class AlgebraSpec:
         if degree_cap < 1:
             raise ParseError("degree_cap must be positive")
         self.degree_cap = degree_cap
+        self._free_basis_cache: Dict[int, List[Monomial]] = {}
+        self._free_index_cache: Dict[int, Dict[Monomial, int]] = {}
+        self._ideal_cache: Dict[int, Echelon] = {}
+        self._basis_cache: Dict[int, List[Monomial]] = {}
+        self._d_mono_cache: Dict[Monomial, Dict[Monomial, CycScalar]] = {}
+        self.differential: Dict[int, Element] = {}
+
+        rel_elems = []
+        for raw in relations or ():
+            try:
+                rel = self.element(raw, reduce=False)
+            except InhomogeneousElement as exc:
+                raise InhomogeneousRelation("relations must be homogeneous",
+                                            **exc.details) from exc
+            if rel.is_zero():
+                continue
+            rel_elems.append(rel)
+        self.relations: Tuple[Element, ...] = tuple(rel_elems)
+        # Relation list changed after elements above were built unreduced; any
+        # element constructed from here on is reduced against the ideal.
+        self._put_differentials(differential or {})
+        self.validate()
+
+    def adjoin(self, generators: Sequence[GeneratorDecl], differential: Dict[str, Element],
+               degree_cap: Optional[int] = None) -> "AlgebraSpec":
+        """A new spec with ``generators`` appended, d of each new name an Element of
+        this spec, which is left unchanged.  Old generators keep their indices, so
+        d of an old monomial, d^2 on old generators and the bases below the lowest
+        new degree carry over; relations are checked again under the new cap."""
+        for img in differential.values():
+            self.zero()._guard(img)  # refuses a cap-truncated or foreign image
+        first = len(self.generators)
+        new = type(self)(self.field, self.generators + tuple(generators),
+                         degree_cap=self.degree_cap if degree_cap is None else degree_cap)
+        low = min((g.degree for g in new.generators[first:]), default=new.degree_cap + 1)
+        for cache in ("_free_basis_cache", "_free_index_cache", "_ideal_cache", "_basis_cache"):
+            setattr(new, cache, {k: v for k, v in getattr(self, cache).items() if k < low})
+        new._d_mono_cache = dict(self._d_mono_cache)
+        new.relations = tuple(Element(new, r.degree, r.terms, _reduced=True)
+                              for r in self.relations)
+        new.differential = {gi: Element(new, img.degree, img.terms, _reduced=True)
+                            for gi, img in self.differential.items()}
+        new._put_differentials({name: Element(new, img.degree, img.terms)
+                                for name, img in differential.items()}, first)
+        return new.validate(first)
 
     def _put_differentials(self, differential: Dict[str, "ElementData"], first: int = 0):
         """Record d of generators from index ``first`` on, checking each degree."""

@@ -263,11 +263,13 @@ def cmd_circle_bundle(args) -> int:
     from .models import circle_bundle
     doc = _load_document(args)
     spec, action, classes, volume, meta = document_from_json(doc)
-    euler = classes[args.euler] if args.euler in classes else \
-        element_from_json(json.loads(args.euler), spec)
+    if args.euler in classes:
+        euler = classes[args.euler]
+    else:
+        euler = element_from_json(json.loads(args.euler), spec)
     total = circle_bundle(spec, euler, gen_name=args.gen_name)
-    classes = {name: total.element(elem) for name, elem in classes.items()}
-    sys.stdout.write(dumps(document_to_json(total, classes=classes)))
+    carried = {name: total.element(elem) for name, elem in classes.items()}
+    sys.stdout.write(dumps(document_to_json(total, classes=carried)))
     return 0
 
 

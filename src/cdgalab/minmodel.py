@@ -61,7 +61,11 @@ class MinimalModel:
         return CohomologyRing(FreeSlices(self.model), top)
 
     def n_generators_through(self, s: int) -> List[str]:
-        return [name for k in sorted(self.cn_split) if k <= s for name in self.cn_split[k][1]]
+        out = []
+        for k in sorted(self.cn_split):
+            if k <= s:
+                out.extend(self.cn_split[k][1])
+        return out
 
 
 @dataclass

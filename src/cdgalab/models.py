@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field as dc_field
-from functools import reduce
 from importlib import resources
 from math import lcm
 from typing import Dict, Optional, Sequence
@@ -60,7 +59,8 @@ def circle_bundle(base: AlgebraSpec, euler: Element, gen_name: str = "x") -> Alg
     if euler.degree != 2 and not euler.is_zero():
         raise EulerBadDegree("Euler class must have degree 2", degree=euler.degree)
     if not euler.d().is_zero():
-        raise EulerNotClosed("Euler class must be closed", witness=euler.d().render())
+        raise EulerNotClosed("Euler class must be closed",
+                             witness=euler.d().render())
     if gen_name in base.index:
         raise ParseError(f"generator name '{gen_name}' already used in the base")
     # the total space reaches one degree above the base
@@ -181,9 +181,15 @@ def sphere_product_bundle(n: int) -> PresetBundle:
     if n < 2:
         raise ParseError("need at least two sphere factors", n=n)
     field = CycField.get(1)
-    base = reduce(tensor, (AlgebraSpec(field, [GeneratorDecl(f"a{i}", 2)],
-                                       relations=[[(1, (f"a{i}", f"a{i}"))]], degree_cap=4)
-                           for i in range(1, n + 1)))
+    spheres = []
+    for i in range(1, n + 1):
+        spheres.append(AlgebraSpec(
+            field, [GeneratorDecl(f"a{i}", 2)],
+            relations=[[(1, (f"a{i}", f"a{i}"))]],
+            degree_cap=4))
+    base = spheres[0]
+    for s in spheres[1:]:
+        base = tensor(base, s)
     euler = base.element([(1, (f"a{i}",)) for i in range(1, n + 1)])
     total = circle_bundle(base, euler, gen_name="x")
     classes = {f"a{i}": total.element([(1, (f"a{i}",))]) for i in range(1, n + 1)}

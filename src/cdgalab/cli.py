@@ -63,7 +63,7 @@ def _context(args):
     use_invariant = action is not None and not getattr(args, "total", False)
     max_degree = getattr(args, "max_degree", None)
     if max_degree is None:
-        max_degree = meta.get("dim") or spec.degree_cap - 1
+        max_degree = meta.get("dim", spec.degree_cap - 1)
     if use_invariant:
         ring = invariant_cohomology(action, max_degree, volume=volume)
     else:
@@ -173,8 +173,7 @@ def cmd_cohomology(args, invariant=False) -> int:
     spec, action, classes, volume, meta, ring = _context(args)
     if invariant and action is None:
         raise ParseError("the document carries no group action")
-    pairing_degree = args.pairing if args.pairing is not None else None
-    report = cohomology_report(ring, pairing_degree=pairing_degree)
+    report = cohomology_report(ring, pairing_degree=args.pairing)
     if args.format == "json":
         sys.stdout.write(dumps(report))
     else:
@@ -216,7 +215,8 @@ def cmd_higher_massey(args) -> int:
 
 def cmd_lefschetz(args) -> int:
     spec, action, classes, volume, meta, ring = _context(args)
-    n = args.half_dim or meta.get("half_dim", meta.get("dim", ring.max_degree) // 2)
+    n = args.half_dim if args.half_dim is not None else \
+        meta.get("half_dim", meta.get("dim", ring.max_degree) // 2)
     if args.universal:
         if args.degree is None:
             raise ParseError("--universal needs --degree")
@@ -316,7 +316,7 @@ def cmd_minimal_model(args) -> int:
 
 def cmd_formality(args) -> int:
     spec, action, classes, volume, meta, ring = _context(args)
-    dim = args.poincare_dim or meta.get("dim")
+    dim = args.poincare_dim if args.poincare_dim is not None else meta.get("dim")
     report = formality_verdict(ring, poincare_dimension=dim,
                                simply_connected=args.simply_connected,
                                budget=args.budget)

@@ -28,6 +28,7 @@ from .errors import (
     DegreeOverflow,
     NoTopDeclared,
     NotClosed,
+    ParseError,
 )
 from .linalg import Echelon, Vec, bilinear, kernel_image, mat_vec, span, vec_add
 from .scalars import CycField, CycScalar
@@ -99,6 +100,8 @@ class CohomologyRing:
 
     def __init__(self, slices: Slices, max_degree: int,
                  volume: Optional[Monomial] = None, group_order: int = 1):
+        if max_degree < 0:
+            raise ParseError("the max degree must not be negative", max_degree=max_degree)
         if max_degree + 1 > slices.cap:
             raise CapTooLow(
                 "cohomology through degree k needs slices through k+1",

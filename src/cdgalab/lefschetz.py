@@ -20,7 +20,7 @@ from dataclasses import dataclass, field as dc_field
 from typing import List, Optional
 
 from .cohomology import CohomClass, CohomologyRing, class_span
-from .errors import BadOmegaDegree, NoTopDeclared
+from .errors import BadOmegaDegree, NoTopDeclared, ParseError
 from .linalg import Vec, kernel_image
 
 
@@ -48,6 +48,8 @@ class LefschetzReport:
 
 def lefschetz_test(ring: CohomologyRing, omega: CohomClass, n: int) -> LefschetzReport:
     """Exact ranks of L_omega^{n-k}: H^k -> H^{2n-k} for k = 0..n."""
+    if n < 0:
+        raise ParseError("the half dimension must not be negative", half_dim=n)
     if omega.degree != 2:
         raise BadOmegaDegree("the Lefschetz class must have degree 2",
                              degree=omega.degree)

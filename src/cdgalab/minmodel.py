@@ -29,7 +29,7 @@ from typing import Dict, List, Optional, Tuple
 from .algebra import AlgebraSpec, Element, GeneratorDecl
 from .chains import FreeSlices, chain_defect, extend
 from .cohomology import CohomologyRing
-from .errors import CapTooLow, NotOneConnected
+from .errors import CapTooLow, NotOneConnected, ParseError
 from .linalg import Echelon, Vec, kernel_image, span
 from .massey import NONZERO, MasseyReport, a_massey, triple_massey
 
@@ -90,6 +90,8 @@ class FormalityReport:
 
 def build_minimal_model(target_ring: CohomologyRing, bound: int) -> MinimalModel:
     """Stagewise minimal model of the ring's underlying complex, through `bound`."""
+    if bound < 0:
+        raise ParseError("the bound must not be negative", bound=bound)
     if bound + 1 > target_ring.max_degree:
         raise CapTooLow("target cohomology must be computed through bound+1",
                         bound=bound, available=target_ring.max_degree)
@@ -307,6 +309,8 @@ def formality_verdict(ring: CohomologyRing, *,
                       simply_connected: bool = False,
                       budget: int = 400) -> FormalityReport:
     """Combine obstruction scans, the duality criterion and small-dimension facts."""
+    if poincare_dimension is not None and poincare_dimension < 0:
+        raise ParseError("the dimension must not be negative", dimension=poincare_dimension)
     if _zero_differential(ring):
         return FormalityReport(verdict=FORMAL, route="zero_differential",
                                certificate={"reason": "the algebra equals its "

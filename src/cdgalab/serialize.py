@@ -232,6 +232,8 @@ def document_from_json(doc: dict):
     for key, what in (("dim", "dimension"), ("half_dim", "half dimension")):
         if key in meta:
             meta[key] = _integer(meta[key], what)
+            if meta[key] < 0:
+                raise ParseError(f"the {what} must not be negative", got=meta[key])
     if "dim" in meta and meta.get("half_dim", meta["dim"] // 2) != meta["dim"] // 2:
         raise ParseError("half_dim must be dim // 2", half_dim=meta["half_dim"], dim=meta["dim"])
     return spec, action, classes, volume, meta

@@ -11,6 +11,7 @@ differentiates them there, and reads the result back by monomial.
 """
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -192,17 +193,29 @@ PERMUTATION_ACTIONS = [
     _permutation_action(Z6, 6, {"a": [(1, "b")], "b": [(1, "a")],
                                 "c": [(Z6.zeta(1), "c")], "d": [(Z6.zeta(2), "d")]}),
 ]
-ACTIONS = (_random_weight_actions(24, seed=3) + PERMUTATION_ACTIONS
-           + [preset("HEIS6_Z6").action])
 
 
-def _action_id(act):
-    # the suffix keeps the diagonal actions' ids as they were
-    diagonal = all(list(img.terms) == [(gi,)] for gi, img in act.images.items())
-    return f"m{act.order}-{len(act.parent.generators)}gen" + ("" if diagonal else "-perm")
+def _numbered(actions):
+    """Each action as a pytest param with the id m{order}-{n}gen, "-perm" added when
+    it moves a generator off its own line, and then the number of earlier actions
+    of that shape when there are any (m2-2gen, m2-2gen1, ...).  The ids are unique,
+    and appending an action to a list renames no other test: random actions have 2
+    to 4 generators, so none shares a shape with the permutations or the preset."""
+    seen: Counter = Counter()
+    params = []
+    for act in actions:
+        diagonal = all(list(img.terms) == [(gi,)] for gi, img in act.images.items())
+        shape = f"m{act.order}-{len(act.parent.generators)}gen" + ("" if diagonal else "-perm")
+        params.append(pytest.param(act, id=shape + (str(seen[shape]) if seen[shape] else "")))
+        seen[shape] += 1
+    return params
 
 
-@pytest.mark.parametrize("act", ACTIONS, ids=_action_id)
+RANDOM_ACTIONS = _random_weight_actions(24, seed=3)
+ACTIONS = _numbered(RANDOM_ACTIONS + PERMUTATION_ACTIONS + [preset("HEIS6_Z6").action])
+
+
+@pytest.mark.parametrize("act", ACTIONS)
 def test_action_matrix_paths_match_element_paths(act):
     slices = FreeSlices(act.parent)
     top = min(act.parent.degree_cap - 1, 6)
@@ -217,7 +230,7 @@ def test_action_matrix_paths_match_element_paths(act):
                 == _element_fixed_subspace(act, ring, k))
 
 
-@pytest.mark.parametrize("act", ACTIONS[:6] + PERMUTATION_ACTIONS + ACTIONS[-1:], ids=_action_id)
+@pytest.mark.parametrize("act", ACTIONS[:6] + ACTIONS[len(RANDOM_ACTIONS):])
 def test_projector_is_built_once_per_degree(act, monkeypatch):
     # The battery asks for P on a degree and then for the invariant complex
     # and the fixed spaces of the same action: only the first call sums orbits.

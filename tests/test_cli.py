@@ -328,6 +328,11 @@ MALFORMED_DOCUMENTS = {
     "half-dim-disagrees": (lambda: _t6_with(lambda d: d.update(half_dim=2)),
                            {"half_dim": 2, "dim": 6}),
     "word-half-dim": (lambda: _t6_with(lambda d: d.update(half_dim="x")), {"got": "x"}),
+    # A negative dimension is refused where it is read, before any basis is built.
+    "negative-dim": (lambda: _t6_with(lambda d: (d.pop("half_dim", None), d.update(dim=-2))),
+                     {"got": -2}),
+    "negative-half-dim": (lambda: _t6_with(lambda d: (d.pop("dim"), d.update(half_dim=-1))),
+                          {"got": -1}),
 }
 
 
@@ -395,3 +400,41 @@ def test_default_cap_admits_one_or_no_generator(generators, betti, capsys, monke
                                    capsys, monkeypatch)
     assert code == 0
     assert out.splitlines()[0] == betti
+
+
+NEGATIVE_ARGUMENTS = {
+    "max-degree-minus-two": (["cohomology", "--max-degree", "-2"], "T6", {"max_degree": -2}),
+    "max-degree-minus-one": (["cohomology", "--max-degree", "-1"], "T6", {"max_degree": -1}),
+    "half-dim": (["lefschetz", "--omega", "omega", "--half-dim", "-1"], "T6", {"half_dim": -1}),
+    "poincare-dim": (["formality", "--poincare-dim", "-6", "--simply-connected"], "HEIS6_Z6",
+                     {"dimension": -6}),
+    "bound": (["minimal-model", "--bound", "-3"], "T6", {"bound": -3}),
+    "bound-invariant": (["minimal-model", "--bound", "-3"], "T6_Z2", {"bound": -3}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NEGATIVE_ARGUMENTS))
+def test_negative_degree_argument_is_a_parse_error(case, capsys, monkeypatch):
+    # Before, these ended in a traceback, answered with exit 0 (an empty report,
+    # "overall": true, FORMAL by low_dimension, "bound": -3) or named no value.
+    argv, name, details = NEGATIVE_ARGUMENTS[case]
+    code, out, err = main_in_process(argv + ["--format", "json"],
+                                     json.dumps(preset_document(name)), capsys, monkeypatch)
+    assert code == 1 and out == ""
+    diag = json.loads(err)
+    assert (diag["error"], diag["details"]) == ("PARSE_ERROR", details)
+
+
+def test_zero_counts_as_given(capsys, monkeypatch):
+    # 0 is a value, not "absent": it must not fall back to the document's dim.
+    t6 = json.dumps(preset_document("T6"))
+    argv = ["lefschetz", "--omega", "omega", "--half-dim", "0", "--format", "json"]
+    code, out, _ = main_in_process(argv, t6, capsys, monkeypatch)
+    assert code == 0 and json.loads(out)["half_dim"] == 0
+    argv = ["formality", "--poincare-dim", "0", "--format", "json"]
+    code, out, _ = main_in_process(argv, json.dumps(preset_document("HEIS6_Z6")),
+                                   capsys, monkeypatch)
+    assert code == 0 and json.loads(out)["certificate"]["dimension"] == 0
+    dim0 = _t6_with(lambda d: (d.pop("half_dim", None), d.update(dim=0)))
+    code, out, _ = main_in_process(["cohomology", "--format", "json"], dim0, capsys, monkeypatch)
+    assert code == 0 and json.loads(out)["betti"] == [1]

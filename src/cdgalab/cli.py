@@ -287,6 +287,7 @@ def cmd_tensor(args) -> int:
 def cmd_minimal_model(args) -> int:
     spec, action, classes, volume, meta, ring = _context(args)
     mm = build_minimal_model(ring, args.bound)
+    rep = None if args.s_formality is None else s_formality_check(mm, args.s_formality)
     doc = {
         "bound": mm.bound,
         "identity": mm.identity,
@@ -306,8 +307,7 @@ def cmd_minimal_model(args) -> int:
         for g in doc["generators"]:
             print(f"{g['name']} (degree {g['degree']}): "
                   f"d = {mm.model.gen(g['name']).d().render()}")
-    if args.s_formality is not None:
-        rep = s_formality_check(mm, args.s_formality)
+    if rep is not None:
         print(f"s-formality (s={args.s_formality}): {rep.status} via {rep.route}")
         if args.strict and rep.status == "INCONCLUSIVE":
             return 2

@@ -4,10 +4,11 @@ Each degree is computed on first read: a degree-k query eliminates d_{k-1} and d
 once, when it first needs them, and construction only checks its arguments.
 Representatives are canonical: the kernel basis of d is reduced against the
 reduced row-echelon form of the previous image, so golden outputs are
-reproducible bit for bit.  ``class_of`` reduces a closed vector by that
-image and reads its coordinates in the representative basis at the
-representatives' pivots, ``cup`` is the bilinear sum over structure constants
-[rep_i * rep_j] that are each computed once through ``class_of``,
+reproducible bit for bit; with no previous image the kernel's echelon is
+taken as is, since a subspace has one RREF.  ``class_of`` reduces a closed
+vector by that image and reads its coordinates in the representative basis
+at the representatives' pivots, ``cup`` is the bilinear sum over structure
+constants [rep_i * rep_j] that are each computed once through ``class_of``,
 ``is_exact`` solves d(w) = z with free variables pinned to zero
 (leftmost-pivot policy), and ``integrate`` evaluates a top class against a
 declared volume monomial, scaled by the group order for rings that come from
@@ -141,9 +142,10 @@ class CohomologyRing:
     def _degree(self, k: int) -> Tuple[List[Vec], Echelon]:
         hit = self._degrees.get(k)
         if hit is None:
-            image = self.image(k)
-            residuals = (image.reduce(kvec)[0] for kvec in self._kernel_image(k)[0].basis_rows())
-            rep_echelon = span(self.field, (r for r in residuals if r))
+            image, rep_echelon = self.image(k), self._kernel_image(k)[0]
+            if image.rank:  # with no image the kernel's RREF is already the answer
+                residuals = (image.reduce(kvec)[0] for kvec in rep_echelon.basis_rows())
+                rep_echelon = span(self.field, (r for r in residuals if r))
             hit = self._degrees[k] = (rep_echelon.basis_rows(), rep_echelon)
         return hit
 
@@ -237,6 +239,10 @@ class CohomologyRing:
         return coeff * self.field.rational(order)
 
     def pairing_nondegenerate(self, n: int) -> bool:
+        if n < 0:
+            raise ParseError("the pairing degree must not be negative", pairing=n)
+        if n > self.max_degree:
+            raise DegreeOverflow("pairing degree beyond the computed range", degree=n)
         if self.betti[n] != 1:
             return False
         for k in range(n + 1):

@@ -8,8 +8,9 @@ bases and solutions of linear systems are canonical and reproducible.
 Work whose result is known is skipped: a zero coefficient adds nothing, a
 coefficient 1 multiplies nothing, a fresh entry (a product of nonzero field
 elements) is stored without a zero test, a row whose lead is already 1
-is stored without inverting or scaling it, and the entry an elimination
-step clears (c + (-c) * 1 at a stored row's pivot) is dropped, not summed.
+is stored without inverting or scaling it, the entry an elimination
+step clears (c + (-c) * 1 at a stored row's pivot) is dropped, not summed,
+and a zero column of a map enters its kernel as e_i without elimination.
 """
 
 from __future__ import annotations
@@ -202,7 +203,13 @@ def kernel_image(field: CycField, dim_src: int, apply: Callable[[int], Vec]):
     kernel = Echelon(field)
     one = field.one
     for i in range(dim_src):
-        residual, src = image.reduce(apply(i), source={i: one})
+        col = apply(i)
+        if not col:
+            # Every stored kernel row lies on columns below i, so e_i is reduced,
+            # back-substitutes into nothing and holds no other column.
+            kernel._rows[i] = ({i: one}, None)
+            continue
+        residual, src = image.reduce(col, source={i: one})
         if not image._insert(residual, src):
             # The column reduced to zero, so src = e_i - (its preimage) is a
             # kernel vector, on the line of preimage - e_i; moving i last

@@ -182,6 +182,8 @@ def _differentials_independent(slices: FreeSlices) -> bool:
 
 def s_formality_check(mm: MinimalModel, s: int) -> SFormalityReport:
     """Certify, refute, or abstain on the degreewise formality condition."""
+    if s < 0:
+        raise ParseError("s must not be negative", s=s)
     unique = all(not c_names or not n_names
                  for k, (c_names, n_names) in mm.cn_split.items() if k <= s)
     n_gens = mm.n_generators_through(s)
@@ -328,7 +330,7 @@ def formality_verdict(ring: CohomologyRing, *,
                          "dimension": poincare_dimension})
     if poincare_dimension is not None:
         n_half = (poincare_dimension + 1) // 2
-        s = n_half - 1
+        s = max(n_half - 1, 0)  # s = 0 is as vacuous as -1: no generator has degree 0
         bound = min(max(s + 1, poincare_dimension - 2), ring.max_degree - 1)
         try:
             mm = build_minimal_model(ring, bound)

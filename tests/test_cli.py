@@ -410,19 +410,32 @@ NEGATIVE_ARGUMENTS = {
                      {"dimension": -6}),
     "bound": (["minimal-model", "--bound", "-3"], "T6", {"bound": -3}),
     "bound-invariant": (["minimal-model", "--bound", "-3"], "T6_Z2", {"bound": -3}),
+    "pairing": (["cohomology", "--pairing", "-1"], "T6", {"pairing": -1}),
+    "s-formality": (["minimal-model", "--bound", "3", "--s-formality", "-5"], "T6_Z2",
+                    {"s": -5}),
 }
 
 
 @pytest.mark.parametrize("case", sorted(NEGATIVE_ARGUMENTS))
 def test_negative_degree_argument_is_a_parse_error(case, capsys, monkeypatch):
     # Before, these ended in a traceback, answered with exit 0 (an empty report,
-    # "overall": true, FORMAL by low_dimension, "bound": -3) or named no value.
+    # "overall": true, FORMAL by low_dimension, "bound": -3, pairing_ok read
+    # from the end of the Betti list, CERTIFIED s-formality) or named no value.
     argv, name, details = NEGATIVE_ARGUMENTS[case]
     code, out, err = main_in_process(argv + ["--format", "json"],
                                      json.dumps(preset_document(name)), capsys, monkeypatch)
     assert code == 1 and out == ""
     diag = json.loads(err)
     assert (diag["error"], diag["details"]) == ("PARSE_ERROR", details)
+
+
+def test_pairing_beyond_the_computed_range_is_a_degree_overflow(capsys, monkeypatch):
+    # Before, this ended in an IndexError traceback from the Betti numbers.
+    code, out, err = main_in_process(["cohomology", "--pairing", "99", "--format", "json"],
+                                     json.dumps(preset_document("T6")), capsys, monkeypatch)
+    assert code == 1 and out == ""
+    diag = json.loads(err)
+    assert (diag["error"], diag["details"]) == ("DEGREE_OVERFLOW", {"degree": 99})
 
 
 def test_zero_counts_as_given(capsys, monkeypatch):

@@ -7,6 +7,10 @@ other columns), so kernels are never trivial by accident.  Pivots, basis
 rows, solutions and kernel rows must agree exactly: the reduced row-echelon
 form of a row space is unique, and so is the solution supported on the
 pivot columns.
+
+``ref_kernel_image`` is the kernel_image loop before zero columns skipped
+elimination: every column, zero or not, is reduced by the image and its
+kernel vector added through ``Echelon.add``.
 """
 
 from fractions import Fraction
@@ -213,3 +217,63 @@ def test_column_index_matches_the_rows(case):
     for i, row in enumerate(rows[split:], start=split):
         ech.add(engine_vec(field, row), source={i: field.one})
         check_against_reference(ech, n, rows[:i + 1], ncols)
+
+
+# -- zero columns enter the kernel as e_i --------------------------------------
+
+def ref_kernel_image(field: CycField, dim_src: int, apply):
+    """kernel_image with every column eliminated, zero columns included."""
+    image = Echelon(field)
+    kernel = Echelon(field)
+    one = field.one
+    for i in range(dim_src):
+        residual, src = image.reduce(apply(i), source={i: one})
+        if not image._insert(residual, src):
+            src[i] = src.pop(i)
+            kernel.add(src)
+    return kernel, image
+
+
+@st.composite
+def matrices_with_zero_columns(draw):
+    """(modulus, rows, dense columns, an extra source row): zero columns first, in
+    the middle and last, or no nonzero column at all."""
+    n, nrows, cols, _ = draw(matrices())
+    d = CycField.get(n).degree
+    zero = [(Fraction(0),) * d] * nrows
+
+    def zeros():
+        return [zero] * draw(st.integers(1, 2))
+
+    if draw(st.booleans()):
+        mid = draw(st.integers(0, len(cols)))
+        cols = zeros() + cols[:mid] + zeros() + cols[mid:] + zeros()
+    else:
+        cols = [zero] * draw(st.integers(1, 6))
+    small = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 2))
+    extra = [tuple(draw(small) for _ in range(d)) for _ in cols]
+    return n, nrows, cols, extra
+
+
+def check_kernel_image(kernel, image, want_kernel, want_image):
+    """Rows and sources as the reference's (kernel sources None), holders as the rows say."""
+    assert kernel._rows == want_kernel._rows
+    assert all(src is None for _, src in kernel._rows.values())
+    assert image._rows == want_image._rows
+    for ech in (kernel, image):
+        assert {col: ps for col, ps in ech._holders.items() if ps} == holders_from_rows(ech)
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices_with_zero_columns())
+def test_zero_columns_give_the_eliminated_kernel(case):
+    n, nrows, cols, extra = case
+    field = CycField.get(n)
+    got = kernel_image(field, len(cols), lambda i: engine_vec(field, cols[i]))
+    ref = ref_kernel_image(field, len(cols), lambda i: engine_vec(field, cols[i]))
+    check_kernel_image(*got, *ref)
+    assert [coeffs_of(r) for r in got[0].basis_rows()] == ref_kernel(n, cols, nrows)
+    # The kernel stays a working echelon: one more row lands as in the reference.
+    got[0].add(engine_vec(field, extra))
+    ref[0].add(engine_vec(field, extra))
+    check_kernel_image(*got, *ref)

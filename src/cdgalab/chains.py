@@ -6,11 +6,12 @@ implementations exist: the monomial slices of a free-with-relations
 :class:`~cdgalab.algebra.AlgebraSpec`, and the fixed subspaces of a finite
 group action (whose basis vectors live inside the parent's slices).  Both
 cache the d column of each basis vector, and d of a vector is the sum of its
-columns.  A fixed subspace is held as an echelon, so a parent vector's
-coordinates are its entries at the pivots; each degree's echelon is computed
-on first read.  The cohomology, Massey, Lefschetz and minimal-model
-machinery only ever talk to this interface, so group-invariant complexes get
-every feature for free.
+columns; d = 0 is read from the spec (``zero_d``: no generator has a
+differential), so then no column is expanded or solved for.  A fixed
+subspace is held as an echelon, so a parent vector's coordinates are its
+entries at the pivots; each degree's echelon is computed on first read.  The
+cohomology, Massey, Lefschetz and minimal-model machinery only ever talk to
+this interface, so group-invariant complexes get every feature for free.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ class FreeSlices:
         self.spec = spec
         self.field: CycField = spec.field
         self.cap = spec.degree_cap
+        self.zero_d = not spec.differential
         self._d_cols: Dict[int, Dict[int, Vec]] = defaultdict(dict)
         self._quotient: Dict[int, Dict[int, int]] = {}  # free index -> basis index
         # (k, l) -> i -> j -> +-(1 + free index) of basis_k[i] * basis_l[j], 0 if it vanishes
@@ -70,10 +72,13 @@ class FreeSlices:
             raise CapExceeded("differential would leave the capped range", degree=k + 1)
         cols = self._d_cols[k]
         if i not in cols:
-            cols[i] = self._coords(k + 1, self.spec._d_monomial(self.spec.basis(k)[i]))
+            cols[i] = {} if self.zero_d else self._coords(
+                k + 1, self.spec._d_monomial(self.spec.basis(k)[i]))
         return cols[i]
 
     def d_vec(self, k: int, vec: Vec) -> Vec:
+        if self.zero_d and k < self.cap:
+            return {}
         return mat_vec({i: self.d_col(k, i) for i in vec}, vec)
 
     def mul_vec(self, k: int, u: Vec, l: int, v: Vec) -> Vec:
@@ -112,6 +117,7 @@ class SubcomplexSlices:
         self.parent = parent
         self.field = parent.field
         self.cap = cap
+        self.zero_d = parent.zero_d
         self._fixed = fixed
         self._echelons: Dict[int, Echelon] = {}
         self._bases: Dict[int, List[Vec]] = {}
@@ -154,10 +160,13 @@ class SubcomplexSlices:
         """d of basis vector i of degree k, computed once; callers must not mutate it."""
         cols = self._d_cols[k]
         if i not in cols:
-            cols[i] = self.express(k + 1, self.parent.d_vec(k, self.basis(k)[i]))
+            cols[i] = {} if self.zero_d and k < self.cap else self.express(
+                k + 1, self.parent.d_vec(k, self.basis(k)[i]))
         return cols[i]
 
     def d_vec(self, k: int, vec: Vec) -> Vec:
+        if self.zero_d and k < self.cap:
+            return {}
         return mat_vec({i: self.d_col(k, i) for i in vec}, vec)
 
     def mul_vec(self, k: int, u: Vec, l: int, v: Vec) -> Vec:

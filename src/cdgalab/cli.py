@@ -301,17 +301,17 @@ def cmd_minimal_model(args) -> int:
                      for k, (c, n) in sorted(mm.cn_split.items())},
     }
     if args.format == "json":
+        if rep is not None:
+            doc["s_formality"] = {"s": rep.s, "status": rep.status, "route": rep.route}
         sys.stdout.write(dumps(doc))
     else:
         print(f"bound: {mm.bound}")
         for g in doc["generators"]:
             print(f"{g['name']} (degree {g['degree']}): "
                   f"d = {mm.model.gen(g['name']).d().render()}")
-    if rep is not None:
-        print(f"s-formality (s={args.s_formality}): {rep.status} via {rep.route}")
-        if args.strict and rep.status == "INCONCLUSIVE":
-            return 2
-    return 0
+        if rep is not None:
+            print(f"s-formality (s={args.s_formality}): {rep.status} via {rep.route}")
+    return 2 if rep is not None and args.strict and rep.status == "INCONCLUSIVE" else 0
 
 
 def cmd_formality(args) -> int:

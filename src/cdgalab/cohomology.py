@@ -2,17 +2,17 @@
 
 Each degree is computed on first read: a degree-k query eliminates d_{k-1} and d_k
 once, when it first needs them, and construction only checks its arguments.
-Representatives are canonical: the kernel basis of d is reduced against the
-reduced row-echelon form of the previous image, so golden outputs are
-reproducible bit for bit; with no previous image the kernel's echelon is
-taken as is, since a subspace has one RREF.  ``class_of`` reduces a closed
-vector by that image and reads its coordinates in the representative basis
-at the representatives' pivots, ``cup`` is the bilinear sum over structure
-constants [rep_i * rep_j] that are each computed once through ``class_of``,
-``is_exact`` solves d(w) = z with free variables pinned to zero
-(leftmost-pivot policy), and ``integrate`` evaluates a top class against a
-declared volume monomial, scaled by the group order for rings that come from
-an invariant subcomplex.
+Representatives are canonical, so golden outputs are reproducible bit for bit:
+the kernel basis of d reduced against the RREF of the previous image, or with
+no image the kernel's own RREF (a subspace has one).  ``class_of`` reduces a
+closed vector by that image and reads its coordinates at the representatives'
+pivots; ``cup`` sums structure constants [rep_i * rep_j], each computed once
+through ``class_of``; ``is_exact`` solves d(w) = z with free variables pinned
+to zero; ``integrate`` evaluates a top class on a declared volume monomial,
+scaled by the group order of an invariant ring.  A pairing into a
+one-dimensional H^n reads entry (j, l) as lam(rep_j * rep_l), lam(v) being v
+reduced by the image at the representative's pivot (v's coordinate when v is
+closed), and checks only k <= n/2: degree n - k pairs by the transpose of k.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .errors import (
     NotClosed,
     ParseError,
 )
-from .linalg import Echelon, Vec, bilinear, kernel_image, mat_vec, span, vec_add
+from .linalg import Echelon, Vec, bilinear, dot, kernel_image, mat_vec, span, vec_add
 from .scalars import CycField, CycScalar
 
 
@@ -243,15 +243,15 @@ class CohomologyRing:
             raise ParseError("the pairing degree must not be negative", pairing=n)
         if n > self.max_degree:
             raise DegreeOverflow("pairing degree beyond the computed range", degree=n)
-        if self.betti[n] != 1:
+        if self.betti[n] != 1 or any(self.betti[k] != self.betti[n - k] for k in range(n + 1)):
             return False
-        for k in range(n + 1):
-            if self.betti[k] != self.betti[n - k]:
-                return False
-            # H^n is one-dimensional: a cup is {0: c}, or {} when it vanishes.
-            rows = ({l: c for l in range(self.betti[n - k]) for c in self.cup(
-                        self.rep_class(k, j), self.rep_class(n - k, l)).coords.values()}
-                    for j in range(self.betti[k]))
+        image, p, one = self.image(n), min(self.reps(n)[0]), self.field.one
+        # e_i with i off the image's pivots is already reduced: lam is 0 there unless i = p
+        lam = {i: c for i in (p, *image.pivots()) if (c := image.reduce({i: one})[0].get(p))}
+        for k in range(n // 2 + 1):
+            rows = ({l: c for l, rep_l in enumerate(self.reps(n - k)) if not (c := dot(
+                self.field, lam, self.slices.mul_vec(k, rep_j, n - k, rep_l))).is_zero()}
+                for rep_j in self.reps(k))
             if span(self.field, rows).rank != self.betti[k]:
                 return False
         return True

@@ -51,6 +51,11 @@ def vec_scale(a: Vec, coeff: CycScalar) -> Vec:
     return {col: coeff * val for col, val in a.items()}
 
 
+def dot(field: CycField, a: Vec, b: Vec) -> CycScalar:
+    """The functional a applied to b: the sum of a[i] * b[i]."""
+    return sum((c * b[i] for i, c in a.items() if i in b), field.zero)
+
+
 def mat_vec(cols: Sequence[Vec], vec: Vec) -> Vec:
     """The sparse matrix with columns ``cols`` applied to ``vec``."""
     out: Vec = {}

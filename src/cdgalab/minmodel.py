@@ -23,6 +23,7 @@ INCONCLUSIVE (the tool never extrapolates past its bound).
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field as dc_field
 from typing import Dict, List, Optional, Tuple
 
@@ -30,7 +31,7 @@ from .algebra import AlgebraSpec, Element, GeneratorDecl
 from .chains import FreeSlices, chain_defect, extend
 from .cohomology import CohomologyRing
 from .errors import CapTooLow, NotOneConnected, ParseError
-from .linalg import Echelon, Vec, kernel_image, span
+from .linalg import Echelon, Vec, kernel_image, mat_vec, span
 from .massey import NONZERO, MasseyReport, a_massey, triple_massey
 
 CERTIFIED = "CERTIFIED"
@@ -97,7 +98,7 @@ def build_minimal_model(target_ring: CohomologyRing, bound: int) -> MinimalModel
                         bound=bound, available=target_ring.max_degree)
     slices = target_ring.slices
     if isinstance(slices, FreeSlices) and slices.spec.flags.is_minimal \
-            and _differentials_independent(slices):
+            and _differentials_independent(slices) and _sullivan_in_degree_one(slices):
         spec = slices.spec
         psi = {}
         cn: Dict[int, Tuple[List[str], List[str]]] = {}
@@ -178,6 +179,20 @@ def _differentials_independent(slices: FreeSlices) -> bool:
     for gi, img in spec.differential.items():
         images.setdefault(spec.generators[gi].degree, []).append(slices.from_element(img))
     return all(span(spec.field, vecs).rank == len(vecs) for vecs in images.values())
+
+
+def _sullivan_in_degree_one(slices: FreeSlices) -> bool:
+    """V_0 = closed degree-1 span, V_{i+1} = {x : dx in V_i * V_i} reach all of degree 1,
+    in any basis: V_i annihilates g^(i+2) of the dual Lie algebra, [e_a, y] = d^T(x_a y)."""
+    n, one = slices.dim(1), slices.field.one
+    dual: Dict[int, Vec] = defaultdict(dict)  # d^T: degree-2 index -> {c: entry of dx_c}
+    for c, m in ((c, m) for c in range(n) for m in slices.d_col(1, c)):
+        dual[m][c] = slices.d_col(1, c)[m]
+    rank, rows = n + 1, [{a: one} for a in range(n)] if dual else []  # d = 0: V_0 is all
+    while 0 < len(rows) < rank:  # g^j, until it stops shrinking
+        rank, rows = len(rows), span(slices.field, (mat_vec(dual, slices.mul_vec(
+            1, {a: one}, 1, y)) for a in range(n) for y in rows)).basis_rows()
+    return not rows
 
 
 def s_formality_check(mm: MinimalModel, s: int) -> SFormalityReport:

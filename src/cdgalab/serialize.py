@@ -3,7 +3,8 @@
 Scalar literals are either a rational literal (a string ``"p/q"``, an integer
 or an integral float) or an object ``{"zeta": N, "poly": [<rational>, ...]}``.
 Element expressions are arrays of ``{"coeff": <scalar>, "monomial": ["gen",
-...]}`` terms (generator names repeat for powers).  An algebra document fixes
+...]}`` terms (generator names repeat for powers; ``coeff`` defaults to "1", a
+missing ``monomial`` or any other key is refused).  An algebra document fixes
 the global modulus; scalars written over a smaller field are promoted at parse
 time, and the document modulus itself is raised to the lcm of everything that
 appears, so no promotion logic is needed downstream.
@@ -104,9 +105,12 @@ def monomial_from_json(names: List[str], spec: AlgebraSpec) -> Monomial:
 
 
 def _terms(expr) -> list:
-    """The terms of an element expression: an array of objects."""
+    """The terms of an element expression: objects with a monomial and, optionally, a coeff."""
     for term in _typed(expr, list, "an element expression"):
-        _typed(term, dict, "an element term")
+        keys = set(_typed(term, dict, "an element term"))
+        if "monomial" not in keys or keys - {"coeff", "monomial"}:
+            raise ParseError("a term has a monomial, an optional coeff and no other key",
+                             got=term)
     return expr
 
 
@@ -150,7 +154,7 @@ def _collect_moduli(doc: dict, inner: dict) -> int:
 
 def _expr_terms(expr, field: CycField):
     return [(scalar_from_json(t.get("coeff", "1"), field),
-             tuple(_typed(t.get("monomial", []), list, "a term's monomial")))
+             tuple(_typed(t["monomial"], list, "a term's monomial")))
             for t in _terms(expr)]
 
 

@@ -370,6 +370,7 @@ def test_subcomplex_product_matches_parent_product(name, monkeypatch):
 
 D_COL_CASES = [(name, params, False) for name, params in ALL_PRESETS]
 D_COL_CASES += [(name, {}, True) for name in ("HEIS6_Z6", "HEIS8_Z3", "T6_Z2", "P_OVER_T6Z2")]
+ZERO_D_PRESETS = {"T6", "T6_Z2", "SPHERE2", "CPN"}
 
 
 def _d_col_slices(name, params, invariant):
@@ -412,7 +413,11 @@ def test_each_d_col_is_computed_once_and_never_mutated(name, params, invariant, 
     first = {key: list(col.items()) for key, col in cols.items()}
     counts = (len(leibniz), len(solves))
     assert len(leibniz) == len(set(leibniz))
-    if invariant:
+    # d = 0 is read from the spec: no column is expanded by Leibniz or solved for.
+    assert sl.zero_d == (name in ZERO_D_PRESETS)
+    if sl.zero_d:
+        assert counts == (0, 0)
+    elif invariant:
         assert len(solves) == len(cols)
     else:
         assert len(leibniz) == len(cols)

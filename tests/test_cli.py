@@ -254,6 +254,12 @@ def _t6_with(edit, name="T6"):
     return json.dumps(doc)
 
 
+def _misspell_relation_monomial(doc):
+    doc.pop("volume")
+    term = doc["algebra"]["relations"][0][0]
+    term["mono"] = term.pop("monomial")
+
+
 def _heis6_theta_coeff(coeff):
     return _t6_with(lambda d: d["algebra"]["differential"]["theta"][0].update(coeff=coeff),
                     "HEIS6")
@@ -333,7 +339,26 @@ MALFORMED_DOCUMENTS = {
                      {"got": -2}),
     "negative-half-dim": (lambda: _t6_with(lambda d: (d.pop("dim"), d.update(half_dim=-1))),
                           {"got": -1}),
+    # A term names its monomial: read as the unit, SPHERE2's relation a^2 = 0 was 1 = 0,
+    # and its cohomology came out as "betti: 0 0 0", exit 0.
+    "term-without-monomial": (lambda: _t6_with(_misspell_relation_monomial, "SPHERE2"),
+                              {"got": {"coeff": "1", "mono": ["a", "a"]}}),
+    "term-without-monomial-or-coeff": (
+        lambda: _t6_with(lambda d: d["algebra"]["differential"]["theta"].append({}), "HEIS6"),
+        {"got": {}}),
+    "term-with-unknown-key": (lambda: _t6_with(lambda d: d["classes"]["a1"][0].update(extra=5)),
+                              {"got": {"coeff": "1", "monomial": ["x1", "x2"], "extra": 5}}),
+    "image-term-with-unknown-key": (
+        lambda: _t6_with(lambda d: d["action"]["images"]["x1"][0].update(coef="-1"), "T6_Z2"),
+        {"got": {"coeff": "-1", "monomial": ["x1"], "coef": "-1"}}),
 }
+
+
+def test_a_term_without_coeff_has_coefficient_one(capsys, monkeypatch):
+    argv = ["massey", "--select", "a1", "--select", "a2", "--select", "a1", "--format", "json"]
+    outputs = [main_in_process(argv, _t6_with(edit), capsys, monkeypatch)
+               for edit in (lambda d: None, lambda d: d["classes"]["a1"][0].pop("coeff"))]
+    assert outputs[0] == outputs[1] and outputs[0][0] == 0
 
 
 def test_class_and_image_moduli_raise_the_document_modulus(capsys, monkeypatch):
@@ -436,6 +461,25 @@ def test_pairing_beyond_the_computed_range_is_a_degree_overflow(capsys, monkeypa
     assert code == 1 and out == ""
     diag = json.loads(err)
     assert (diag["error"], diag["details"]) == ("DEGREE_OVERFLOW", {"degree": 99})
+
+
+@pytest.mark.parametrize("name,argv,verdict,code", [
+    ("T6_Z2", ["--bound", "3", "--s-formality", "2"],
+     {"s": 2, "status": "CERTIFIED", "route": "n_part_vanishes"}, 0),
+    ("SASAKI7_S2CUBE", ["--bound", "4", "--s-formality", "3", "--strict"],
+     {"s": 3, "status": "INCONCLUSIVE", "route": "scan_clean_to_bound"}, 2),
+], ids=["certified", "inconclusive-strict"])
+def test_s_formality_is_a_key_of_the_json_report(name, argv, verdict, code, capsys,
+                                                 monkeypatch):
+    # Before, the text line "s-formality (s=2): ..." followed the JSON document.
+    doc = json.dumps(preset_document(name))
+    base = ["minimal-model", "--format", "json", "--bound", argv[1]]
+    _, plain, _ = main_in_process(base, doc, capsys, monkeypatch)
+    got, out, err = main_in_process(base + argv[2:], doc, capsys, monkeypatch)
+    assert (got, err) == (code, "")
+    report = json.loads(out)
+    assert report.pop("s_formality") == verdict
+    assert report == json.loads(plain)
 
 
 def test_zero_counts_as_given(capsys, monkeypatch):

@@ -1,8 +1,10 @@
 import pytest
 
-from cdgalab.chains import extend
+from cdgalab.algebra import AlgebraSpec, GeneratorDecl
+from cdgalab.chains import FreeSlices, extend
 from cdgalab.cohomology import cohomology
 from cdgalab.errors import NotOneConnected
+from cdgalab import minmodel
 from cdgalab.minmodel import (
     CERTIFIED,
     FORMAL,
@@ -17,7 +19,7 @@ from cdgalab.minmodel import (
 from cdgalab.models import preset
 from cdgalab.symmetry import invariant_cohomology
 
-from test_algebra import exterior, heisenberg6
+from test_algebra import Q, exterior, heisenberg6
 
 
 def test_sphere_minimal_model():
@@ -258,6 +260,44 @@ def test_degenerate_minimal_spec_rejected():
     # so the identity shortcut is skipped; the fallback needs 1-connectedness
     with pytest.raises(NotOneConnected):
         build_minimal_model(ring, 3)
+
+
+def _degree_one(differential, extra=(), cap=5):
+    gens = [GeneratorDecl(n, 1) for n in "hef"] + list(extra)
+    return AlgebraSpec(Q, gens, differential=differential, degree_cap=cap).validate()
+
+
+# The Chevalley-Eilenberg algebra of sl2: d is decomposable, but no basis of
+# degree 1 makes it triangular, and its cohomology is that of S^3.
+SL2 = {"h": [(-1, ("e", "f"))], "e": [(-2, ("h", "e"))], "f": [(2, ("h", "f"))]}
+
+
+def test_sl2_is_not_its_own_minimal_model():
+    spec = _degree_one(SL2)
+    assert spec.flags.is_minimal
+    ring = cohomology(spec, 4)
+    assert list(ring.betti) == [1, 0, 0, 1, 0]
+    mm = build_minimal_model(ring, 2)
+    assert not mm.identity and mm.model.generators == ()
+    mm = build_minimal_model(ring, 3)
+    assert [g.degree for g in mm.model.generators] == [3] and not mm.model.differential
+    assert mm.cn_split[3] == ([mm.model.generators[0].name], [])
+    assert mm.model_ring(3).betti == ring.betti[:4]
+
+
+def test_sl2_with_an_abelian_part_takes_the_general_path():
+    spec = _degree_one(SL2, [GeneratorDecl("t", 1)], cap=6)
+    with pytest.raises(NotOneConnected):
+        build_minimal_model(cohomology(spec, 5), 2)
+
+
+def test_sullivan_condition_in_degree_one_needs_no_basis():
+    # The Heisenberg algebra in the basis h + f, e, f: no generator but e is
+    # closed, d(h) = d(f) = (h - f) e, yet the closed span reaches all of degree 1.
+    rebased = {"h": [(1, ("h", "e")), (-1, ("f", "e"))], "f": [(1, ("h", "e")), (-1, ("f", "e"))]}
+    assert minmodel._sullivan_in_degree_one(FreeSlices(_degree_one(rebased)))
+    assert not minmodel._sullivan_in_degree_one(FreeSlices(_degree_one(SL2)))
+    assert minmodel._sullivan_in_degree_one(FreeSlices(exterior("abc").validate()))
 
 
 def test_model_spec_is_rebuilt_once_per_step(monkeypatch):

@@ -12,6 +12,8 @@ subspace is held as an echelon, so a parent vector's coordinates are its
 entries at the pivots; each degree's echelon is computed on first read.  The
 cohomology, Massey, Lefschetz and minimal-model machinery only ever talk to
 this interface, so group-invariant complexes get every feature for free.
+An :class:`AlgebraMap` into either (rho* of a group action, a minimal model's
+psi) is fixed by generator images and keeps each monomial's image it computes.
 """
 
 from __future__ import annotations
@@ -181,7 +183,6 @@ class SubcomplexSlices:
 
 
 Slices = Union[FreeSlices, SubcomplexSlices]
-Images = Mapping[int, Tuple[int, Vec]]  # generator index -> (degree, target vec)
 
 
 def product(slices: Slices, factors: Sequence[Tuple[int, Vec]]) -> Vec:
@@ -199,29 +200,43 @@ def product(slices: Slices, factors: Sequence[Tuple[int, Vec]]) -> Vec:
     return vec
 
 
-def extend(slices: Slices, images: Images, elem: Element) -> Vec:
-    """Image of ``elem`` under the algebra map that sends generator g to ``images[g]``.
+class AlgebraMap:
+    """The algebra map sending generator g to ``images[g]``, a (degree, vec) pair.
 
-    The map is multiplicative, so a term c * g_1 ... g_r goes to
-    c * product(images of g_1, ..., g_r), in the monomial's order.
+    ``monomial(m)`` multiplies the images of m's generators left to right, as
+    ``product`` does, each prefix once: an image, once set, never changes.
     """
-    out: Vec = {}
-    for mono, c in elem.terms.items():
-        vec_iadd(out, product(slices, [images[g] for g in mono]), c)
-    return out
+
+    def __init__(self, slices: Slices, images: Dict[int, Tuple[int, Vec]]):
+        self.slices, self.images = slices, images
+        self._products: Dict[Monomial, Tuple[int, Vec]] = {}
+
+    def monomial(self, m: Monomial) -> Tuple[int, Vec]:
+        if len(m) < 2:
+            return self.images[m[0]] if m else (0, self.slices.unit_vec())
+        hit = self._products.get(m)
+        if hit is None:  # with relations a prefix need not be a basis monomial
+            (deg, vec), (gdeg, gvec) = self.monomial(m[:-1]), self.images[m[-1]]
+            hit = self._products[m] = (deg + gdeg, self.slices.mul_vec(deg, vec, gdeg, gvec))
+        return hit
+
+    def __call__(self, terms: Mapping[Monomial, CycScalar]) -> Vec:
+        """The image of the element with these terms."""
+        out: Vec = {}
+        for m, c in terms.items():
+            vec_iadd(out, self.monomial(m)[1], c)
+        return out
 
 
-def chain_defect(spec: AlgebraSpec, slices: Slices,
-                 images: Images) -> Optional[Tuple[int, Vec]]:
+def chain_defect(spec: AlgebraSpec, phi: AlgebraMap) -> Optional[Tuple[int, Vec]]:
     """The first generator g with phi(dg) != d(phi g), and phi(dg) - d(phi g).
 
-    None when the map that ``images`` fixes on the generators of ``spec``
-    commutes with d.
+    None when ``phi``, on the generators of ``spec``, commutes with d.
     """
-    minus_one, zero = -slices.field.one, spec.zero()
-    for gi, (deg, vec) in sorted(images.items()):
-        lhs = extend(slices, images, spec.differential.get(gi, zero))
-        diff = vec_add(lhs, slices.d_vec(deg, vec), minus_one)
+    minus_one, zero = -phi.slices.field.one, spec.zero()
+    for gi, (deg, vec) in sorted(phi.images.items()):
+        lhs = phi(spec.differential.get(gi, zero).terms)
+        diff = vec_add(lhs, phi.slices.d_vec(deg, vec), minus_one)
         if diff:
             return gi, diff
     return None

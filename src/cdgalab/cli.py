@@ -288,13 +288,14 @@ def cmd_minimal_model(args) -> int:
     spec, action, classes, volume, meta, ring = _context(args)
     mm = build_minimal_model(ring, args.bound)
     rep = None if args.s_formality is None else s_formality_check(mm, args.s_formality)
+    zero, dg = mm.model.zero(), mm.model.differential.get
     doc = {
         "bound": mm.bound,
         "identity": mm.identity,
         "generators": [{
             "name": g.name,
             "degree": g.degree,
-            "differential": element_to_json(mm.model.gen(g.name).d()),
+            "differential": element_to_json(dg(gi, zero)),
             "psi": element_to_json(ring.slices.to_element(*mm.psi[gi])),
         } for gi, g in enumerate(mm.model.generators)],
         "cn_split": {str(k): {"C": c, "N": n}
@@ -306,9 +307,8 @@ def cmd_minimal_model(args) -> int:
         sys.stdout.write(dumps(doc))
     else:
         print(f"bound: {mm.bound}")
-        for g in doc["generators"]:
-            print(f"{g['name']} (degree {g['degree']}): "
-                  f"d = {mm.model.gen(g['name']).d().render()}")
+        for gi, g in enumerate(doc["generators"]):
+            print(f"{g['name']} (degree {g['degree']}): d = {dg(gi, zero).render()}")
         if rep is not None:
             print(f"s-formality (s={args.s_formality}): {rep.status} via {rep.route}")
     return 2 if rep is not None and args.strict and rep.status == "INCONCLUSIVE" else 0
@@ -463,6 +463,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if getattr(args, "budget", 0) < 0:
+            raise ParseError("the budget must not be negative", budget=args.budget)
         return args.fn(args)
     except CdgaError as exc:
         diag = {"error": exc.code, "message": str(exc), "details": exc.details}

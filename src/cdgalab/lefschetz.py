@@ -85,6 +85,8 @@ def universal_obstruction(ring: CohomologyRing, k: int,
     A nonzero witness defeats the hard-Lefschetz property for every
     degree-2 class at once.  Requires the ring through k + 2(n-k).
     """
+    if k < 0:
+        raise ParseError("the degree must not be negative", degree=k)
     if n is None:
         n = ring.max_degree // 2
     power = n - k

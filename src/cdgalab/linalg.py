@@ -11,6 +11,9 @@ elements) is stored without a zero test, a row whose lead is already 1
 is stored without inverting or scaling it, the entry an elimination
 step clears (c + (-c) * 1 at a stored row's pivot) is dropped, not summed,
 and a zero column of a map enters its kernel as e_i without elimination.
+A unit row (exactly e_p) is never added: eliminating against it pops the
+entry at p, back-substituting it drops p from the rows that hold it, and
+when all rows are unit rows a vector's coordinates are read off by position.
 """
 
 from __future__ import annotations
@@ -91,6 +94,7 @@ class Echelon:
         self.field = field
         self._rows: dict = {}  # pivot col -> (row vec, source vec)
         self._holders = defaultdict(set)  # non-pivot col -> pivots whose row holds it
+        self._positions = None  # pivot -> position when all rows are unit rows, else False
 
     @property
     def rank(self) -> int:
@@ -101,6 +105,7 @@ class Echelon:
         out = Echelon(self.field)
         out._rows = dict(self._rows)
         out._holders = defaultdict(set, {col: set(ps) for col, ps in self._holders.items()})
+        out._positions = self._positions  # replaced, never edited, on a mutation
         return out
 
     def pivots(self):
@@ -119,8 +124,9 @@ class Echelon:
         for col in sorted(col for col in row if col in rows):
             prow, psrc = rows[col]
             c = -row.pop(col)
-            vec_iadd(row, prow, c)
-            del row[col]  # prow is 1 at col: the entry cancels, so it is dropped
+            if len(prow) > 1:  # a unit row's whole step is the pop
+                vec_iadd(row, prow, c)
+                del row[col]  # prow is 1 at col: the entry cancels, so it is dropped
             if src is not None and psrc is not None:
                 vec_iadd(src, psrc, c)
         return row, src
@@ -132,6 +138,7 @@ class Echelon:
     def _insert(self, row: Vec, src: Optional[Vec]) -> bool:
         if not row:
             return False
+        self._positions = None
         pivot, one = min(row), self.field.one
         if row[pivot] != one:
             inv = row[pivot].inverse()
@@ -146,8 +153,9 @@ class Echelon:
             prow = dict(old)
             c = prow.pop(pivot)
             nsrc = vec_add(psrc, src, -c) if (psrc is not None and src is not None) else psrc
-            vec_iadd(prow, row, -c)
-            del prow[pivot]  # row is 1 at pivot: the entry cancels, so it is dropped
+            if others:  # a unit row only drops its pivot from the holders
+                vec_iadd(prow, row, -c)
+                del prow[pivot]  # row is 1 at pivot: the entry cancels, so it is dropped
             self._rows[p] = (prow, nsrc)
             for col in others:
                 if col in prow:
@@ -178,8 +186,15 @@ class Echelon:
         """Coordinates of ``vec`` in ``basis_rows()``, or None outside their span.
 
         A stored row is 1 at its pivot and 0 at every other pivot, so the
-        coordinate on row j is the entry of ``vec`` at row j's pivot.
+        coordinate on row j is the entry of ``vec`` at row j's pivot.  With
+        only unit rows, ``vec`` is in their span iff its support is pivots.
         """
+        pos = self._positions
+        if pos is None:
+            pos = self._positions = not any(self._holders.values()) and {
+                p: j for j, p in enumerate(self.pivots())}
+        if pos:
+            return {pos[p]: vec[p] for p in sorted(vec)} if pos.keys() >= vec.keys() else None
         if self.reduce(vec)[0]:
             return None
         return {j: vec[p] for j, p in enumerate(self.pivots()) if p in vec}
@@ -213,6 +228,7 @@ def kernel_image(field: CycField, dim_src: int, apply: Callable[[int], Vec]):
             # Every stored kernel row lies on columns below i, so e_i is reduced,
             # back-substitutes into nothing and holds no other column.
             kernel._rows[i] = ({i: one}, None)
+            kernel._positions = None
             continue
         residual, src = image.reduce(col, source={i: one})
         if not image._insert(residual, src):

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field as dc_field
 from typing import Dict, List, Optional, Tuple
 
 from .algebra import AlgebraSpec, Element, GeneratorDecl
-from .chains import FreeSlices, chain_defect, extend
+from .chains import AlgebraMap, FreeSlices, chain_defect
 from .cohomology import CohomologyRing
 from .errors import CapTooLow, NotOneConnected, ParseError
 from .linalg import Echelon, Vec, kernel_image, mat_vec, span
@@ -98,7 +98,7 @@ def build_minimal_model(target_ring: CohomologyRing, bound: int) -> MinimalModel
                         bound=bound, available=target_ring.max_degree)
     slices = target_ring.slices
     if isinstance(slices, FreeSlices) and slices.spec.flags.is_minimal \
-            and _differentials_independent(slices) and _sullivan_in_degree_one(slices):
+            and _differentials_independent(slices) and _sullivan(slices):
         spec = slices.spec
         psi = {}
         cn: Dict[int, Tuple[List[str], List[str]]] = {}
@@ -117,15 +117,17 @@ def build_minimal_model(target_ring: CohomologyRing, bound: int) -> MinimalModel
 
     field = target_ring.field
     gens: List[GeneratorDecl] = []
-    psi: Dict[int, Tuple[int, Vec]] = {}
+    psi = AlgebraMap(target_ring.slices, {})
     cn: Dict[int, Tuple[List[str], List[str]]] = {}
 
     def h_psi(degree: int, j: int) -> Vec:
-        rep = model_ring.slices.to_element(degree, model_ring.reps(degree)[j])
-        return dict(target_ring.class_of(extend(target_ring.slices, psi, rep), degree).coords)
+        basis = model_ring.slices.spec.basis(degree)
+        rep = {basis[i]: c for i, c in model_ring.reps(degree)[j].items()}
+        return dict(target_ring.class_of(psi(rep), degree).coords)
 
     # Generators are only appended (``adjoin``), so an index names the same
-    # generator in every stage's spec, and psi is keyed by index.
+    # generator in every stage's spec, and psi is keyed by index: the images
+    # of monomials it keeps stay valid as the model grows.
     model = AlgebraSpec(field, [], degree_cap=bound + 2)
     for k in range(2, bound + 1):
         new_closed, new_n = cn.setdefault(k, ([], []))
@@ -140,7 +142,7 @@ def build_minimal_model(target_ring: CohomologyRing, bound: int) -> MinimalModel
             if img_ech.add({j: field.one}):
                 name = f"v{k}_{len(new_closed)}"
                 new_closed.append(name)
-                psi[len(gens)] = (k, target_ring.rep_combination(k, {j: field.one}))
+                psi.images[len(gens)] = (k, target_ring.rep_combination(k, {j: field.one}))
                 gens.append(GeneratorDecl(name, k))
         # 2. injectivity in degree k+1: kill the kernel of H^{k+1}(psi).
         #    The closed generators just adjoined have degree k >= 2, so they
@@ -150,23 +152,23 @@ def build_minimal_model(target_ring: CohomologyRing, bound: int) -> MinimalModel
         for row in kernel.basis_rows():
             zvec = model_ring.rep_combination(k + 1, row)
             z_elem = model_ring.slices.to_element(k + 1, zvec)
-            prim = target_ring.is_exact(extend(target_ring.slices, psi, z_elem), k + 1)
+            prim = target_ring.is_exact(psi(z_elem.terms), k + 1)
             if prim is None:
                 raise AssertionError("kernel class must map to an exact cocycle")
             name = f"n{k}_{len(new_closed) + len(new_n)}"
             new_n.append(name)
-            psi[len(gens)] = (k, prim)
+            psi.images[len(gens)] = (k, prim)
             gens.append(GeneratorDecl(name, k))
             diff[name] = z_elem
         if new_closed or new_n:
             model = model.adjoin(gens[len(model.generators):], diff)
 
     # chain-map sanity: psi(d g) = d(psi g) on every generator
-    defect = chain_defect(model, target_ring.slices, psi)
+    defect = chain_defect(model, psi)
     if defect is not None:
         raise AssertionError("psi fails the chain condition on "
                              f"{model.generators[defect[0]].name}")
-    return MinimalModel(model=model, bound=bound, psi=psi,
+    return MinimalModel(model=model, bound=bound, psi=psi.images,
                         target_ring=target_ring, cn_split=cn)
 
 
@@ -181,18 +183,25 @@ def _differentials_independent(slices: FreeSlices) -> bool:
     return all(span(spec.field, vecs).rank == len(vecs) for vecs in images.values())
 
 
-def _sullivan_in_degree_one(slices: FreeSlices) -> bool:
-    """V_0 = closed degree-1 span, V_{i+1} = {x : dx in V_i * V_i} reach all of degree 1,
-    in any basis: V_i annihilates g^(i+2) of the dual Lie algebra, [e_a, y] = d^T(x_a y)."""
-    n, one = slices.dim(1), slices.field.one
-    dual: Dict[int, Vec] = defaultdict(dict)  # d^T: degree-2 index -> {c: entry of dx_c}
-    for c, m in ((c, m) for c in range(n) for m in slices.d_col(1, c)):
-        dual[m][c] = slices.d_col(1, c)[m]
-    rank, rows = n + 1, [{a: one} for a in range(n)] if dual else []  # d = 0: V_0 is all
-    while 0 < len(rows) < rank:  # g^j, until it stops shrinking
-        rank, rows = len(rows), span(slices.field, (mat_vec(dual, slices.mul_vec(
-            1, {a: one}, 1, y)) for a in range(n) for y in rows)).basis_rows()
-    return not rows
+def _sullivan(slices: FreeSlices) -> bool:
+    """Per degree n, V_0 = {y : dy has no V^1 * V^n part} and V_{i+1} = {y : that part
+    lies in V^1 * V_i} (for n = 1, V_0 is the closed span and dy lies in V_i * V_i) must
+    reach V^n, in any basis: from all of (V^n)*, their annihilators are spanned by
+    [e_a, f] = d^T(x_a f); in degree 1, V_i annihilates g^(i+2) of the dual Lie algebra."""
+    spec, one, ones = slices.spec, slices.field.one, range(slices.dim(1))
+    for n in sorted({spec.generators[gi].degree for gi in spec.differential} if ones else ()):
+        index = spec._free_index(n)
+        gens = [index[(gi,)] for gi, g in enumerate(spec.generators) if g.degree == n]
+        dual: Dict[int, Vec] = defaultdict(dict)  # d^T: degree-(n+1) index -> {c: entry of dy_c}
+        for c, m in ((c, m) for c in gens for m in slices.d_col(n, c)):
+            dual[m][c] = slices.d_col(n, c)[m]
+        rank, rows = len(gens) + 1, [{c: one} for c in gens]
+        while 0 < len(rows) < rank:  # until it stops shrinking
+            rank, rows = len(rows), span(slices.field, (mat_vec(dual, slices.mul_vec(
+                1, {a: one}, n, y)) for a in ones for y in rows)).basis_rows()
+        if rows:
+            return False
+    return True
 
 
 def s_formality_check(mm: MinimalModel, s: int) -> SFormalityReport:

@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional
 
 from .algebra import AlgebraSpec, Element, Monomial
-from .chains import FreeSlices, SubcomplexSlices, chain_defect, extend
+from .chains import AlgebraMap, FreeSlices, SubcomplexSlices, chain_defect
 from .cohomology import CohomologyRing
 from .errors import (
     CapTooLow,
@@ -57,12 +57,9 @@ class GroupActionSpec:
                     f"action must specify an image for generator "
                     f"'{parent.generators[gi].name}'")
         self._slices = FreeSlices(parent)
-        # generator index -> (degree, image vector), the map rho* is extended from
-        self._image_vecs = {gi: (parent.generators[gi].degree, self._slices.from_element(img))
-                            for gi, img in self.images.items()}
-        # free monomial -> (degree, rho* of it), filled prefix by prefix
-        self._products = {(): (0, self._slices.unit_vec()),
-                          **{(gi,): dv for gi, dv in self._image_vecs.items()}}
+        self._rho = AlgebraMap(self._slices, {
+            gi: (parent.generators[gi].degree, self._slices.from_element(img))
+            for gi, img in self.images.items()})
         self._matrices: Dict[int, List[Vec]] = {}
         self._projectors: Dict[int, List[Vec]] = {}
         self.validate()
@@ -85,24 +82,15 @@ class GroupActionSpec:
         """Columns of rho* on the degree-k monomial basis, built once per degree."""
         cols = self._matrices.get(k)
         if cols is None:
-            cols = self._matrices[k] = [self._product(mono)[1]
+            cols = self._matrices[k] = [self._rho.monomial(mono)[1]
                                         for mono in self.parent.basis(k)]
         return cols
-
-    def _product(self, mono: Monomial):
-        """rho*(g_1...g_{r-1}) * rho*(g_r), chains.product's left-to-right steps,
-        each prefix once; with relations a prefix need not be a basis monomial."""
-        hit = self._products.get(mono)
-        if hit is None:
-            (deg, vec), (gdeg, gvec) = self._product(mono[:-1]), self._image_vecs[mono[-1]]
-            hit = self._products[mono] = (deg + gdeg, self._slices.mul_vec(deg, vec, gdeg, gvec))
-        return hit
 
     # -- validation -----------------------------------------------------
 
     def validate(self) -> "GroupActionSpec":
         spec = self.parent
-        defect = chain_defect(spec, self._slices, self._image_vecs)
+        defect = chain_defect(spec, self._rho)
         if defect is not None:
             gi, diff = defect
             name = spec.generators[gi].name
@@ -113,12 +101,12 @@ class GroupActionSpec:
                                                 diff).render())
         # rho* is defined on the quotient only if it maps each relation into the ideal
         for rel in spec.relations:
-            if extend(self._slices, self._image_vecs, rel):
+            if self._rho(rel.terms):
                 raise IdealNotStable("the action does not map a relation into the relation ideal",
                                      relation=rel.render(), degree=rel.degree)
         gen_vecs = {gi: self._slices.from_element(spec.gen(g.name))
                     for gi, g in enumerate(spec.generators)}
-        current = {gi: vec for gi, (_, vec) in self._image_vecs.items()}
+        current = {gi: vec for gi, (_, vec) in self._rho.images.items()}
         period = None
         for j in range(1, self.order + 1):
             if current == gen_vecs:

@@ -438,6 +438,8 @@ NEGATIVE_ARGUMENTS = {
     "pairing": (["cohomology", "--pairing", "-1"], "T6", {"pairing": -1}),
     "s-formality": (["minimal-model", "--bound", "3", "--s-formality", "-5"], "T6_Z2",
                     {"s": -5}),
+    "universal-degree": (["lefschetz", "--universal", "--degree", "-1"], "HEIS8_Z3",
+                         {"degree": -1}),
 }
 
 
@@ -452,6 +454,26 @@ def test_negative_degree_argument_is_a_parse_error(case, capsys, monkeypatch):
     assert code == 1 and out == ""
     diag = json.loads(err)
     assert (diag["error"], diag["details"]) == ("PARSE_ERROR", details)
+
+
+@pytest.mark.parametrize("argv", [
+    ["formality", "--budget", "-1"],
+    ["amassey", "--a", "a", "--b", "b1", "--b", "b2", "--budget", "-2"],
+    ["cohomology", "--budget", "-1"]])
+def test_negative_budget_is_a_parse_error(argv, capsys, monkeypatch):
+    # Before, formality --budget -1 on HEIS8_Z3 answered UNKNOWN with exit 0.
+    budget = int(argv[-1])
+    doc = json.dumps(preset_document("HEIS8_Z3"))
+    code, out, err = main_in_process(argv + ["--format", "json"], doc, capsys, monkeypatch)
+    assert code == 1 and out == ""
+    diag = json.loads(err)
+    assert (diag["error"], diag["details"]) == ("PARSE_ERROR", {"budget": budget})
+
+
+def test_zero_budget_is_read_as_given(capsys, monkeypatch):
+    code, out, _ = main_in_process(["formality", "--budget", "0", "--format", "json"],
+                                   json.dumps(preset_document("HEIS8_Z3")), capsys, monkeypatch)
+    assert code == 0 and json.loads(out)["verdict"] == "UNKNOWN"
 
 
 def test_pairing_beyond_the_computed_range_is_a_degree_overflow(capsys, monkeypatch):

@@ -10,14 +10,16 @@ pivot columns.
 
 ``ref_kernel_image`` is the kernel_image loop before zero columns skipped
 elimination: every column, zero or not, is reduced by the image and its
-kernel vector added through ``Echelon.add``.
+kernel vector added through ``Echelon.add``.  ``ref_reduce`` and
+``ref_coordinates`` never take the unit-row paths: every elimination step
+is a full accumulate, and coordinates always come after a reduction.
 """
 
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from cdgalab.linalg import Echelon, kernel_image
+from cdgalab.linalg import Echelon, kernel_image, span, vec_iadd
 from cdgalab.scalars import CycField
 from test_scalar_oracle import ref_add, ref_from_poly, ref_inverse, ref_mul, ref_neg
 
@@ -277,3 +279,118 @@ def test_zero_columns_give_the_eliminated_kernel(case):
     got[0].add(engine_vec(field, extra))
     ref[0].add(engine_vec(field, extra))
     check_kernel_image(*got, *ref)
+
+
+# -- unit rows: eliminated by a pop, read off by position ---------------------
+
+def ref_reduce(ech, row, source=None):
+    """Echelon.reduce with every step accumulated in full, against unit rows too."""
+    row = dict(row)
+    src = dict(source) if source is not None else None
+    for col in sorted(c for c in row if c in ech._rows):
+        prow, psrc = ech._rows[col]
+        c = -row[col]
+        vec_iadd(row, prow, c)  # row[col] + c * 1 is zero, so the sum drops it
+        if src is not None and psrc is not None:
+            vec_iadd(src, psrc, c)
+    return row, src
+
+
+def ref_coordinates(ech, vec):
+    """Coordinates after a full reduction, read at every pivot in turn."""
+    if ref_reduce(ech, vec)[0]:
+        return None
+    return {j: vec[p] for j, p in enumerate(sorted(ech._rows)) if p in vec}
+
+
+def items(vec):
+    return None if vec is None else list(vec.items())
+
+
+def check_unit_paths(ech, probes):
+    """reduce and coordinates as the reference gives them, in the same dict order."""
+    for probe in probes:
+        got, want = ech.reduce(probe, source={}), ref_reduce(ech, probe, source={})
+        assert [items(v) for v in got] == [items(v) for v in want]
+        assert items(ech.coordinates(probe)) == items(ref_coordinates(ech, probe))
+
+
+@st.composite
+def unit_batches(draw):
+    """(modulus, rows, other rows, probes, columns, source rows, source probes): most
+    rows are a multiple of some e_p, the rest sparse, so echelons enter and leave the
+    all-unit state; zero and unit columns give kernel_image's direct rows."""
+    n = draw(st.sampled_from([1, 3]))
+    d = CycField.get(n).degree
+    small = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 2))
+    zero = (Fraction(0),) * d
+
+    def scalar():
+        return tuple(draw(small) for _ in range(d))
+
+    def row(width):
+        if draw(st.integers(0, 2)):  # a multiple of e_p, zero if the scalar is
+            p, c = draw(st.integers(0, width - 1)), scalar()
+            return [c if i == p else zero for i in range(width)]
+        return [scalar() if draw(st.booleans()) else zero for _ in range(width)]
+
+    def rows(width, lo, hi):
+        return [row(width) for _ in range(draw(st.integers(lo, hi)))]
+
+    ncols, nsrc = draw(st.integers(1, 7)), draw(st.integers(1, 6))
+    base = rows(ncols, 1, 8)
+    probes = rows(ncols, 2, 5) + [[ref_add(x, y) for x, y in zip(base[0], base[-1])]]
+    return (n, base, rows(ncols, 0, 4), probes,
+            rows(ncols, nsrc, nsrc), rows(nsrc, 0, 4), rows(nsrc, 2, 5))
+
+
+@settings(max_examples=300, deadline=None)
+@given(unit_batches())
+def test_unit_rows_match_the_full_elimination(case):
+    n, base, others, probes, cols, srcs, src_probes = case
+    field = CycField.get(n)
+    probes = [engine_vec(field, p) for p in probes]
+    src_probes = [engine_vec(field, p) for p in src_probes]
+    ech = Echelon(field)
+    for i, row in enumerate(base):
+        ech.add(engine_vec(field, row), source={i: field.one})
+        check_unit_paths(ech, probes)
+    twin = ech.copy()
+    check_unit_paths(twin, probes)
+    for j, row in enumerate(others):
+        twin.add(engine_vec(field, row), source={len(base) + j: field.one})
+        check_unit_paths(twin, probes)
+        check_unit_paths(ech, probes)
+    kernel, image = kernel_image(field, len(cols), lambda i: engine_vec(field, cols[i]))
+    check_unit_paths(image, probes)
+    check_unit_paths(kernel, src_probes)
+    for row in srcs:  # the kernel stays a working echelon after its direct rows
+        kernel.add(engine_vec(field, row))
+        check_unit_paths(kernel, src_probes)
+
+
+def test_a_non_unit_row_leaves_the_unit_path():
+    field = CycField.get(1)
+    one, two = field.one, field.rational(2)
+    ech = span(field, [{0: two}, {2: one}])
+    assert ech.coordinates({0: one, 2: two}) == {0: one, 1: two}
+    assert ech.coordinates({0: one, 1: one}) is None  # 1 is not a pivot
+    assert ech._positions == {0: 0, 2: 1}
+    ech.add({1: one, 3: one})
+    assert ech.coordinates({1: one, 3: one}) == {1: one}
+    assert ech.coordinates({1: one}) is None
+    assert ech._positions is False
+    check_unit_paths(ech, [{1: one, 3: two}, {0: two, 1: two, 3: two}, {3: one}])
+
+
+def test_back_substitution_that_leaves_a_unit_row_enters_the_unit_path():
+    field = CycField.get(3)
+    one, zeta = field.one, field.from_poly([0, 1])
+    ech = span(field, [{0: one, 1: zeta}])
+    assert ech.coordinates({0: one}) is None
+    assert ech._positions is False
+    ech.add({1: one})  # back-substitution leaves row 0 as e_0
+    assert ech.basis_rows() == [{0: one}, {1: one}]
+    assert ech.coordinates({0: one, 1: zeta}) == {0: one, 1: zeta}
+    assert ech._positions == {0: 0, 1: 1}
+    check_unit_paths(ech, [{0: zeta}, {1: one, 2: one}, {}])

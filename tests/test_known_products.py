@@ -8,6 +8,9 @@ here as the reference:
   every entry and always invert;
 * ``GroupActionSpec.matrix(k)`` reuses the image of each monomial's prefix;
   the reference runs ``chains.product`` over every monomial;
+* the minimal model's psi keeps the image of each monomial it meets while
+  the model grows; the reference runs ``chains.product`` over every model
+  monomial on every golden ``minimal-model`` selection;
 * ``universal_obstruction`` tests b against a basis of the span of the
   p-fold products of H^2; the reference stacks b * c_1 * ... * c_p over
   every choice of the c_i;
@@ -16,13 +19,15 @@ here as the reference:
   solve for its own primitives.
 """
 
+import json
 from itertools import combinations_with_replacement
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cdgalab import minmodel
+from cdgalab import cli, minmodel
 from cdgalab.algebra import AlgebraSpec, GeneratorDecl
+from cdgalab import chains
 from cdgalab.chains import product
 from cdgalab.cohomology import CohomClass, CohomologyRing, cohomology
 from cdgalab.lefschetz import universal_obstruction
@@ -31,6 +36,7 @@ from cdgalab.massey import NONZERO, a_massey, triple_massey
 from cdgalab.models import FIXED_PRESETS, preset
 from cdgalab.scalars import CycField
 from cdgalab.symmetry import GroupActionSpec, invariant_cohomology
+from regenerate_golden import cases, run_cli
 
 
 # -- the sparse kernel ------------------------------------------------------
@@ -165,7 +171,47 @@ def test_action_matrix_matches_product_per_monomial(name):
         assert act.matrix(k) == want, k
         # Every free monomial, so prefixes outside the quotient basis are met too.
         for mono in spec._free_index(k):
-            assert act._product(mono) == (k, product(act._slices, [images[g] for g in mono]))
+            assert act._rho.monomial(mono) == (k, product(act._slices, [images[g] for g in mono]))
+
+
+MINIMAL_MODEL_CASES = [(case, doc, cmd) for case, doc, cmd in cases()
+                       if cmd[0] == "minimal-model"]
+
+
+@pytest.mark.parametrize("case, doc, cmd", MINIMAL_MODEL_CASES,
+                         ids=[c for c, _, _ in MINIMAL_MODEL_CASES])
+def test_psi_keeps_the_product_of_each_monomial(case, doc, cmd, monkeypatch):
+    maps, built = [], []
+
+    class Recorded(chains.AlgebraMap):
+        def __init__(self, *args):
+            super().__init__(*args)
+            maps.append(self)
+
+    def recorded(ring, bound):
+        built.append(build(ring, bound))
+        return built[-1]
+
+    build = minmodel.build_minimal_model
+    monkeypatch.setattr(minmodel, "AlgebraMap", Recorded)
+    monkeypatch.setattr(cli, "build_minimal_model", recorded)
+    code, _, _ = run_cli(cmd + ["--format", "json"], json.dumps(doc))
+    if code != 0 or built[0].identity:
+        assert not maps  # refused, or the document is its own model
+        return
+    (psi,), mm = maps, built[0]
+    assert psi.images is mm.psi
+
+    def want(mono):
+        return product(psi.slices, [mm.psi[g] for g in mono])
+
+    kept = list(psi._products.items())  # what the builder computed as the model grew
+    assert kept
+    for mono, (deg, vec) in kept:
+        assert vec == want(mono), mono
+    for k in range(mm.bound + 2):
+        for mono in mm.model.basis(k):
+            assert psi.monomial(mono) == (k, want(mono)), mono
 
 
 # -- the universal Lefschetz obstruction ------------------------------------

@@ -1,9 +1,10 @@
 import pytest
 
 from cdgalab.algebra import AlgebraSpec, GeneratorDecl
-from cdgalab.chains import FreeSlices, extend
+from cdgalab.chains import FreeSlices, product
 from cdgalab.cohomology import cohomology
 from cdgalab.errors import NotOneConnected
+from cdgalab.linalg import vec_iadd
 from cdgalab import minmodel
 from cdgalab.minmodel import (
     CERTIFIED,
@@ -20,6 +21,15 @@ from cdgalab.models import preset
 from cdgalab.symmetry import invariant_cohomology
 
 from test_algebra import Q, exterior, heisenberg6
+
+
+def extend(slices, images, elem):
+    """Image of ``elem`` under the algebra map sending generator g to ``images[g]``:
+    each term c * g_1 ... g_r goes to c * product(images of g_1, ..., g_r)."""
+    out = {}
+    for mono, c in elem.terms.items():
+        vec_iadd(out, product(slices, [images[g] for g in mono]), c)
+    return out
 
 
 def test_sphere_minimal_model():
@@ -295,9 +305,33 @@ def test_sullivan_condition_in_degree_one_needs_no_basis():
     # The Heisenberg algebra in the basis h + f, e, f: no generator but e is
     # closed, d(h) = d(f) = (h - f) e, yet the closed span reaches all of degree 1.
     rebased = {"h": [(1, ("h", "e")), (-1, ("f", "e"))], "f": [(1, ("h", "e")), (-1, ("f", "e"))]}
-    assert minmodel._sullivan_in_degree_one(FreeSlices(_degree_one(rebased)))
-    assert not minmodel._sullivan_in_degree_one(FreeSlices(_degree_one(SL2)))
-    assert minmodel._sullivan_in_degree_one(FreeSlices(exterior("abc").validate()))
+    assert minmodel._sullivan(FreeSlices(_degree_one(rebased)))
+    assert not minmodel._sullivan(FreeSlices(_degree_one(SL2)))
+    assert minmodel._sullivan(FreeSlices(exterior("abc").validate()))
+
+
+def test_sullivan_condition_in_degree_two_needs_no_basis():
+    # Neither degree-2 generator is closed, but d(y + z) = 0 and dy, dz lie in
+    # x * (y + z): the chain reaches all of degree 2.
+    gens = [GeneratorDecl("x", 1), GeneratorDecl("y", 2), GeneratorDecl("z", 2)]
+    d = {"y": [(1, ("x", "y")), (1, ("x", "z"))], "z": [(-1, ("x", "y")), (-1, ("x", "z"))]}
+    spec = AlgebraSpec(Q, gens, differential=d, degree_cap=5).validate()
+    assert spec.flags.is_minimal and minmodel._sullivan(FreeSlices(spec))
+
+
+def test_a_mixed_degree_spec_that_is_not_sullivan_takes_the_general_path():
+    # dy = xy is decomposable and alone in its degree, so is_minimal and the
+    # independence check hold; but no part of degree 2 is closed modulo x * V^2.
+    # Before, the spec came back as its own minimal model, with H^1 of S^1.
+    spec = AlgebraSpec(Q, [GeneratorDecl("x", 1), GeneratorDecl("y", 2)],
+                       differential={"y": [(1, ("x", "y"))]}, degree_cap=6).validate()
+    assert spec.flags.is_minimal
+    ring = cohomology(spec, 5)
+    assert list(ring.betti) == [1, 1, 0, 0, 0, 0]
+    with pytest.raises(NotOneConnected) as exc:
+        build_minimal_model(ring, 3)
+    assert exc.value.details == {"betti1": 1}
+    assert not minmodel._sullivan(FreeSlices(spec))
 
 
 def test_model_spec_is_rebuilt_once_per_step(monkeypatch):

@@ -5,8 +5,9 @@ of generators, a differential on generators, a list of homogeneous relations
 and a degree cap.  Elements are sparse sums of normal-form monomials; the
 product of two monomials is the normal form of their concatenated words, and
 its Koszul sign is the parity of the odd-generator transpositions needed to
-sort it.  Relations are handled per degree by exact row reduction of the ideal
-slice, so every element is stored as the canonical coset representative and
+sort it.  Relations are handled per degree by the RREF of the ideal slice: its
+unit rows are read off when every relation is one monomial, else it is row
+reduced; every element is stored as the canonical coset representative, and
 equality is a coefficient comparison.
 
 A spec validates on construction and is immutable after it; per-degree bases
@@ -403,6 +404,9 @@ class AlgebraSpec:
         if k not in self._ideal_cache:
             ech = Echelon(self.field)
             basis_idx = None
+            # Monomial relations give rows c * e_p, whose RREF is the distinct
+            # e_p in first-seen order with no holders: they are read, not eliminated.
+            monomial, one = all(len(rel.terms) == 1 for rel in self.relations), self.field.one
             for rel in self.relations:
                 dr = rel.degree
                 if dr > k:
@@ -411,8 +415,12 @@ class AlgebraSpec:
                     basis_idx = self._free_index(k)
                 for m in self.free_basis(k - dr):
                     row = word_terms(self, 1, m, rel.terms, UNIT)
-                    if row:
+                    if not row:
+                        continue
+                    if not monomial:
                         ech.add({basis_idx[mono]: c for mono, c in row.items()})
+                    elif (p := basis_idx[next(iter(row))]) not in ech._rows:
+                        ech._rows[p] = ({p: one}, None)
             self._ideal_cache[k] = ech
         return self._ideal_cache[k]
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from typing import List, Optional
 
@@ -465,7 +466,14 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         if getattr(args, "budget", 0) < 0:
             raise ParseError("the budget must not be negative", budget=args.budget)
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed pipe shows here, inside the try
+        return code
+    except BrokenPipeError:
+        # The reader left early: send what is still buffered to devnull, so
+        # that the flush at exit raises nothing (the Python docs' SIGPIPE note).
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except CdgaError as exc:
         diag = {"error": exc.code, "message": str(exc), "details": exc.details}
         print(json.dumps(diag, default=str), file=sys.stderr)

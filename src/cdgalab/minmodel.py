@@ -98,6 +98,7 @@ def build_minimal_model(target_ring: CohomologyRing, bound: int) -> MinimalModel
                         bound=bound, available=target_ring.max_degree)
     slices = target_ring.slices
     if isinstance(slices, FreeSlices) and slices.spec.flags.is_minimal \
+            and all(g.degree <= bound for g in slices.spec.generators) \
             and _differentials_independent(slices) and _sullivan(slices):
         spec = slices.spec
         psi = {}

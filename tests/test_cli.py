@@ -1,5 +1,6 @@
 import io
 import json
+import os
 import subprocess
 import sys
 
@@ -517,3 +518,17 @@ def test_zero_counts_as_given(capsys, monkeypatch):
     dim0 = _t6_with(lambda d: (d.pop("half_dim", None), d.update(dim=0)))
     code, out, _ = main_in_process(["cohomology", "--format", "json"], dim0, capsys, monkeypatch)
     assert code == 0 and json.loads(out)["betti"] == [1]
+
+
+def test_a_reader_that_leaves_early_gets_no_traceback():
+    """The read end is closed before the CLI writes: exit 1, and stderr is quiet."""
+    doc = run(["preset", "HEIS6"]).stdout
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        out = subprocess.run(CLI + ["cohomology"], input=doc, stdout=write_end,
+                             stderr=subprocess.PIPE, text=True, timeout=300)
+    finally:
+        os.close(write_end)
+    assert out.returncode == 1
+    assert "Traceback" not in out.stderr and "Exception ignored" not in out.stderr

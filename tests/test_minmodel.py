@@ -369,3 +369,28 @@ def test_heis8_z3_bound5_report_is_pinned():
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == \
         "f58af32c8e48326643ebfd00fb2980f8a7a2c4063a0cd756a815a21ec6f387ff"
+
+
+# -- the identity shortcut stays inside the bound -------------------------------
+
+def _square_killer():
+    """a in degree 2 and b in degree 3 with db = a^2: the model of S^2."""
+    gens = [GeneratorDecl("a", 2), GeneratorDecl("b", 3)]
+    return AlgebraSpec(Q, gens, differential={"b": [(1, ("a", "a"))]}, degree_cap=9)
+
+
+def test_identity_shortcut_needs_every_generator_within_the_bound():
+    ring = cohomology(_square_killer(), 5)
+    mm = build_minimal_model(ring, 3)
+    assert mm.identity and [g.name for g in mm.model.generators] == ["a", "b"]
+    mm = build_minimal_model(ring, 2)
+    assert not mm.identity
+    assert [g.degree for g in mm.model.generators] == [2] and not mm.model.differential
+    assert build_minimal_model(ring, 1).model.generators == ()
+
+
+@pytest.mark.parametrize("name", ["HEIS6", "T6"])
+def test_bound_zero_admits_no_degree_one_generator(name):
+    ring = cohomology(preset(name).spec, 1)
+    with pytest.raises(NotOneConnected):
+        build_minimal_model(ring, 0)

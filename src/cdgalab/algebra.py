@@ -5,10 +5,10 @@ of generators, a differential on generators, a list of homogeneous relations
 and a degree cap.  Elements are sparse sums of normal-form monomials; the
 product of two monomials is the normal form of their concatenated words, and
 its Koszul sign is the parity of the odd-generator transpositions needed to
-sort it.  Relations are handled per degree by the RREF of the ideal slice: its
-unit rows are read off when every relation is one monomial, else it is row
-reduced; every element is stored as the canonical coset representative, and
-equality is a coefficient comparison.
+sort it.  When every relation is one monomial, a slice's basis is its standard
+monomials (no relation monomial divides them) and other monomials are zero;
+else each degree's ideal slice is row reduced.  Every element is stored as the
+canonical coset representative, and equality is a coefficient comparison.
 
 A spec validates on construction and is immutable after it; per-degree bases
 and ideal echelons are cached inside the spec.  ``AlgebraSpec.adjoin`` returns
@@ -258,9 +258,9 @@ class AlgebraSpec:
             raise ParseError("degree_cap must be positive")
         self.degree_cap = degree_cap
         self._free_basis_cache: Dict[int, List[Monomial]] = {}
-        self._free_index_cache: Dict[int, Dict[Monomial, int]] = {}
         self._ideal_cache: Dict[int, Echelon] = {}
         self._basis_cache: Dict[int, List[Monomial]] = {}
+        self._index_cache: Dict[int, Dict[Monomial, int]] = {}
         self._d_mono_cache: Dict[Monomial, Dict[Monomial, CycScalar]] = {}
         self.differential: Dict[int, Element] = {}
 
@@ -275,6 +275,12 @@ class AlgebraSpec:
                 continue
             rel_elems.append(rel)
         self.relations: Tuple[Element, ...] = tuple(rel_elems)
+        # Relation monomials by first generator as a 1-tuple (the unit by ()), each
+        # without it; None if a relation has two or more terms (the ideal is eliminated).
+        monos = sorted(m for rel in rel_elems for m in rel.terms)
+        self._tails: Optional[Dict[Monomial, List[Monomial]]] = None
+        if len(monos) == len(rel_elems):
+            self._tails = {g: [m[1:] for m in run] for g, run in groupby(monos, lambda m: m[:1])}
         # Relation list changed after elements above were built unreduced; any
         # element constructed from here on is reduced against the ideal.
         self._put_differentials(differential or {})
@@ -292,11 +298,12 @@ class AlgebraSpec:
         new = type(self)(self.field, self.generators + tuple(generators),
                          degree_cap=self.degree_cap if degree_cap is None else degree_cap)
         low = min((g.degree for g in new.generators[first:]), default=new.degree_cap + 1)
-        for cache in ("_free_basis_cache", "_free_index_cache", "_ideal_cache", "_basis_cache"):
+        for cache in ("_free_basis_cache", "_ideal_cache", "_basis_cache", "_index_cache"):
             setattr(new, cache, {k: v for k, v in getattr(self, cache).items() if k < low})
         new._d_mono_cache = dict(self._d_mono_cache)
         new.relations = tuple(Element(new, r.degree, r.terms, _reduced=True)
                               for r in self.relations)
+        new._tails = self._tails
         new.differential = {gi: Element(new, img.degree, img.terms, _reduced=True)
                             for gi, img in self.differential.items()}
         new._put_differentials({name: Element(new, img.degree, img.terms)
@@ -379,74 +386,78 @@ class AlgebraSpec:
 
     def free_basis(self, k: int) -> List[Monomial]:
         """All normal-form monomials of degree k, in the fixed order."""
+        if k not in self._free_basis_cache:
+            self._free_basis_cache[k] = self._monomials(k, self.free_basis, {})
+        return self._free_basis_cache[k]
+
+    def _monomials(self, k: int, lower_of, tails) -> List[Monomial]:
+        """The degree-k monomials that no relation monomial divides, built on the lower
+        ones ``lower_of`` gives; ``tails[(g,)]`` holds each one starting at g without g."""
         if k > self.degree_cap:
             raise CapExceeded(f"degree {k} exceeds cap {self.degree_cap}",
                               degree=k, cap=self.degree_cap)
-        if k not in self._free_basis_cache:
-            # A degree-k monomial is its smallest generator g followed by a
-            # degree-(k - |g|) monomial that starts after g, or at g when g is
-            # even.  Those form a suffix of the sorted lower basis, so taking g
-            # in index order yields the basis already sorted, and the
-            # recursion goes one level per degree.
-            out: List[Monomial] = [UNIT] if k == 0 else []
-            for g, decl in enumerate(self.generators):
-                rest = k - decl.degree
-                if rest < 0:
-                    continue
-                lower = self.free_basis(rest)
-                start = bisect_left(lower, (g + self._odd[g],)) if rest else 0
-                out.extend((g,) + m for m in lower[start:])
-            self._free_basis_cache[k] = out
-            self._free_index_cache[k] = {m: i for i, m in enumerate(out)}
-        return self._free_basis_cache[k]
+        # A degree-k monomial is its smallest generator g followed by a
+        # degree-(k - |g|) monomial that starts after g, or at g when g is
+        # even.  Those form a suffix of the sorted lower basis, so taking g
+        # in index order yields the basis already sorted, and the
+        # recursion goes one level per degree.  No relation divides the
+        # lower monomial m, so one divides (g,) + m only if it starts at g
+        # and its tail t divides m: no generator has a higher power in t.
+        out: List[Monomial] = [UNIT] if k == 0 and UNIT not in tails else []
+        for g, decl in enumerate(self.generators):
+            rest = k - decl.degree
+            if rest < 0:
+                continue
+            lower, cut = lower_of(rest), tails.get((g,))
+            start = bisect_left(lower, (g + self._odd[g],)) if rest else 0
+            out.extend((g,) + m for m in lower[start:]
+                       if not cut or not any(all(t.count(h) <= m.count(h) for h in t)
+                                             for t in cut))
+        return out
 
     def _ideal_echelon(self, k: int) -> Echelon:
         if k not in self._ideal_cache:
             ech = Echelon(self.field)
-            basis_idx = None
-            # Monomial relations give rows c * e_p, whose RREF is the distinct
-            # e_p in first-seen order with no holders: they are read, not eliminated.
-            monomial, one = all(len(rel.terms) == 1 for rel in self.relations), self.field.one
+            index = {m: i for i, m in enumerate(self.free_basis(k))}
             for rel in self.relations:
-                dr = rel.degree
-                if dr > k:
+                if rel.degree > k:
                     continue
-                if basis_idx is None:
-                    basis_idx = self._free_index(k)
-                for m in self.free_basis(k - dr):
+                for m in self.free_basis(k - rel.degree):
                     row = word_terms(self, 1, m, rel.terms, UNIT)
-                    if not row:
-                        continue
-                    if not monomial:
-                        ech.add({basis_idx[mono]: c for mono, c in row.items()})
-                    elif (p := basis_idx[next(iter(row))]) not in ech._rows:
-                        ech._rows[p] = ({p: one}, None)
+                    if row:
+                        ech.add({index[mono]: c for mono, c in row.items()})
             self._ideal_cache[k] = ech
         return self._ideal_cache[k]
-
-    def _free_index(self, k: int) -> Dict[Monomial, int]:
-        self.free_basis(k)
-        return self._free_index_cache[k]
 
     def basis(self, k: int) -> List[Monomial]:
         """Monomial basis of the degree-k slice of the quotient algebra."""
         if k not in self._basis_cache:
-            free = self.free_basis(k)
-            if not self.relations:
-                self._basis_cache[k] = list(free)
+            if self._tails is not None:
+                self._basis_cache[k] = self._monomials(k, self.basis, self._tails)
             else:
                 pivots = set(self._ideal_echelon(k).pivots())
-                self._basis_cache[k] = [m for i, m in enumerate(free) if i not in pivots]
+                self._basis_cache[k] = [m for i, m in enumerate(self.free_basis(k))
+                                        if i not in pivots]
         return self._basis_cache[k]
+
+    def _index(self, k: int) -> Dict[Monomial, int]:
+        """{monomial: position} in the basis degree-k vectors are first written on: the
+        free basis if the ideal is eliminated, else the quotient's (a monomial outside is 0)."""
+        if k not in self._index_cache:
+            basis = self.free_basis(k) if self._tails is None else self.basis(k)
+            self._index_cache[k] = {m: i for i, m in enumerate(basis)}
+        return self._index_cache[k]
 
     def _reduce_terms(self, degree: int, terms: Dict[Monomial, CycScalar]):
         if not self.relations or degree > self.degree_cap:
             return terms
+        index = self._index(degree)
+        if self._tails is not None:
+            return {m: c for m, c in terms.items() if m in index}
         ech = self._ideal_echelon(degree)
         if ech.rank == 0:
             return terms
-        idx = self._free_index(degree)
-        vec = {idx[m]: c for m, c in terms.items() if not c.is_zero()}
+        vec = {index[m]: c for m, c in terms.items() if not c.is_zero()}
         residual, _ = ech.reduce(vec)
         basis = self.free_basis(degree)
         return {basis[i]: c for i, c in residual.items()}

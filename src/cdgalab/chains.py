@@ -21,7 +21,7 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-from .algebra import AlgebraSpec, Element, Monomial, normal_form
+from .algebra import UNIT, AlgebraSpec, Element, Monomial, normal_form
 from .errors import CapExceeded, DegreeOverflow, NotInSubcomplex
 from .linalg import Echelon, Vec, bilinear, mat_vec, vec_add, vec_iadd
 from .scalars import CycField, CycScalar
@@ -37,7 +37,7 @@ class FreeSlices:
         self.zero_d = not spec.differential
         self._d_cols: Dict[int, Dict[int, Vec]] = defaultdict(dict)
         self._quotient: Dict[int, Dict[int, int]] = {}  # free index -> basis index
-        # (k, l) -> i -> j -> +-(1 + free index) of basis_k[i] * basis_l[j], 0 if it vanishes
+        # (k, l) -> i -> j -> +-(1 + spec._index(k + l)[basis_k[i] * basis_l[j]]), 0 if zero
         self._mul = defaultdict(lambda: defaultdict(dict))
 
     def dim(self, k: int) -> int:
@@ -53,18 +53,17 @@ class FreeSlices:
         return self._coords(elem.degree, elem.terms)
 
     def _coords(self, k: int, terms: Dict[Monomial, CycScalar]) -> Vec:
-        index = self.spec._free_index(k)
-        return self._reduced(k, {index[m]: c for m, c in terms.items()})
+        index = self.spec._index(k)
+        vec = {index[m]: c for m, c in terms.items() if m in index}
+        return self._reduced(k, vec) if self.spec._tails is None else vec
 
     def _reduced(self, k: int, free: Vec) -> Vec:
         """A vector on the free degree-k basis, reduced by the ideal, in basis coordinates."""
         spec = self.spec
-        if not spec.relations:
-            return free
         residual, _ = spec._ideal_echelon(k).reduce(free)
         pos = self._quotient.get(k)
         if pos is None:
-            free_index = spec._free_index(k)
+            free_index = spec._index(k)
             pos = self._quotient[k] = {free_index[m]: i for i, m in enumerate(spec.basis(k))}
         return {pos[p]: c for p, c in residual.items()}
 
@@ -95,15 +94,16 @@ class FreeSlices:
             for j, b in v.items():
                 hit = entries.get(j)
                 if hit is None:
+                    index = spec._index(k + l)
                     nf = normal_form(spec, spec.basis(k)[i] + spec.basis(l)[j])
-                    hit = entries[j] = nf[0] * (1 + spec._free_index(k + l)[nf[1]]) if nf else 0
+                    hit = entries[j] = nf[0] * (1 + index[nf[1]]) if nf and nf[1] in index else 0
                 if hit:
                     row[abs(hit) - 1] = b if hit > 0 else -b
             vec_iadd(acc, row, a)
-        return self._reduced(k + l, acc)
+        return self._reduced(k + l, acc) if spec._tails is None else acc
 
     def unit_vec(self) -> Vec:
-        return self._reduced(0, {0: self.field.one})
+        return self._coords(0, {UNIT: self.field.one})
 
 
 class SubcomplexSlices:

@@ -191,7 +191,7 @@ def _sullivan(slices: FreeSlices) -> bool:
     [e_a, f] = d^T(x_a f); in degree 1, V_i annihilates g^(i+2) of the dual Lie algebra."""
     spec, one, ones = slices.spec, slices.field.one, range(slices.dim(1))
     for n in sorted({spec.generators[gi].degree for gi in spec.differential} if ones else ()):
-        index = spec._free_index(n)
+        index = spec._index(n)
         gens = [index[(gi,)] for gi, g in enumerate(spec.generators) if g.degree == n]
         dual: Dict[int, Vec] = defaultdict(dict)  # d^T: degree-(n+1) index -> {c: entry of dy_c}
         for c, m in ((c, m) for c in gens for m in slices.d_col(n, c)):

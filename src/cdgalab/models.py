@@ -162,18 +162,22 @@ def preset(name: str, **params) -> PresetBundle:
 def preset_document(name: str, **params) -> dict:
     """The JSON document a preset expands to (for the CLI)."""
     name = name.upper().replace("-", "_")
-    if name in FIXED_PRESETS:
-        return _load_fixed(name)
+    if name not in FIXED_PRESETS + PARAMETRIC_PRESETS:
+        raise UnknownPreset(f"no preset named '{name}'", name=name,
+                            known=sorted(FIXED_PRESETS + PARAMETRIC_PRESETS))
+    known = {"CPN": ["m", "n"], "SASAKI_CPN_S2": ["n"]}.get(name, [])  # CPN's n aliases m
+    for key in params:
+        if key not in known:
+            raise ParseError(f"preset {name} takes no parameter '{key}'", param=key, known=known)
     if name == "CPN":
         return _cpn_doc(int(params.get("m", params.get("n", 1))))
     if name == "SASAKI_CPN_S2":
         return _sasaki_cpn_s2_doc(int(params.get("n", 4)))
-    raise UnknownPreset(f"no preset named '{name}'", name=name,
-                        known=sorted(FIXED_PRESETS + PARAMETRIC_PRESETS))
+    return _load_fixed(name)
 
 
 def sphere_product_bundle(n: int) -> PresetBundle:
-    """Model of the circle bundle over a product of n 2-spheres (n >= 3).
+    """Model of the circle bundle over a product of n 2-spheres (n >= 2).
 
     Built compositionally: tensor of n sphere presentations, then a circle
     bundle with Euler class a1 + ... + an.

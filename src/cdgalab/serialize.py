@@ -99,6 +99,9 @@ def element_from_json(data, spec: AlgebraSpec) -> Element:
 
 def monomial_from_json(names: List[str], spec: AlgebraSpec) -> Monomial:
     elem = spec.element([(1, tuple(names))])
+    if not elem.terms:
+        raise ParseError("volume monomial is zero in the quotient", got=names,
+                         reason="zero in the quotient")
     if len(elem.terms) != 1:
         raise ParseError("volume must be a single monomial", got=names)
     return next(iter(elem.terms))

@@ -300,6 +300,11 @@ MALFORMED_DOCUMENTS = {
                              {"got": None}),
     "classes-as-list": (lambda: _t6_with(lambda d: d.update(classes=[1])), {"got": "list"}),
     "volume-as-number": (lambda: _t6_with(lambda d: d.update(volume=5)), {"got": "int"}),
+    # A volume that a relation divides, or an odd square, is one monomial that is zero.
+    "volume-in-the-ideal": (lambda: _t6_with(lambda d: d.update(volume=["a", "a"]), "SPHERE2"),
+                            {"got": ["a", "a"], "reason": "zero in the quotient"}),
+    "volume-odd-square": (lambda: _t6_with(lambda d: d.update(volume=["x1", "x1"])),
+                          {"got": ["x1", "x1"], "reason": "zero in the quotient"}),
     # Integer fields are read exactly: a fraction or a bool is refused, not truncated.
     "fractional-degree": (lambda: '{"generators": [{"name": "x", "degree": 1.5}]}',
                           {"got": 1.5}),
@@ -414,6 +419,30 @@ def test_preset_param_must_be_an_integer(param, details, capsys, monkeypatch):
     diag = json.loads(err)
     assert diag["error"] == "PARSE_ERROR"
     assert diag["details"] == details
+
+
+@pytest.mark.parametrize("name, param, known", [("CPN", "q=3", ["m", "n"]),
+                                                 ("T6", "m=3", []),
+                                                 ("SASAKI_CPN_S2", "m=5", ["n"])])
+def test_preset_refuses_a_parameter_it_does_not_take(name, param, known, capsys, monkeypatch):
+    code, out, err = main_in_process(["preset", name, "--param", param], "",
+                                     capsys, monkeypatch)
+    assert code == 1 and out == ""
+    diag = json.loads(err)
+    assert diag["error"] == "PARSE_ERROR"
+    assert diag["details"] == {"param": param.split("=")[0], "known": known}
+
+
+def test_cpn_takes_n_for_m(capsys, monkeypatch):
+    runs = [main_in_process(["preset", "CPN", "--param", p], "", capsys, monkeypatch)
+            for p in ("m=3", "n=3")]
+    assert runs[0] == runs[1] and runs[0][0] == 0 and '"CPN(3)"' in runs[0][1]
+
+
+def test_a_volume_that_is_zero_says_so(capsys, monkeypatch):
+    text = _t6_with(lambda d: d.update(volume=["a", "a"]), "SPHERE2")
+    code, _, err = main_in_process(["cohomology"], text, capsys, monkeypatch)
+    assert code == 1 and "zero in the quotient" in json.loads(err)["message"]
 
 
 @pytest.mark.parametrize("generators, betti", [([{"name": "x", "degree": 1}], "betti: 1 1 0"),

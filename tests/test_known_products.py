@@ -170,7 +170,7 @@ def test_action_matrix_matches_product_per_monomial(name):
         want = [product(act._slices, [images[g] for g in mono]) for mono in spec.basis(k)]
         assert act.matrix(k) == want, k
         # Every free monomial, so prefixes outside the quotient basis are met too.
-        for mono in spec._free_index(k):
+        for mono in spec.free_basis(k):
             assert act._rho.monomial(mono) == (k, product(act._slices, [images[g] for g in mono]))
 
 

@@ -173,7 +173,7 @@ def ref_element_mul(a, b):
 def ref_ideal_echelon(spec, k):
     """The ideal rows, each relation times each free monomial."""
     ech = Echelon(spec.field)
-    basis_idx = spec._free_index(k)
+    basis_idx = {m: i for i, m in enumerate(spec.free_basis(k))}
     for rel in spec.relations:
         if rel.degree > k:
             continue

@@ -375,7 +375,7 @@ class AlgebraSpec:
         return Element(self, degree, {}, _reduced=True)
 
     def one(self) -> Element:
-        return Element(self, 0, {UNIT: self.field.one}, _reduced=True)
+        return Element(self, 0, {UNIT: self.field.one})  # 0 in the zero algebra
 
     def gen(self, name: str) -> Element:
         gi = self.index[name]

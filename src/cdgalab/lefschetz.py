@@ -8,10 +8,8 @@ witness lies in the kernel of the iterated Lefschetz map of *every*
 degree-2 class, so the property fails universally.
 
 Degree-2 classes are even, hence central, and the cup on H is associative,
-so b * c_1 * ... * c_p = b * (c_1 ... c_p).  The p-fold products of H^2 are
-therefore built once, one length at a time, and b is tested against the RREF
-basis of their span: the kernel is the same subspace, so its canonical basis
-rows are the ones the stacked-products definition gives.
+so b * c_1 * ... * c_p = b * (c_1 ... c_p), and the search cuts a running
+kernel by the p-fold products of H^2 that grow their span.
 """
 
 from __future__ import annotations
@@ -19,9 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from typing import List, Optional
 
-from .cohomology import CohomClass, CohomologyRing, class_span
+from .cohomology import CohomClass, CohomologyRing
 from .errors import BadOmegaDegree, NoTopDeclared, ParseError
-from .linalg import Vec, kernel_image
+from .linalg import Echelon, Vec, kernel_image, mat_vec, span
 
 
 @dataclass
@@ -84,6 +82,10 @@ def universal_obstruction(ring: CohomologyRing, k: int,
 
     A nonzero witness defeats the hard-Lefschetz property for every
     degree-2 class at once.  Requires the ring through k + 2(n-k).
+    A running kernel K, first H^k, is cut to the part killed by each p-fold
+    product that grows their span (built one length at a time, the last lazily).
+    It stops when K is empty, the span is all of H^{2p}, or H^{k+2p} = 0 (before
+    any cup); a subspace has one RREF, so K's rows are the stacked kernel's.
     """
     if k < 0:
         raise ParseError("the degree must not be negative", degree=k)
@@ -98,22 +100,23 @@ def universal_obstruction(ring: CohomologyRing, k: int,
                             needed=target_degree)
     if power == 0:
         return []  # b -> b is injective
+    field = ring.field
+    kernel = [ring.rep_class(k, j) for j in range(ring.betti[k])]  # K = H^k, in RREF
+    if not (kernel and ring.betti[target_degree]):
+        return kernel
     h2 = [ring.rep_class(2, j) for j in range(ring.betti[2])]
-    prods = list(enumerate(h2))  # (last factor's index, product), one length at a time
+    prods = enumerate(h2)  # (last factor's index, product); the last length stays lazy
     for _ in range(power - 1):
-        prods = [(j, ring.cup(m, h2[j])) for i, m in prods for j in range(i, len(h2))]
-    span, _ = class_span(ring.field, (m for _, m in prods))
-    basis = [CohomClass(ring, 2 * power, row) for row in span.basis_rows()]
-    width = ring.betti[target_degree]
-
-    def apply(j: int) -> Vec:
-        # stack the images of b under the basis of the p-fold products
-        out: Vec = {}
-        base = ring.rep_class(k, j)
-        for t, m in enumerate(basis):
-            for coord, val in ring.cup(base, m).coords.items():
-                out[t * width + coord] = val
-        return out
-
-    kernel, _ = kernel_image(ring.field, ring.betti[k], apply)
-    return [CohomClass(ring, k, dict(row)) for row in kernel.basis_rows()]
+        prods = ((j, ring.cup(m, h2[j])) for i, m in list(prods) for j in range(i, len(h2)))
+    products, full = Echelon(field), ring.betti[2 * power]
+    for _, m in prods:
+        if m.is_zero() or not products.add(m.coords):
+            continue  # m lies in the span K already kills
+        cut, _ = kernel_image(field, len(kernel), lambda t: ring.cup(kernel[t], m).coords)
+        if cut.rank < len(kernel):
+            rows = [b.coords for b in kernel]
+            kernel = [CohomClass(ring, k, row) for row in span(field, (
+                mat_vec(rows, c) for c in cut.basis_rows())).basis_rows()]
+        if not kernel or products.rank == full:
+            break
+    return kernel

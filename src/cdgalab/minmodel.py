@@ -262,25 +262,23 @@ def massey_scan(ring: CohomologyRing, budget: int = 2000) -> Optional[MasseyRepo
     """First NONZERO triple or a-product found among representative classes.
 
     Pairs whose cup product is a nonzero class can never participate, so the
-    scan first tabulates exact pairs with their canonical primitives and only
-    evaluates products built from them; the budget counts Massey evaluations.
+    scan solves each pair it reads for its canonical primitive once, on first
+    read, and evaluates only products of exact pairs; the budget counts evaluations.
     """
     if _zero_differential(ring):
         return None
     spent = 0
     degs = [k for k in range(1, ring.max_degree + 1) if ring.betti[k]]
-    exact_pairs: Dict[Tuple[int, int], Dict[Tuple[int, int], Vec]] = {}
+    exact_pairs: Dict[Tuple[int, int, int, int], Optional[Vec]] = {}
 
     def pair_exact(p: int, i: int, q: int, j: int) -> Optional[Vec]:
         if p + q > ring.max_degree:
             return None
-        key = (p, q)
+        key = (p, i, q, j)
         if key not in exact_pairs:
-            reps, mul = ring.reps, ring.slices.mul_vec
-            exact_pairs[key] = {
-                (a, b): prim for a, ra in enumerate(reps(p)) for b, rb in enumerate(reps(q))
-                if (prim := ring.is_exact(mul(p, ra, q, rb), p + q)) is not None}
-        return exact_pairs[key].get((i, j))
+            exact_pairs[key] = ring.is_exact(
+                ring.slices.mul_vec(p, ring.reps(p)[i], q, ring.reps(q)[j]), p + q)
+        return exact_pairs[key]
 
     # triple products
     for p1 in degs:

@@ -104,7 +104,11 @@ def monomial_from_json(names: List[str], spec: AlgebraSpec) -> Monomial:
                          reason="zero in the quotient")
     if len(elem.terms) != 1:
         raise ParseError("volume must be a single monomial", got=names)
-    return next(iter(elem.terms))
+    (mono, coeff), = elem.terms.items()  # a relation's factor would be lost from integrate
+    if coeff != spec.element([(1, tuple(names))], reduce=False).terms.popitem()[1]:
+        raise ParseError("volume monomial is rescaled in the quotient", got=names,
+                         coefficient=scalar_to_json(coeff))
+    return mono
 
 
 def _terms(expr) -> list:

@@ -305,6 +305,11 @@ MALFORMED_DOCUMENTS = {
                             {"got": ["a", "a"], "reason": "zero in the quotient"}),
     "volume-odd-square": (lambda: _t6_with(lambda d: d.update(volume=["x1", "x1"])),
                           {"got": ["x1", "x1"], "reason": "zero in the quotient"}),
+    # a*b = 2*b^2 in the quotient: read as b^2, the volume would lose its factor 2.
+    "volume-rescaled-by-a-relation": (lambda: json.dumps({
+        "generators": [{"name": "a", "degree": 2}, {"name": "b", "degree": 2}],
+        "relations": [[{"monomial": ["a", "b"]}, {"coeff": "-2", "monomial": ["b", "b"]}]],
+        "degree_cap": 6, "volume": ["a", "b"]}), {"got": ["a", "b"], "coefficient": "2"}),
     # Integer fields are read exactly: a fraction or a bool is refused, not truncated.
     "fractional-degree": (lambda: '{"generators": [{"name": "x", "degree": 1.5}]}',
                           {"got": 1.5}),

@@ -11,8 +11,8 @@ here as the reference:
 * the minimal model's psi keeps the image of each monomial it meets while
   the model grows; the reference runs ``chains.product`` over every model
   monomial on every golden ``minimal-model`` selection;
-* ``universal_obstruction`` tests b against a basis of the span of the
-  p-fold products of H^2; the reference stacks b * c_1 * ... * c_p over
+* ``universal_obstruction`` cuts a running kernel by the p-fold products of
+  H^2 that grow their span; the reference stacks b * c_1 * ... * c_p over
   every choice of the c_i;
 * ``massey_scan`` hands the primitives it solved for to the evaluations;
   the reference scan tests pairs by their cup and lets every evaluation

@@ -166,6 +166,12 @@ def test_the_unit_relation_gives_the_zero_algebra():
     assert cohomology(spec, spec.degree_cap - 1).betti == [0] * spec.degree_cap
 
 
+def test_the_unit_is_zero_in_the_zero_algebra():
+    spec = SPECS["unit"]
+    assert spec.one().is_zero() and spec.one().terms == Element(spec, 0, {UNIT: Q.one}).terms
+    assert SPECS["generator"].one().terms == {UNIT: Q.one}
+
+
 def test_degenerate_relations_keep_their_betti_numbers():
     # A generator as a relation kills it (b alone is left); a duplicate or a
     # divided relation adds nothing; x * y with x, y odd leaves x and y.

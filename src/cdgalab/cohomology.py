@@ -223,10 +223,10 @@ class CohomologyRing:
     # -- top class and duality --------------------------------------------
 
     def integrate(self, z: CohomClass, group_order: Optional[int] = None) -> CycScalar:
-        """Coefficient of the class on the declared volume monomial, scaled.
+        """Coefficient of the class on the volume's normal-form monomial, scaled.
 
-        Used only for non-vanishing decisions; the sign depends on the
-        declared monomial order.
+        Used only for non-vanishing decisions; the sign is fixed by the spec's
+        generator order, not by the order the volume was declared in.
         """
         if self.volume is None:
             raise NoTopDeclared("no volume monomial declared for this ring")

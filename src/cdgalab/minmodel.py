@@ -16,9 +16,9 @@ s-formality certificates:
   contains no nonzero closed element and the exactness condition holds
   vacuously.
 
-Otherwise closed ideal elements are checked degree by degree up to the
-construction bound: a closed non-exact element refutes, a clean scan is
-INCONCLUSIVE (the tool never extrapolates past its bound).
+Otherwise closed ideal elements z of Lambda(V^{<=s}) are checked degree by degree
+through the scan degree, z exact iff psi(z) is exact in the target: a closed non-exact
+element refutes, a clean scan is INCONCLUSIVE (the tool never extrapolates past it).
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from dataclasses import dataclass, field as dc_field
 from typing import Dict, List, Optional, Tuple
 
 from .algebra import AlgebraSpec, Element, GeneratorDecl
-from .chains import AlgebraMap, FreeSlices, chain_defect
+from .chains import AlgebraMap, FreeSlices, Slices, chain_defect
 from .cohomology import CohomologyRing
 from .errors import CapTooLow, NotOneConnected, ParseError
 from .linalg import Echelon, Vec, kernel_image, mat_vec, span
@@ -55,18 +55,6 @@ class MinimalModel:
     @property
     def generators_by_degree(self) -> Dict[int, List[str]]:
         return {k: c + n for k, (c, n) in self.cn_split.items()}
-
-    def model_ring(self, max_degree: Optional[int] = None) -> CohomologyRing:
-        top = self.bound + 1 if max_degree is None else max_degree
-        top = min(top, self.model.degree_cap - 1)
-        return CohomologyRing(FreeSlices(self.model), top)
-
-    def n_generators_through(self, s: int) -> List[str]:
-        out = []
-        for k in sorted(self.cn_split):
-            if k <= s:
-                out.extend(self.cn_split[k][1])
-        return out
 
 
 @dataclass
@@ -97,9 +85,7 @@ def build_minimal_model(target_ring: CohomologyRing, bound: int) -> MinimalModel
         raise CapTooLow("target cohomology must be computed through bound+1",
                         bound=bound, available=target_ring.max_degree)
     slices = target_ring.slices
-    if isinstance(slices, FreeSlices) and slices.spec.flags.is_minimal \
-            and all(g.degree <= bound for g in slices.spec.generators) \
-            and _differentials_independent(slices) and _sullivan(slices):
+    if _own_model(slices, bound):
         spec = slices.spec
         psi = {}
         cn: Dict[int, Tuple[List[str], List[str]]] = {}
@@ -173,6 +159,13 @@ def build_minimal_model(target_ring: CohomologyRing, bound: int) -> MinimalModel
                         target_ring=target_ring, cn_split=cn)
 
 
+def _own_model(slices: Slices, bound: int) -> bool:
+    """Whether the target is a free spec that is its own minimal model through `bound`."""
+    return isinstance(slices, FreeSlices) and slices.spec.flags.is_minimal \
+        and all(g.degree <= bound for g in slices.spec.generators) \
+        and _differentials_independent(slices) and _sullivan(slices)
+
+
 def _differentials_independent(slices: FreeSlices) -> bool:
     """Per degree, the non-closed generators' differentials must be
     independent for the namewise C/N split of an already-minimal spec to be
@@ -205,13 +198,16 @@ def _sullivan(slices: FreeSlices) -> bool:
     return True
 
 
-def s_formality_check(mm: MinimalModel, s: int) -> SFormalityReport:
-    """Certify, refute, or abstain on the degreewise formality condition."""
+def s_formality_check(mm: MinimalModel, s: int, through: Optional[int] = None) -> SFormalityReport:
+    """Certify, refute, or abstain on the degreewise formality condition; the scan runs
+    through `through` (default: the bound) and reads z as exact iff psi(z) is exact."""
     if s < 0:
         raise ParseError("s must not be negative", s=s)
+    if s > mm.bound:  # a model through bound < s cannot see the N-part through s
+        raise CapTooLow("s-formality needs the model through s", s=s, bound=mm.bound)
     unique = all(not c_names or not n_names
                  for k, (c_names, n_names) in mm.cn_split.items() if k <= s)
-    n_gens = mm.n_generators_through(s)
+    n_gens = [name for k in sorted(mm.cn_split) if k <= s for name in mm.cn_split[k][1]]
     if not n_gens:
         return SFormalityReport(status=CERTIFIED, s=s, route="n_part_vanishes",
                                 splitting_unique=unique)
@@ -227,29 +223,28 @@ def s_formality_check(mm: MinimalModel, s: int) -> SFormalityReport:
             return SFormalityReport(
                 status=CERTIFIED, s=s, route="regular_even_differential",
                 splitting_unique=unique)
-    # degree-by-degree scan of closed ideal elements up to the bound
-    ring = mm.model_ring()
-    spec = mm.model
-    slices = ring.slices
+    # degree-by-degree scan of closed ideal elements through `through`
+    through = mm.bound if through is None else through
+    spec = mm.model.adjoin([], {}, degree_cap=max(mm.model.degree_cap, through + 1))
+    slices, psi = FreeSlices(spec), AlgebraMap(mm.target_ring.slices, mm.psi)
     n_idx = {spec.index[name] for name in n_gens}
     low_idx = {i for i, g in enumerate(spec.generators) if g.degree <= s}
-    for k in range(2, mm.bound + 1):
+    for k in range(2, through + 1):
         ideal = [i for i, mono in enumerate(spec.basis(k))
                  if set(mono) & n_idx and set(mono) <= low_idx]
         if not ideal:
             continue
-        kernel, _ = kernel_image(ring.field, len(ideal), lambda j: slices.d_col(k, ideal[j]))
+        kernel, _ = kernel_image(spec.field, len(ideal), lambda j: slices.d_col(k, ideal[j]))
         for combo in kernel.basis_rows():
-            vec = {ideal[j]: c for j, c in combo.items()}
-            if ring.is_exact(vec, k) is None:
-                witness = slices.to_element(k, vec).render()
+            z = slices.to_element(k, {ideal[j]: c for j, c in combo.items()})
+            if mm.target_ring.is_exact(psi(z.terms), k) is None:
                 return SFormalityReport(status=REFUTED, s=s,
                                         route="closed_non_exact_ideal_element",
-                                        witness=witness,
+                                        witness=z.render(),
                                         checked_through=k,
                                         splitting_unique=unique)
     return SFormalityReport(status=INCONCLUSIVE, s=s, route="scan_clean_to_bound",
-                            checked_through=mm.bound, splitting_unique=unique)
+                            checked_through=through, splitting_unique=unique)
 
 
 def _zero_differential(ring: CohomologyRing) -> bool:
@@ -355,12 +350,12 @@ def formality_verdict(ring: CohomologyRing, *,
         n_half = (poincare_dimension + 1) // 2
         s = max(n_half - 1, 0)  # s = 0 is as vacuous as -1: no generator has degree 0
         bound = min(max(s + 1, poincare_dimension - 2), ring.max_degree - 1)
-        try:
-            mm = build_minimal_model(ring, bound)
+        try:  # Lambda(V^{<=s}) is all the scan reads; an own model keeps its names
+            mm = build_minimal_model(ring, bound if _own_model(ring.slices, bound) else s)
         except NotOneConnected:
             return FormalityReport(verdict=UNKNOWN, route="not_one_connected",
                                    certificate={})
-        sf = s_formality_check(mm, s)
+        sf = s_formality_check(mm, s, through=bound)
         if sf.status == CERTIFIED:
             return FormalityReport(
                 verdict=FORMAL, route="s_formality_duality",

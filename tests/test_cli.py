@@ -508,7 +508,9 @@ def test_negative_budget_is_a_parse_error(argv, capsys, monkeypatch):
 def test_zero_budget_is_read_as_given(capsys, monkeypatch):
     code, out, _ = main_in_process(["formality", "--budget", "0", "--format", "json"],
                                    json.dumps(preset_document("HEIS8_Z3")), capsys, monkeypatch)
-    assert code == 0 and json.loads(out)["verdict"] == "UNKNOWN"
+    assert code == 0 and json.loads(out) == {
+        "verdict": "UNKNOWN", "route": "s_formality_inconclusive",
+        "certificate": {"s": 3, "checked_through": 6}}
 
 
 def test_pairing_beyond_the_computed_range_is_a_degree_overflow(capsys, monkeypatch):

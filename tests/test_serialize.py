@@ -128,6 +128,19 @@ def test_full_document_roundtrip_bit_exact():
         assert json.dumps(emitted) == json.dumps(emitted2)
 
 
+@pytest.mark.parametrize("name", ["HEIS6", "HEIS6_Z6"])
+def test_a_volume_parses_to_its_normal_form_monomial(name):
+    # mu mubar nu nubar theta thetabar is -1 times the normal-form monomial
+    # (generators in spec order); the volume keeps the monomial, not the sign,
+    # so the declared order never reaches integrate.
+    doc = preset_document(name)
+    spec, _, _, volume, _ = document_from_json(doc)
+    assert volume == tuple(range(6))
+    assert spec.element([(1, tuple(doc["volume"]))]).terms == {volume: -spec.field.one}
+    in_spec_order = dict(doc, volume=[g.name for g in spec.generators])
+    assert document_from_json(in_spec_order)[3] == volume
+
+
 # -- the report writer ------------------------------------------------------------
 
 JSON_VALUES = st.recursive(

@@ -10,7 +10,8 @@ Reports print as text by default; `--format json` switches to the JSON
 schema.  When the input document carries a group action, ring-level commands
 work in the invariant (quotient) complex unless `--total` is given.  Exit
 codes: 0 success, 1 validation/parse errors, 2 for an INCONCLUSIVE or
-UNKNOWN outcome under `--strict`.
+UNKNOWN outcome under `--strict`, and 2 for a usage error (an option the
+command does not take, a missing required one), as argparse exits.
 """
 
 from __future__ import annotations
@@ -42,35 +43,58 @@ from .symmetry import invariant_cohomology
 from .verify import run_all
 
 
-def _load_document(args) -> dict:
+def _read_json(path: Optional[str]):
+    """The JSON value of the file at path, or of stdin when path is None."""
+    named = {} if path is None else {"path": path}
     try:
-        if getattr(args, "input", None):
-            with open(args.input) as fh:
-                doc = json.load(fh)
-        else:
-            doc = json.load(sys.stdin)
+        if path is None:
+            return json.load(sys.stdin)
+        with open(path, encoding="utf-8") as fh:  # JSON text is UTF-8 (RFC 8259)
+            return json.load(fh)
+    except OSError as exc:
+        raise ParseError("the input file cannot be read", path=path,
+                         reason=exc.strerror) from None
     except json.JSONDecodeError as exc:
-        raise ParseError("the input is not JSON", reason=exc.msg,
-                         line=exc.lineno, column=exc.colno) from None
+        raise ParseError("the input is not JSON", reason=exc.msg, line=exc.lineno,
+                         column=exc.colno, **named) from None
+    except UnicodeDecodeError as exc:
+        raise ParseError("the input is not UTF-8 text", reason=exc.reason, position=exc.start,
+                         **named) from None
+
+
+def _document(args):
+    """document_from_json's (spec, action, classes, volume, meta) of the input, under --cap."""
+    doc = _read_json(args.input)
     if args.cap is not None:
         algebra_part(doc)["degree_cap"] = args.cap
-    return doc
+    return document_from_json(doc)
 
 
 def _context(args):
-    """Parse a document into (spec, action, classes, volume, meta, ring)."""
-    doc = _load_document(args)
-    spec, action, classes, volume, meta = document_from_json(doc)
-    use_invariant = action is not None and not getattr(args, "total", False)
-    max_degree = getattr(args, "max_degree", None)
+    """(ring, classes, meta) of the input: the invariant ring when the document
+    carries an action, unless --total; through --max-degree, else its dim."""
+    spec, action, classes, volume, meta = _document(args)
+    if action is None and args.command == "invariants":
+        raise ParseError("the document carries no group action")
+    max_degree = args.max_degree
     if max_degree is None:
         max_degree = meta.get("dim", spec.degree_cap - 1)
-    if use_invariant:
-        ring = invariant_cohomology(action, max_degree, volume=volume)
+    if action is not None and not args.total:
+        return invariant_cohomology(action, max_degree, volume=volume), classes, meta
+    return cohomology(spec, max_degree, volume=volume), classes, meta
+
+
+def _emit(args, report: dict, text, undecided: bool = False) -> int:
+    """Write the report as JSON under --format json, else the lines text() yields.
+
+    The exit code: 2 for an undecided outcome under --strict, else 0.
+    """
+    if args.format == "json":
+        sys.stdout.write(dumps(report))
     else:
-        ring = cohomology(spec, max_degree, volume=volume,
-                          group_order=1)
-    return spec, action, classes, volume, meta, ring
+        for line in text():
+            print(line)
+    return 2 if undecided and args.strict else 0
 
 
 def _select_class(ring: CohomologyRing, classes, token: str) -> CohomClass:
@@ -98,13 +122,14 @@ def _select_class(ring: CohomologyRing, classes, token: str) -> CohomClass:
     return ring.class_of(classes[token])
 
 
-def _massey_report_json(ring, rep: MasseyReport) -> dict:
-    doc = {
+def _massey_report_json(rep: MasseyReport) -> dict:
+    return {
         "kind": rep.kind,
         "defined": rep.defined,
         "verdict": rep.verdict,
         "degree": rep.degree,
-        "representative": None,
+        "representative": None if rep.representative is None
+        else element_to_json(rep.representative.rep_element()),
         "representative_nonzero": rep.representative_nonzero,
         "indeterminacy_dimension": rep.indeterminacy_dimension,
         "indeterminacy": [element_to_json(cls.rep_element())
@@ -113,29 +138,21 @@ def _massey_report_json(ring, rep: MasseyReport) -> dict:
         "certificate": rep.certificate,
         "notes": rep.notes,
     }
-    if rep.representative is not None:
-        doc["representative"] = element_to_json(rep.representative.rep_element())
-    return doc
 
 
-def _print_massey(ring, rep: MasseyReport, args) -> int:
-    if args.format == "json":
-        sys.stdout.write(dumps(_massey_report_json(ring, rep)))
-    else:
-        print(f"kind:     {rep.kind}")
-        print(f"defined:  {rep.defined}")
-        print(f"verdict:  {rep.verdict}")
+def _emit_massey(args, rep: MasseyReport) -> int:
+    def text():
+        yield f"kind:     {rep.kind}"
+        yield f"defined:  {rep.defined}"
+        yield f"verdict:  {rep.verdict}"
         if rep.representative is not None:
-            print(f"degree:   {rep.degree}")
-            print(f"representative: {rep.representative.rep_element().render()}")
-            print(f"indeterminacy dimension: {rep.indeterminacy_dimension}")
+            yield f"degree:   {rep.degree}"
+            yield f"representative: {rep.representative.rep_element().render()}"
+            yield f"indeterminacy dimension: {rep.indeterminacy_dimension}"
         if rep.obstruction:
-            print(f"obstruction: {rep.obstruction}")
-        for note in rep.notes:
-            print(f"note: {note}")
-    if args.strict and rep.verdict == INCONCLUSIVE:
-        return 2
-    return 0
+            yield f"obstruction: {rep.obstruction}"
+        yield from (f"note: {note}" for note in rep.notes)
+    return _emit(args, _massey_report_json(rep), text, rep.verdict == INCONCLUSIVE)
 
 
 def cmd_preset(args) -> int:
@@ -153,121 +170,106 @@ def cmd_preset(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    doc = _load_document(args)
-    spec, action, classes, volume, meta = document_from_json(doc)
-    out = {
+    spec, action, _, _, _ = _document(args)
+    report = {
         "valid": True,
         "is_minimal": spec.flags.is_minimal,
         "is_connected": spec.flags.is_connected,
         "has_odd_only_generators": spec.flags.has_odd_only_generators,
         "action_order": action.order if action else None,
     }
-    if args.format == "json":
-        sys.stdout.write(dumps(out))
-    else:
-        for key, value in out.items():
-            print(f"{key}: {value}")
-    return 0
+    return _emit(args, report, lambda: (f"{key}: {value}" for key, value in report.items()))
 
 
-def cmd_cohomology(args, invariant=False) -> int:
-    spec, action, classes, volume, meta, ring = _context(args)
-    if invariant and action is None:
-        raise ParseError("the document carries no group action")
+def cmd_cohomology(args) -> int:
+    ring, _, _ = _context(args)
     report = cohomology_report(ring, pairing_degree=args.pairing)
-    if args.format == "json":
-        sys.stdout.write(dumps(report))
-    else:
-        print("betti: " + " ".join(str(b) for b in report["betti"]))
+
+    def text():
+        yield "betti: " + " ".join(str(b) for b in report["betti"])
         if report["pairing_ok"] is not None:
-            print(f"pairing_ok: {report['pairing_ok']}")
+            yield f"pairing_ok: {report['pairing_ok']}"
         for k in range(ring.max_degree + 1):
-            reps = [ring.slices.to_element(k, rep).render() for rep in ring.reps(k)]
-            if reps:
-                print(f"H^{k}:")
-                for r in reps:
-                    print(f"  {r}")
-    return 0
+            if ring.reps(k):
+                yield f"H^{k}:"
+                yield from (f"  {ring.slices.to_element(k, rep).render()}"
+                            for rep in ring.reps(k))
+    return _emit(args, report, text)
 
 
 def cmd_massey(args) -> int:
-    spec, action, classes, volume, meta, ring = _context(args)
+    ring, classes, _ = _context(args)
     selected = [_select_class(ring, classes, tok) for tok in args.select]
     if len(selected) != 3:
         raise ParseError("triple products take exactly three --select arguments")
-    rep = triple_massey(ring, *selected)
-    return _print_massey(ring, rep, args)
+    return _emit_massey(args, triple_massey(ring, *selected))
 
 
 def cmd_amassey(args) -> int:
-    spec, action, classes, volume, meta, ring = _context(args)
+    ring, classes, _ = _context(args)
     a = _select_class(ring, classes, args.a)
     bs = [_select_class(ring, classes, tok) for tok in args.b]
-    rep = a_massey(ring, a, bs, budget=args.budget)
-    return _print_massey(ring, rep, args)
+    return _emit_massey(args, a_massey(ring, a, bs, budget=args.budget))
 
 
 def cmd_higher_massey(args) -> int:
-    spec, action, classes, volume, meta, ring = _context(args)
+    ring, classes, _ = _context(args)
     selected = [_select_class(ring, classes, tok) for tok in args.select]
-    rep = higher_massey(ring, selected, budget=args.budget)
-    return _print_massey(ring, rep, args)
+    return _emit_massey(args, higher_massey(ring, selected, budget=args.budget))
 
 
 def cmd_lefschetz(args) -> int:
-    spec, action, classes, volume, meta, ring = _context(args)
+    ring, classes, meta = _context(args)
     n = args.half_dim if args.half_dim is not None else \
         meta.get("half_dim", meta.get("dim", ring.max_degree) // 2)
     if args.universal:
         if args.degree is None:
             raise ParseError("--universal needs --degree")
         witnesses = universal_obstruction(ring, args.degree, n=n)
-        if args.format == "json":
-            sys.stdout.write(dumps({
-                "degree": args.degree,
-                "half_dim": n,
-                "witnesses": [element_to_json(c.rep_element()) for c in witnesses],
-            }))
-        else:
-            print(f"universal witnesses at degree {args.degree}: {len(witnesses)}")
-            for c in witnesses:
-                print(f"  {c.rep_element().render()}")
-        return 0
+        report = {"degree": args.degree, "half_dim": n,
+                  "witnesses": [element_to_json(c.rep_element()) for c in witnesses]}
+        return _emit(args, report, lambda: [
+            f"universal witnesses at degree {args.degree}: {len(witnesses)}",
+            *(f"  {c.rep_element().render()}" for c in witnesses)])
     if not args.omega:
         raise ParseError("either --omega or --universal is required")
     omega = _select_class(ring, classes, args.omega)
-    report = lefschetz_test(ring, omega, n)
-    if args.format == "json":
-        sys.stdout.write(dumps({
-            "half_dim": report.half_dim,
-            "overall": report.overall,
-            "per_degree": [{
-                "degree": v.degree, "power": v.power, "rank": v.rank,
-                "source_dim": v.source_dim, "target_dim": v.target_dim,
-                "isomorphism": v.isomorphism,
-                "kernel": [element_to_json(c.rep_element()) for c in v.kernel],
-            } for v in report.per_degree],
-        }))
-    else:
-        print(f"overall: {'pass' if report.overall else 'fail'}")
-        for v in report.per_degree:
+    result = lefschetz_test(ring, omega, n)
+    report = {
+        "half_dim": result.half_dim,
+        "overall": result.overall,
+        "per_degree": [{
+            "degree": v.degree, "power": v.power, "rank": v.rank,
+            "source_dim": v.source_dim, "target_dim": v.target_dim,
+            "isomorphism": v.isomorphism,
+            "kernel": [element_to_json(c.rep_element()) for c in v.kernel],
+        } for v in result.per_degree],
+    }
+
+    def text():
+        yield f"overall: {'pass' if result.overall else 'fail'}"
+        for v in result.per_degree:
             status = "iso" if v.isomorphism else "NOT iso"
-            print(f"L^{v.power}: H^{v.degree} ({v.source_dim}) -> "
-                  f"H^{2 * report.half_dim - v.degree} ({v.target_dim}) "
-                  f"rank {v.rank}  {status}")
-            for c in v.kernel:
-                print(f"  kernel: {c.rep_element().render()}")
-    return 0
+            yield (f"L^{v.power}: H^{v.degree} ({v.source_dim}) -> "
+                   f"H^{2 * result.half_dim - v.degree} ({v.target_dim}) "
+                   f"rank {v.rank}  {status}")
+            yield from (f"  kernel: {c.rep_element().render()}" for c in v.kernel)
+    return _emit(args, report, text)
 
 
 def cmd_circle_bundle(args) -> int:
     from .models import circle_bundle
-    doc = _load_document(args)
-    spec, action, classes, volume, meta = document_from_json(doc)
+    spec, _, classes, _, _ = _document(args)
     if args.euler in classes:
         euler = classes[args.euler]
     else:
-        euler = element_from_json(json.loads(args.euler), spec)
+        try:
+            euler = json.loads(args.euler)
+        except json.JSONDecodeError:
+            raise ParseError("--euler is neither a class of the document nor a JSON "
+                             "element expression", got=args.euler,
+                             known=sorted(classes)) from None
+        euler = element_from_json(euler, spec)
     total = circle_bundle(spec, euler, gen_name=args.gen_name)
     carried = {name: total.element(elem) for name, elem in classes.items()}
     sys.stdout.write(dumps(document_to_json(total, classes=carried)))
@@ -276,21 +278,18 @@ def cmd_circle_bundle(args) -> int:
 
 def cmd_tensor(args) -> int:
     from .models import tensor
-    doc = _load_document(args)
-    spec, _, _, _, _ = document_from_json(doc)
-    with open(args.with_) as fh:
-        other_doc = json.load(fh)
-    other, _, _, _, _ = document_from_json(other_doc)
+    spec = _document(args)[0]
+    other = document_from_json(_read_json(args.with_))[0]
     sys.stdout.write(dumps(document_to_json(tensor(spec, other))))
     return 0
 
 
 def cmd_minimal_model(args) -> int:
-    spec, action, classes, volume, meta, ring = _context(args)
+    ring, _, _ = _context(args)
     mm = build_minimal_model(ring, args.bound)
     rep = None if args.s_formality is None else s_formality_check(mm, args.s_formality)
     zero, dg = mm.model.zero(), mm.model.differential.get
-    doc = {
+    report = {
         "bound": mm.bound,
         "identity": mm.identity,
         "generators": [{
@@ -302,42 +301,35 @@ def cmd_minimal_model(args) -> int:
         "cn_split": {str(k): {"C": c, "N": n}
                      for k, (c, n) in sorted(mm.cn_split.items())},
     }
-    if args.format == "json":
+    if rep is not None:
+        report["s_formality"] = {"s": rep.s, "status": rep.status, "route": rep.route}
+
+    def text():
+        yield f"bound: {mm.bound}"
+        for gi, g in enumerate(mm.model.generators):
+            yield f"{g.name} (degree {g.degree}): d = {dg(gi, zero).render()}"
         if rep is not None:
-            doc["s_formality"] = {"s": rep.s, "status": rep.status, "route": rep.route}
-        sys.stdout.write(dumps(doc))
-    else:
-        print(f"bound: {mm.bound}")
-        for gi, g in enumerate(doc["generators"]):
-            print(f"{g['name']} (degree {g['degree']}): d = {dg(gi, zero).render()}")
-        if rep is not None:
-            print(f"s-formality (s={args.s_formality}): {rep.status} via {rep.route}")
-    return 2 if rep is not None and args.strict and rep.status == "INCONCLUSIVE" else 0
+            yield f"s-formality (s={args.s_formality}): {rep.status} via {rep.route}"
+    return _emit(args, report, text, rep is not None and rep.status == INCONCLUSIVE)
 
 
 def cmd_formality(args) -> int:
-    spec, action, classes, volume, meta, ring = _context(args)
+    ring, _, meta = _context(args)
     dim = args.poincare_dim if args.poincare_dim is not None else meta.get("dim")
-    report = formality_verdict(ring, poincare_dimension=dim,
-                               simply_connected=args.simply_connected,
-                               budget=args.budget)
-    out = {"verdict": report.verdict, "route": report.route,
-           "certificate": report.certificate}
-    if report.witness is not None:
-        out["witness"] = _massey_report_json(ring, report.witness)
-    if args.format == "json":
-        sys.stdout.write(dumps(out))
-    else:
-        print(f"verdict: {report.verdict}")
-        print(f"route:   {report.route}")
-        for key, value in report.certificate.items():
-            print(f"{key}: {value}")
-        if report.witness is not None:
-            print(f"witness: {report.witness.kind} verdict "
-                  f"{report.witness.verdict}")
-    if args.strict and report.verdict == UNKNOWN:
-        return 2
-    return 0
+    result = formality_verdict(ring, poincare_dimension=dim,
+                               simply_connected=args.simply_connected, budget=args.budget)
+    report = {"verdict": result.verdict, "route": result.route,
+              "certificate": result.certificate}
+    if result.witness is not None:
+        report["witness"] = _massey_report_json(result.witness)
+
+    def text():
+        yield f"verdict: {result.verdict}"
+        yield f"route:   {result.route}"
+        yield from (f"{key}: {value}" for key, value in result.certificate.items())
+        if result.witness is not None:
+            yield f"witness: {result.witness.kind} verdict {result.witness.verdict}"
+    return _emit(args, report, text, result.verdict == UNKNOWN)
 
 
 def cmd_verify_paper(args) -> int:
@@ -365,19 +357,25 @@ def build_parser() -> argparse.ArgumentParser:
                     "minimal models for finitely presented CDGAs.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, max_degree=True):
+    def command(name, fn, summary, ring=True, strict=False, budget=False):
+        """A subcommand with the document options and, as flagged, the ones it reads."""
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(fn=fn)
         p.add_argument("--input", help="input document (default: stdin)")
         p.add_argument("--cap", type=int, help="override the degree cap")
         p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--strict", action="store_true",
-                       help="exit 2 on INCONCLUSIVE/UNKNOWN outcomes")
-        p.add_argument("--budget", type=int, default=400,
-                       help="search budget for product scans")
-        p.add_argument("--total", action="store_true",
-                       help="ignore the action; work in the total complex")
-        if max_degree:
+        if ring:
+            p.add_argument("--total", action="store_true",
+                           help="ignore the action; work in the total complex")
             p.add_argument("--max-degree", type=int,
                            help="compute cohomology through this degree")
+        if strict:
+            p.add_argument("--strict", action="store_true",
+                           help="exit 2 on INCONCLUSIVE/UNKNOWN outcomes")
+        if budget:
+            p.add_argument("--budget", type=int, default=400,
+                           help="search budget for product scans")
+        return p
 
     p = sub.add_parser("preset", help="emit a named preset document")
     p.add_argument("name", help="one of " + ", ".join(
@@ -385,71 +383,50 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--param", action="append", help="e.g. --param n=4")
     p.set_defaults(fn=cmd_preset)
 
-    p = sub.add_parser("validate", help="validate an algebra document")
-    common(p, max_degree=False)
-    p.set_defaults(fn=cmd_validate)
+    command("validate", cmd_validate, "validate an algebra document", ring=False)
+    for name, summary in (("cohomology", "Betti numbers and representatives"),
+                          ("invariants", "invariant (quotient) cohomology")):
+        command(name, cmd_cohomology, summary).add_argument(
+            "--pairing", type=int, help="check duality pairing against this top degree")
 
-    p = sub.add_parser("cohomology", help="Betti numbers and representatives")
-    common(p)
-    p.add_argument("--pairing", type=int,
-                   help="check duality pairing against this top degree")
-    p.set_defaults(fn=cmd_cohomology)
-
-    p = sub.add_parser("invariants", help="invariant (quotient) cohomology")
-    common(p)
-    p.add_argument("--pairing", type=int)
-    p.set_defaults(fn=lambda a: cmd_cohomology(a, invariant=True))
-
-    p = sub.add_parser("massey", help="triple Massey product")
-    common(p)
+    p = command("massey", cmd_massey, "triple Massey product", strict=True)
     p.add_argument("--select", action="append", required=True,
                    help="class name or {\"degree\":d,\"coords\":[...]}")
-    p.set_defaults(fn=cmd_massey)
 
-    p = sub.add_parser("amassey", help="a-Massey product")
-    common(p)
+    p = command("amassey", cmd_amassey, "a-Massey product", strict=True, budget=True)
     p.add_argument("--a", required=True)
     p.add_argument("--b", action="append", required=True)
-    p.set_defaults(fn=cmd_amassey)
 
-    p = sub.add_parser("higher-massey", help="order 4..6 Massey product")
-    common(p)
+    p = command("higher-massey", cmd_higher_massey, "order 4..6 Massey product",
+                strict=True, budget=True)
     p.add_argument("--select", action="append", required=True)
-    p.set_defaults(fn=cmd_higher_massey)
 
-    p = sub.add_parser("lefschetz", help="hard-Lefschetz tests")
-    common(p)
+    p = command("lefschetz", cmd_lefschetz, "hard-Lefschetz tests")
     p.add_argument("--omega", help="degree-2 class selector")
     p.add_argument("--half-dim", type=int)
     p.add_argument("--universal", action="store_true")
     p.add_argument("--degree", type=int)
-    p.set_defaults(fn=cmd_lefschetz)
 
-    p = sub.add_parser("circle-bundle", help="adjoin a circle generator")
-    common(p, max_degree=False)
+    # --format is kept on the two document commands: their output is a
+    # document under either value.
+    p = command("circle-bundle", cmd_circle_bundle, "adjoin a circle generator", ring=False)
     p.add_argument("--euler", required=True,
                    help="class name or inline element expression")
     p.add_argument("--gen-name", default="x")
-    p.set_defaults(fn=cmd_circle_bundle)
 
-    p = sub.add_parser("tensor", help="graded tensor with a second document")
-    common(p, max_degree=False)
+    p = command("tensor", cmd_tensor, "graded tensor with a second document", ring=False)
     p.add_argument("--with", dest="with_", required=True,
                    help="path to the second algebra document")
-    p.set_defaults(fn=cmd_tensor)
 
-    p = sub.add_parser("minimal-model", help="bounded Sullivan minimal model")
-    common(p)
+    p = command("minimal-model", cmd_minimal_model, "bounded Sullivan minimal model",
+                strict=True)
     p.add_argument("--bound", type=int, required=True)
     p.add_argument("--s-formality", type=int,
                    help="also run the s-formality check at this s")
-    p.set_defaults(fn=cmd_minimal_model)
 
-    p = sub.add_parser("formality", help="formality verdict")
-    common(p)
+    p = command("formality", cmd_formality, "formality verdict", strict=True, budget=True)
     p.add_argument("--poincare-dim", type=int)
     p.add_argument("--simply-connected", action="store_true")
-    p.set_defaults(fn=cmd_formality)
 
     p = sub.add_parser("verify-paper",
                        help="run the built-in verification suite")

@@ -222,8 +222,8 @@ class CohomologyRing:
 
     # -- top class and duality --------------------------------------------
 
-    def integrate(self, z: CohomClass, group_order: Optional[int] = None) -> CycScalar:
-        """Coefficient of the class on the volume's normal-form monomial, scaled.
+    def integrate(self, z: CohomClass) -> CycScalar:
+        """Coefficient of the class on the volume's normal-form monomial, times the group order.
 
         Used only for non-vanishing decisions; the sign is fixed by the spec's
         generator order, not by the order the volume was declared in.
@@ -233,10 +233,7 @@ class CohomologyRing:
         if z.degree != self.top_degree:
             raise DegreeOverflow("integration needs a top-degree class",
                                  degree=z.degree, top=self.top_degree)
-        order = self.group_order if group_order is None else group_order
-        elem = z.rep_element()
-        coeff = elem.coefficient(self.volume)
-        return coeff * self.field.rational(order)
+        return z.rep_element().coefficient(self.volume) * self.field.rational(self.group_order)
 
     def pairing_nondegenerate(self, n: int) -> bool:
         if n < 0:
@@ -270,7 +267,6 @@ def class_span(field: CycField,
 
 
 def cohomology(spec: AlgebraSpec, max_degree: int,
-               volume: Optional[Monomial] = None, group_order: int = 1) -> CohomologyRing:
+               volume: Optional[Monomial] = None) -> CohomologyRing:
     """Cohomology ring of a spec through the given degree."""
-    return CohomologyRing(FreeSlices(spec), max_degree, volume=volume,
-                          group_order=group_order)
+    return CohomologyRing(FreeSlices(spec), max_degree, volume=volume)

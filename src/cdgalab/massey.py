@@ -166,38 +166,21 @@ def a_massey(ring: CohomologyRing, a: CohomClass, bs: Sequence[CohomClass],
 
     rep = representative(xis)
     evidence = {"primitives": list(xis)}
-    shift_dims = []
-    for deg, _ in xis:
-        if deg > ring.max_degree:
-            shift_dims.append(None)
-        else:
-            shift_dims.append(ring.betti[deg])
-    if all(b == 0 for b in shift_dims if b is not None) and None not in shift_dims:
+    param_dim = sum(ring.betti[deg] for deg, _ in xis)
+    if param_dim == 0:
         verdict = ZERO if rep.is_zero() else NONZERO
         evidence["no_indeterminacy"] = "every primitive degree has vanishing cohomology"
-        return MasseyReport(kind=kind, verdict=verdict, representative=rep,
-                            indeterminacy=[], evidence=evidence)
+        return MasseyReport(kind=kind, verdict=verdict, representative=rep, evidence=evidence)
     if rep.is_zero():
         return MasseyReport(kind=kind, verdict=ZERO, representative=rep, evidence=evidence,
                             notes=["zero exhibited by the canonical primitives"])
-    param_dim = sum(b or 0 for b in shift_dims)
-    if param_dim > budget or None in shift_dims:
+    if param_dim > budget:
+        note = f"shift space of dimension {param_dim} exceeds budget {budget}"
         return MasseyReport(kind=kind, verdict=INCONCLUSIVE, representative=rep,
-                            evidence=evidence,
-                            notes=[f"shift space of dimension {param_dim} exceeds "
-                                   f"budget {budget}" if param_dim > budget else
-                                   "a primitive degree lies beyond the computed range"])
+                            evidence=evidence, notes=[note])
     # Single-shift affine directions: perturb one primitive at a time.
-    labels: List[Tuple[int, int]] = []
-    deltas: List[CohomClass] = []
-    for i in range(n):
-        deg_i = xis[i][0]
-        for j in range(ring.betti[deg_i]):
-            shifted = list(xis)
-            shifted[i] = (deg_i, vec_add(xis[i][1],
-                                         ring.rep_combination(deg_i, {j: ring.field.one})))
-            labels.append((i, j))
-            deltas.append(representative(shifted) - rep)
+    shifts = _single_shifts(ring, xis, range(n), representative)
+    deltas = [value - rep for _, _, _, value in shifts]
     span, directions = class_span(ring.field, deltas)
     if n == 2:
         # Shifts enter each term linearly and never jointly: the family is
@@ -213,17 +196,11 @@ def a_massey(ring: CohomologyRing, a: CohomClass, bs: Sequence[CohomClass],
     sol = sol_ech.solve({k: -c for k, c in rep.coords.items()})
     if sol is not None:
         combined = list(xis)
-        per_primitive: Dict[int, Vec] = {}
         for idx, coeff in sol.items():
-            i, j = labels[idx]
-            deg_i = xis[i][0]
-            shift = ring.rep_combination(deg_i, {j: coeff})
-            per_primitive[i] = vec_add(per_primitive.get(i, {}), shift)
-        for i, shift in per_primitive.items():
-            deg_i = xis[i][0]
-            combined[i] = (deg_i, vec_add(xis[i][1], shift))
-        candidate = representative(combined)
-        if candidate.is_zero():
+            i, j = shifts[idx][:2]
+            deg_i, xi = combined[i]
+            combined[i] = (deg_i, vec_add(xi, ring.rep_combination(deg_i, {j: coeff})))
+        if representative(combined).is_zero():
             return MasseyReport(kind=kind, verdict=ZERO, representative=rep,
                                 indeterminacy=directions, evidence=evidence,
                                 notes=["zero exhibited by an explicit shifted system"])
@@ -285,8 +262,7 @@ def higher_massey(ring: CohomologyRing, classes: Sequence[CohomClass],
     rep = ring.class_of(vec, deg)
     keys = sorted(stages)
     evidence = {"system": {f"a[{i},{j}]": system[(i, j)] for (i, j) in keys}}
-    pdim = sum(ring.betti[system[k][0]] for k in keys
-               if system[k][0] <= ring.max_degree)
+    pdim = sum(ring.betti[system[k][0]] for k in keys)
     if rep.is_zero():
         return MasseyReport(kind=kind, verdict=ZERO, representative=rep, evidence=evidence,
                             notes=["zero exhibited by the canonical defining system"])
@@ -299,21 +275,12 @@ def higher_massey(ring: CohomologyRing, classes: Sequence[CohomClass],
                             notes=[f"parameter space {pdim} exceeds budget {budget}"])
     # Valid single-group perturbations give affine directions; quadratic
     # cross-terms are probed on pairs of them, reusing each one's value.
-    shifts: List[Tuple[Tuple[int, int], Tuple[int, Vec], CohomClass]] = []
-    for key in keys:
-        d, base_vec = system[key]
-        if d > ring.max_degree:
-            continue
-        for jj in range(ring.betti[d]):
-            trial = dict(system)
-            trial[key] = (d, vec_add(base_vec, ring.rep_combination(d, {jj: ring.field.one})))
-            value = _system_value(ring, trial, t, stages, rhs)
-            if value is not None:
-                shifts.append((key, trial[key], value))
-    span, directions = class_span(ring.field, (value - rep for _, _, value in shifts))
+    shifts = _single_shifts(ring, system, keys,
+                            lambda trial: _system_value(ring, trial, t, stages, rhs))
+    span, directions = class_span(ring.field, (value - rep for _, _, _, value in shifts))
 
     def cross_term(first, second) -> bool:
-        (k1, slot1, only1), (k2, slot2, only2) = first, second
+        (k1, _, slot1, only1), (k2, _, slot2, only2) = first, second
         if k1 == k2:
             return False
         trial = dict(system)
@@ -343,3 +310,23 @@ def _system_value(ring: CohomologyRing, system, t, stages, rhs) -> Optional[Coho
             return None
     deg, vec = rhs(system, 1, t)
     return ring.class_of(vec, deg)
+
+
+def _single_shifts(ring: CohomologyRing, slots, keys, evaluate) -> List[tuple]:
+    """(key, j, slot, value): the slot of each key moved by rep_j of its degree, j < b_deg,
+    and evaluate's value of the slots with that one moved, where it is not None.
+
+    No primitive lies above max_degree: is_exact refuses a product above it, massey_scan
+    passes primitives only for p + q <= max_degree, and one given to a_massey is below |b_i|
+    when |a| = 0, else no higher than the representative, whose degree class_of accepted.
+    """
+    out = []
+    for key in keys:
+        deg, vec = slots[key]
+        for j in range(ring.betti[deg]):
+            trial = slots.copy()
+            trial[key] = (deg, vec_add(vec, ring.rep_combination(deg, {j: ring.field.one})))
+            value = evaluate(trial)
+            if value is not None:
+                out.append((key, j, trial[key], value))
+    return out

@@ -1,3 +1,5 @@
+import argparse
+import errno
 import io
 import json
 import os
@@ -494,7 +496,8 @@ def test_negative_degree_argument_is_a_parse_error(case, capsys, monkeypatch):
 @pytest.mark.parametrize("argv", [
     ["formality", "--budget", "-1"],
     ["amassey", "--a", "a", "--b", "b1", "--b", "b2", "--budget", "-2"],
-    ["cohomology", "--budget", "-1"]])
+    ["higher-massey", "--select", "a", "--select", "b1", "--select", "b2",
+     "--select", "b3", "--budget", "-1"]])
 def test_negative_budget_is_a_parse_error(argv, capsys, monkeypatch):
     # Before, formality --budget -1 on HEIS8_Z3 answered UNKNOWN with exit 0.
     budget = int(argv[-1])
@@ -568,3 +571,86 @@ def test_a_reader_that_leaves_early_gets_no_traceback():
         os.close(write_end)
     assert out.returncode == 1
     assert "Traceback" not in out.stderr and "Exception ignored" not in out.stderr
+
+
+# -- unreadable input and the parser surface ---------------------------------
+
+def _parse_error(argv, stdin, capsys, monkeypatch):
+    code, out, err = main_in_process(argv + ["--format", "json"], stdin, capsys, monkeypatch)
+    assert code == 1 and out == "" and "Traceback" not in err
+    diag = json.loads(err)
+    assert diag["error"] == "PARSE_ERROR"
+    return diag["details"]
+
+
+def test_a_missing_input_file_is_a_parse_error(tmp_path, capsys, monkeypatch):
+    # Before, this ended in a FileNotFoundError traceback.
+    missing = str(tmp_path / "missing.json")
+    details = _parse_error(["cohomology", "--input", missing], "", capsys, monkeypatch)
+    assert details == {"path": missing, "reason": os.strerror(errno.ENOENT)}
+
+
+def test_an_unreadable_tensor_factor_is_a_parse_error(tmp_path, capsys, monkeypatch):
+    # Before, --with opened and parsed the file itself: a malformed file ended
+    # in a JSONDecodeError traceback, a missing one in FileNotFoundError.
+    t6 = json.dumps(preset_document("T6"))
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"algebra":\n  [}')
+    details = _parse_error(["tensor", "--with", str(bad)], t6, capsys, monkeypatch)
+    assert details == {"reason": "Expecting value", "line": 2, "column": 4,
+                       "path": str(bad)}
+    missing = str(tmp_path / "missing.json")
+    details = _parse_error(["tensor", "--with", missing], t6, capsys, monkeypatch)
+    assert details == {"path": missing, "reason": os.strerror(errno.ENOENT)}
+
+
+def test_an_input_file_that_is_not_utf8_is_a_parse_error(tmp_path, capsys, monkeypatch):
+    # Before, this ended in a UnicodeDecodeError traceback.
+    path = tmp_path / "binary.json"
+    path.write_bytes(b'{"a": "\xff"}')
+    details = _parse_error(["validate", "--input", str(path)], "", capsys, monkeypatch)
+    assert details == {"reason": "invalid start byte", "position": 7, "path": str(path)}
+
+
+def test_an_euler_class_that_is_not_json_is_a_parse_error(capsys, monkeypatch):
+    # Before, this ended in a JSONDecodeError traceback.
+    details = _parse_error(["circle-bundle", "--euler", "{"],
+                           json.dumps(preset_document("T6")), capsys, monkeypatch)
+    assert details == {"got": "{", "known": ["a1", "a2", "a3", "omega"]}
+
+
+DOCUMENT = {"input", "cap", "format"}
+RING = DOCUMENT | {"total", "max_degree"}
+
+# The optional arguments each subcommand accepts, every one of them read.
+OPTION_DESTS = {
+    "preset": {"param"},
+    "validate": DOCUMENT,
+    "cohomology": RING | {"pairing"},
+    "invariants": RING | {"pairing"},
+    "massey": RING | {"strict", "select"},
+    "amassey": RING | {"strict", "budget", "a", "b"},
+    "higher-massey": RING | {"strict", "budget", "select"},
+    "lefschetz": RING | {"omega", "half_dim", "universal", "degree"},
+    "circle-bundle": DOCUMENT | {"euler", "gen_name"},
+    "tensor": DOCUMENT | {"with_"},
+    "minimal-model": RING | {"strict", "bound", "s_formality"},
+    "formality": RING | {"strict", "budget", "poincare_dim", "simply_connected"},
+    "verify-paper": {"cases", "verbose"},
+}
+
+
+def test_each_subcommand_takes_only_the_options_it_reads():
+    parser = cli.build_parser()
+    subparsers = next(a for a in parser._actions
+                      if isinstance(a, argparse._SubParsersAction)).choices
+    dests = {name: {a.dest for a in p._actions if a.option_strings and a.dest != "help"}
+             for name, p in subparsers.items()}
+    assert dests == OPTION_DESTS
+
+
+def test_an_option_a_command_does_not_read_is_refused(capsys, monkeypatch):
+    code, out, err = main_in_process(["cohomology", "--budget", "1"],
+                                     json.dumps(preset_document("T6")), capsys, monkeypatch)
+    assert code == 2 and out == ""
+    assert "unrecognized arguments: --budget 1" in err

@@ -63,17 +63,18 @@ def monomial_names(spec: "AlgebraSpec", m: Monomial) -> Tuple[str, ...]:
 def normal_form(spec: "AlgebraSpec", word: Sequence[int]):
     """Sort a word of generator indices into its monomial, with the Koszul sign.
 
-    Returns (sign, monomial), or None if an odd generator repeats.  The
-    product of monomials m1 and m2 is the normal form of ``m1 + m2``.
+    Returns (sign, monomial), or None if an odd generator repeats; the product of
+    m1 and m2 is the normal form of ``m1 + m2``.  One pass keeps a bit per odd letter
+    read: a set bit at g is a repeat, else g adds an inversion per set bit above it.
     """
-    odd = [g for g in word if spec._odd[g]]
-    if len(set(odd)) != len(odd):
-        return None
-    inversions = 0
-    for i, g in enumerate(odd):
-        for h in odd[i + 1:]:
-            inversions += g > h
-    return (-1 if inversions % 2 else 1), tuple(sorted(word))
+    seen = inversions = 0
+    for g in word:
+        if spec._odd[g]:
+            if (above := seen >> g) & 1:
+                return None
+            inversions += above.bit_count()
+            seen |= 1 << g
+    return (-1 if inversions & 1 else 1), tuple(sorted(word))
 
 
 def word_terms(spec: "AlgebraSpec", sign: int, left: Monomial,
@@ -466,13 +467,11 @@ class AlgebraSpec:
         cached = self._d_mono_cache.get(m)
         if cached is not None:
             return cached
-        acc: Dict[Monomial, CycScalar] = {}
+        acc, parity = {}, 0  # parity: of the odd letters before position j, the Leibniz sign
         for j, g in enumerate(m):
-            dg = self.differential.get(g)
-            if dg is None:
-                continue
-            sign = -1 if sum(self._odd[a] for a in m[:j]) % 2 else 1
-            vec_iadd(acc, word_terms(self, sign, m[:j], dg.terms, m[j + 1:]))
+            if (dg := self.differential.get(g)) is not None:
+                vec_iadd(acc, word_terms(self, -1 if parity else 1, m[:j], dg.terms, m[j + 1:]))
+            parity ^= self._odd[g]
         self._d_mono_cache[m] = acc
         return acc
 

@@ -47,8 +47,9 @@ def _read_json(path: Optional[str]):
     """The JSON value of the file at path, or of stdin when path is None."""
     named = {} if path is None else {"path": path}
     try:
-        if path is None:
-            return json.load(sys.stdin)
+        if path is None:  # stdin's bytes, when it has them, decode as a file's do
+            raw = getattr(sys.stdin, "buffer", None)
+            return json.load(sys.stdin) if raw is None else json.loads(raw.read().decode("utf-8"))
         with open(path, encoding="utf-8") as fh:  # JSON text is UTF-8 (RFC 8259)
             return json.load(fh)
     except OSError as exc:

@@ -164,14 +164,14 @@ class CohomologyRing:
                 overflow: str) -> Tuple[int, Vec]:
         """The degree and slice vector of a closed input, Element or vector.
 
-        Raises DegreeOverflow, with the caller's message, beyond the computed
-        range, and NotClosed with d(z) as the witness.
+        Raises DegreeOverflow, with the caller's message, below 0 or beyond the
+        computed range, and NotClosed with d(z) as the witness.
         """
         if isinstance(z, Element):
             degree, z = z.degree, self.slices.from_element(z)
         elif degree is None:
             raise ValueError("degree required for coordinate-vector input")
-        if degree > self.max_degree:
+        if not 0 <= degree <= self.max_degree:
             raise DegreeOverflow(overflow, degree=degree)
         dz = self.slices.d_vec(degree, z)
         if dz:
@@ -181,7 +181,7 @@ class CohomologyRing:
 
     def class_of(self, z: Union[Element, Vec], degree: Optional[int] = None) -> CohomClass:
         """Coordinates of a closed element; the zero vector iff it is exact."""
-        degree, vec = self._closed(z, degree, "class degree beyond the computed range")
+        degree, vec = self._closed(z, degree, "class degree outside the computed range")
         # The representatives vanish at the image's pivots, so reducing by
         # the image leaves exactly the combination of representatives.
         coords = self._degree(degree)[1].coordinates(self.image(degree).reduce(vec)[0])
@@ -215,7 +215,7 @@ class CohomologyRing:
 
     def is_exact(self, z: Union[Element, Vec], degree: Optional[int] = None) -> Optional[Vec]:
         """A canonical w with d(w) = z, or None; z must be closed."""
-        degree, vec = self._closed(z, degree, "exactness query beyond the computed range")
+        degree, vec = self._closed(z, degree, "exactness query outside the computed range")
         if not vec:
             return {}
         return self.image(degree).solve(vec)

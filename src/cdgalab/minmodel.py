@@ -78,24 +78,28 @@ class FormalityReport:
 
 
 def build_minimal_model(target_ring: CohomologyRing, bound: int) -> MinimalModel:
+    """The spec itself if it is its own model through a valid `bound`, else the staged one."""
+    own = 0 <= bound < target_ring.max_degree and _own_model(target_ring.slices, bound)
+    return (_identity_model if own else _staged_model)(target_ring, bound)
+
+
+def _identity_model(target_ring: CohomologyRing, bound: int) -> MinimalModel:
+    """The target's own spec as its model, psi the identity on generators."""
+    slices, spec, psi, cn = target_ring.slices, target_ring.slices.spec, {}, {}
+    for gi, g in enumerate(spec.generators):
+        psi[gi] = (g.degree, slices.from_element(spec.gen(g.name)))
+        c, n = cn.setdefault(g.degree, ([], []))
+        (n if gi in spec.differential else c).append(g.name)
+    return MinimalModel(spec, bound, psi, target_ring, cn, identity=True)
+
+
+def _staged_model(target_ring: CohomologyRing, bound: int) -> MinimalModel:
     """Stagewise minimal model of the ring's underlying complex, through `bound`."""
     if bound < 0:
         raise ParseError("the bound must not be negative", bound=bound)
     if bound + 1 > target_ring.max_degree:
         raise CapTooLow("target cohomology must be computed through bound+1",
                         bound=bound, available=target_ring.max_degree)
-    slices = target_ring.slices
-    if _own_model(slices, bound):
-        spec = slices.spec
-        psi = {}
-        cn: Dict[int, Tuple[List[str], List[str]]] = {}
-        for gi, g in enumerate(spec.generators):
-            psi[gi] = (g.degree, slices.from_element(spec.gen(g.name)))
-            c, n = cn.setdefault(g.degree, ([], []))
-            (n if gi in spec.differential else c).append(g.name)
-        return MinimalModel(model=spec, bound=bound, psi=psi,
-                            target_ring=target_ring, cn_split=cn, identity=True)
-
     if target_ring.betti[0] != 1:
         raise NotOneConnected("H^0 must be one-dimensional", betti0=target_ring.betti[0])
     if target_ring.betti[1] != 0:
@@ -351,7 +355,8 @@ def formality_verdict(ring: CohomologyRing, *,
         s = max(n_half - 1, 0)  # s = 0 is as vacuous as -1: no generator has degree 0
         bound = min(max(s + 1, poincare_dimension - 2), ring.max_degree - 1)
         try:  # Lambda(V^{<=s}) is all the scan reads; an own model keeps its names
-            mm = build_minimal_model(ring, bound if _own_model(ring.slices, bound) else s)
+            mm = _identity_model(ring, bound) if _own_model(ring.slices, bound) else \
+                _staged_model(ring, s)
         except NotOneConnected:
             return FormalityReport(verdict=UNKNOWN, route="not_one_connected",
                                    certificate={})

@@ -525,6 +525,24 @@ def test_pairing_beyond_the_computed_range_is_a_degree_overflow(capsys, monkeypa
     assert (diag["error"], diag["details"]) == ("DEGREE_OVERFLOW", {"degree": 99})
 
 
+ZERO_IN_DEGREE_0 = '{"degree": 0, "coords": []}'
+
+
+@pytest.mark.parametrize("argv,degree", [
+    (["amassey", "--a", ZERO_IN_DEGREE_0] + ["--b", ZERO_IN_DEGREE_0] * 3, -2),
+    (["higher-massey"] + ["--select", ZERO_IN_DEGREE_0] * 4, -1),
+], ids=["amassey", "higher-massey"])
+def test_a_class_below_degree_0_is_a_degree_overflow(argv, degree, capsys, monkeypatch):
+    # Before, the primitives of degree-0 products fell below degree 0 unrefused:
+    # both commands answered ZERO in degree -2, and a_massey read betti[-1], the
+    # top Betti number, as a shift dimension.
+    code, out, err = main_in_process(argv + ["--format", "json"],
+                                     json.dumps(preset_document("T6")), capsys, monkeypatch)
+    assert code == 1 and out == ""
+    diag = json.loads(err)
+    assert (diag["error"], diag["details"]) == ("DEGREE_OVERFLOW", {"degree": degree})
+
+
 @pytest.mark.parametrize("name,argv,verdict,code", [
     ("T6_Z2", ["--bound", "3", "--s-formality", "2"],
      {"s": 2, "status": "CERTIFIED", "route": "n_part_vanishes"}, 0),
@@ -610,6 +628,18 @@ def test_an_input_file_that_is_not_utf8_is_a_parse_error(tmp_path, capsys, monke
     path.write_bytes(b'{"a": "\xff"}')
     details = _parse_error(["validate", "--input", str(path)], "", capsys, monkeypatch)
     assert details == {"reason": "invalid start byte", "position": 7, "path": str(path)}
+
+
+def test_stdin_that_is_not_utf8_is_a_parse_error():
+    # Before, stdin reached json.load through the stream's error handler and the
+    # same bytes as in a file came back as "the input is not JSON".
+    out = subprocess.run(CLI + ["validate", "--format", "json"], input=b"\xff\xfe",
+                         capture_output=True, timeout=300)
+    assert out.returncode == 1 and out.stdout == b""
+    diag = json.loads(out.stderr)
+    assert (diag["error"], diag["message"], diag["details"]) == (
+        "PARSE_ERROR", "the input is not UTF-8 text",
+        {"reason": "invalid start byte", "position": 0})
 
 
 def test_an_euler_class_that_is_not_json_is_a_parse_error(capsys, monkeypatch):

@@ -189,8 +189,9 @@ def ref_ideal_echelon(spec, k):
     return ech
 
 
-def ref_d_monomial(spec, m):
-    """The Leibniz rule on a monomial, generator by generator."""
+def ref_d_monomial(spec, m, sort=normal_form):
+    """The Leibniz rule on a monomial, generator by generator, each word put in
+    normal form by ``sort``."""
     acc = {}
     for j, g in enumerate(m):
         dg = spec.differential.get(g)
@@ -199,7 +200,7 @@ def ref_d_monomial(spec, m):
         sign = -1 if sum(spec._odd[a] for a in m[:j]) % 2 else 1
         part = {}
         for dm, dc in dg.terms.items():
-            hit = normal_form(spec, m[:j] + dm + m[j + 1:])
+            hit = sort(spec, m[:j] + dm + m[j + 1:])
             if hit is None:
                 continue
             s, mono = hit

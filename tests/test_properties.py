@@ -6,18 +6,20 @@ laws with generated inputs and shrinking for debugging.
 """
 
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
 from operator import mul
 
 from hypothesis import given, settings, strategies as st
 
-from cdgalab.algebra import AlgebraSpec, Element, GeneratorDecl, monomial_names
+from cdgalab.algebra import AlgebraSpec, Element, GeneratorDecl, monomial_names, normal_form
 from cdgalab.cohomology import cohomology
 from cdgalab.linalg import Echelon, vec_add
 from cdgalab.massey import triple_massey
 from cdgalab.models import preset
 from cdgalab.scalars import CycField
 from cdgalab.symmetry import GroupActionSpec, invariant_cohomology
+
+from test_one_copy import ALL_PRESETS, ref_d_monomial
 
 HEIS = preset("HEIS6").spec
 HRING = cohomology(HEIS, 6)
@@ -137,6 +139,61 @@ def test_parse_and_product_match_koszul_reference(w1, w2):
     if w1 + w2:
         word = w1 + w2
         assert_matches_reference(reduce(mul, [MIXED.gen(n) for n in word]), word)
+
+
+def koszul_index_reference(spec, word):
+    """koszul_reference on a word of generator indices, in normal_form's
+    (sign, monomial) shape."""
+    ref = koszul_reference(spec, [spec.generators[g].name for g in word])
+    return None if ref is None else (ref[0], tuple(spec.index[n] for n in ref[1]))
+
+
+# Twelve generators of degrees 1, 2, 3, ..., eight of them odd, so that a word
+# of ten letters can carry eight distinct odd letters.
+LONG = AlgebraSpec(CycField.get(1), [GeneratorDecl(f"g{i}", i % 3 + 1) for i in range(12)],
+                   degree_cap=5).validate()
+LONG_ODD = [g for g, gen in enumerate(LONG.generators) if gen.degree % 2]
+LONG_EVEN = [g for g, gen in enumerate(LONG.generators) if not gen.degree % 2]
+
+
+@st.composite
+def long_words(draw):
+    """Words of 0 to 10 generator indices: distinct odd letters among even
+    letters repeated as powers, and half the time one letter overwritten by an
+    odd letter, which then usually repeats."""
+    odd = draw(st.lists(st.sampled_from(LONG_ODD), unique=True, max_size=8))
+    even = draw(st.lists(st.sampled_from(LONG_EVEN), max_size=10 - len(odd)))
+    word = draw(st.permutations(odd + even))
+    if odd and draw(st.booleans()):
+        word[draw(st.integers(0, len(word) - 1))] = draw(st.sampled_from(odd))
+    return word
+
+
+@settings(max_examples=500, deadline=None)
+@given(long_words())
+def test_sign_of_a_long_word_matches_koszul_reference(word):
+    # MIXED_WORDS stop at two letters a side; here the engine's one-pass count
+    # meets the bubble sort on words of up to ten letters.
+    assert normal_form(LONG, word) == koszul_index_reference(LONG, word)
+
+
+@lru_cache(maxsize=None)
+def preset_spec(name, params):
+    return preset(name, **dict(params)).spec
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(ALL_PRESETS), st.data())
+def test_leibniz_sign_matches_the_per_position_sum(named, data):
+    # The running parity of the odd letters before position j against the
+    # Leibniz rule summed position by position, with the bubble-sort sign.
+    name, params = named
+    spec = preset_spec(name, tuple(params.items()))
+    letters = data.draw(st.lists(st.integers(0, len(spec.generators) - 1), max_size=8))
+    m = tuple(sorted(g for i, g in enumerate(letters)
+                     if not spec.generators[g].degree % 2 or g not in letters[:i]))
+    want = ref_d_monomial(spec, m, koszul_index_reference)
+    assert list(spec._d_monomial(m).items()) == list(want.items())
 
 
 @settings(max_examples=300, deadline=None)

@@ -14,6 +14,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cdgalab import minmodel
 from cdgalab.algebra import AlgebraSpec, GeneratorDecl
 from cdgalab.chains import FreeSlices
 from cdgalab.cohomology import CohomologyRing, cohomology
@@ -204,6 +205,16 @@ def test_an_own_model_keeps_its_generator_names():
     with pytest.raises(NotOneConnected):
         build_minimal_model(ring, 2)
     assert_matches_reference(ring, 6)
+
+
+def test_formality_decides_an_own_model_once(monkeypatch):
+    # Before, formality_verdict tested the spec and build_minimal_model tested it
+    # again, so _sullivan ran twice per verdict.
+    calls = []
+    sullivan = minmodel._sullivan
+    monkeypatch.setattr(minmodel, "_sullivan", lambda slices: calls.append(1) or sullivan(slices))
+    report = formality_verdict(cohomology(preset("HEIS6").spec, 6), poincare_dimension=6, budget=0)
+    assert len(calls) == 1 and report.route.startswith("s_formality")
 
 
 # -- a model below s certifies nothing -----------------------------------------

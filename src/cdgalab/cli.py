@@ -38,6 +38,7 @@ from .serialize import (
     dumps,
     element_from_json,
     element_to_json,
+    vector_to_json,
 )
 from .symmetry import invariant_cohomology
 from .verify import run_all
@@ -123,6 +124,10 @@ def _select_class(ring: CohomologyRing, classes, token: str) -> CohomClass:
     return ring.class_of(classes[token])
 
 
+def _class_json(cls: CohomClass) -> list:
+    return vector_to_json(cls.ring.slices, cls.degree, cls.rep_vec())
+
+
 def _massey_report_json(rep: MasseyReport) -> dict:
     return {
         "kind": rep.kind,
@@ -130,11 +135,10 @@ def _massey_report_json(rep: MasseyReport) -> dict:
         "verdict": rep.verdict,
         "degree": rep.degree,
         "representative": None if rep.representative is None
-        else element_to_json(rep.representative.rep_element()),
+        else _class_json(rep.representative),
         "representative_nonzero": rep.representative_nonzero,
         "indeterminacy_dimension": rep.indeterminacy_dimension,
-        "indeterminacy": [element_to_json(cls.rep_element())
-                          for cls in rep.indeterminacy],
+        "indeterminacy": [_class_json(cls) for cls in rep.indeterminacy],
         "obstruction": rep.obstruction,
         "certificate": rep.certificate,
         "notes": rep.notes,
@@ -228,7 +232,7 @@ def cmd_lefschetz(args) -> int:
             raise ParseError("--universal needs --degree")
         witnesses = universal_obstruction(ring, args.degree, n=n)
         report = {"degree": args.degree, "half_dim": n,
-                  "witnesses": [element_to_json(c.rep_element()) for c in witnesses]}
+                  "witnesses": [_class_json(c) for c in witnesses]}
         return _emit(args, report, lambda: [
             f"universal witnesses at degree {args.degree}: {len(witnesses)}",
             *(f"  {c.rep_element().render()}" for c in witnesses)])
@@ -243,7 +247,7 @@ def cmd_lefschetz(args) -> int:
             "degree": v.degree, "power": v.power, "rank": v.rank,
             "source_dim": v.source_dim, "target_dim": v.target_dim,
             "isomorphism": v.isomorphism,
-            "kernel": [element_to_json(c.rep_element()) for c in v.kernel],
+            "kernel": [_class_json(c) for c in v.kernel],
         } for v in result.per_degree],
     }
 
@@ -297,7 +301,7 @@ def cmd_minimal_model(args) -> int:
             "name": g.name,
             "degree": g.degree,
             "differential": element_to_json(dg(gi, zero)),
-            "psi": element_to_json(ring.slices.to_element(*mm.psi[gi])),
+            "psi": vector_to_json(ring.slices, *mm.psi[gi]),
         } for gi, g in enumerate(mm.model.generators)],
         "cn_split": {str(k): {"C": c, "N": n}
                      for k, (c, n) in sorted(mm.cn_split.items())},

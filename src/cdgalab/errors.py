@@ -131,3 +131,7 @@ class FieldMismatch(CdgaError):
 
 class ModulusTooLarge(CdgaError):
     pass
+
+
+class ScalarTooLarge(CdgaError):
+    """A scalar has more digits than the interpreter writes (sys.get_int_max_str_digits)."""

@@ -9,7 +9,7 @@ degree-2 class, so the property fails universally.
 
 Degree-2 classes are even, hence central, and the cup on H is associative,
 so b * c_1 * ... * c_p = b * (c_1 ... c_p), and the search cuts a running
-kernel by the p-fold products of H^2 that grow their span.
+kernel by each p-fold product of H^2 that grows their span, reduced by that span.
 """
 
 from __future__ import annotations
@@ -110,8 +110,10 @@ def universal_obstruction(ring: CohomologyRing, k: int,
         prods = ((j, ring.cup(m, h2[j])) for i, m in list(prods) for j in range(i, len(h2)))
     products, full = Echelon(field), ring.betti[2 * power]
     for _, m in prods:
-        if m.is_zero() or not products.add(m.coords):
+        row = products.reduce(m.coords)[0]
+        if not products._insert(row, None):
             continue  # m lies in the span K already kills
+        m = CohomClass(ring, 2 * power, products._rows[min(row)][0])  # lead 1; unit once full
         cut, _ = kernel_image(field, len(kernel), lambda t: ring.cup(kernel[t], m).coords)
         if cut.rank < len(kernel):
             rows = [b.coords for b in kernel]

@@ -15,12 +15,13 @@ is refused before any field data is computed.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 from typing import Sequence
 
-from .errors import FieldMismatch, ModulusTooLarge, ParseError
+from .errors import FieldMismatch, ModulusTooLarge, ParseError, ScalarTooLarge
 
 # Largest accepted cyclotomic modulus.  The presets use at most 12; the cap
 # keeps a hostile document from building Phi_N for an enormous N, and from
@@ -101,14 +102,11 @@ class CycField:
         return _make(self, _reduce(self, poly), 1)
 
     def from_poly(self, poly: Sequence) -> "CycScalar":
-        """Canonical reduction of a polynomial in zeta_N (little-endian)."""
-        fracs = [Fraction(c) for c in poly]
-        den = 1
-        for c in fracs:
-            den = lcm(den, c.denominator)
+        """Canonical reduction of a polynomial in zeta_N (little-endian), ints or Fractions."""
+        den = lcm(1, *(c.denominator for c in poly))
         # zeta^N = 1, so exponents fold mod N before the division by Phi_N.
-        folded = [0] * min(len(fracs), self.modulus)
-        for k, c in enumerate(fracs):
+        folded = [0] * min(len(poly), self.modulus)
+        for k, c in enumerate(poly):
             if c:
                 folded[k % self.modulus] += c.numerator * (den // c.denominator)
         return _make(self, _reduce(self, folded), den)
@@ -140,6 +138,19 @@ def _make(field: CycField, num: list, den: int) -> "CycScalar":
         num = [x // g for x in num]
         den //= g
     return CycScalar(field, tuple(num), den)
+
+
+def rational_text(num: int, den: int) -> str:
+    """str(Fraction(num, den)) for den > 0; ScalarTooLarge past the int-to-str digit limit."""
+    g = gcd(num, den)
+    try:
+        return f"{num // g}" if den == g else f"{num // g}/{den // g}"
+    except ValueError:
+        m = max(abs(num), den) // g
+        digits = int((m.bit_length() - 1) * 0.30102999566398120) + 1  # m's, or one short
+        raise ScalarTooLarge("a scalar has more digits than can be written",
+                             digits=digits + (m >= 10 ** digits),
+                             limit=sys.get_int_max_str_digits()) from None
 
 
 class CycScalar:
@@ -309,23 +320,13 @@ class CycScalar:
         return f"CycScalar(N={self.field.modulus}, {self})"
 
     def __str__(self):
-        if self.is_zero():
-            return "0"
         parts = []
-        for k, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if k == 0:
-                parts.append(str(c))
-            else:
-                z = f"z{self.field.modulus}" + (f"^{k}" if k > 1 else "")
-                if c == 1:
-                    parts.append(z)
-                elif c == -1:
-                    parts.append(f"-{z}")
-                else:
-                    parts.append(f"{c}*{z}")
-        return " + ".join(parts).replace("+ -", "- ")
+        for k, n in enumerate(self.num):
+            if n:
+                c, z = rational_text(n, self.den), f"z{self.field.modulus}" + f"^{k}" * (k > 1)
+                parts.append(c if k == 0 else z if c == "1" else f"-{z}" if c == "-1" else
+                             f"{c}*{z}")
+        return " + ".join(parts).replace("+ -", "- ") or "0"
 
 
 def _coerce(value, field: CycField) -> CycScalar:

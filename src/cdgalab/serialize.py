@@ -1,7 +1,7 @@
 """JSON documents: algebras, actions, elements, scalars, reports.
 
-Scalar literals are either a rational literal (a string ``"p/q"``, an integer
-or an integral float) or an object ``{"zeta": N, "poly": [<rational>, ...]}``.
+Scalar literals are either a rational literal (a string ``Fraction`` reads, an
+integer or an integral float) or an object ``{"zeta": N, "poly": [<rational>, ...]}``.
 Element expressions are arrays of ``{"coeff": <scalar>, "monomial": ["gen",
 ...]}`` terms (generator names repeat for powers; ``coeff`` defaults to "1", a
 missing ``monomial`` or any other key is refused).  An algebra document fixes
@@ -18,18 +18,20 @@ from math import lcm
 from typing import Dict, List, Optional
 
 from .algebra import AlgebraSpec, Element, GeneratorDecl, Monomial, monomial_names
+from .chains import Slices, SubcomplexSlices
 from .cohomology import CohomologyRing
 from .errors import CapExceeded, ParseError
-from .scalars import CycField, CycScalar
+from .linalg import Vec
+from .scalars import CycField, CycScalar, rational_text
 from .symmetry import GroupActionSpec
 
 
 # -- scalars -------------------------------------------------------------
 
 def scalar_to_json(s: CycScalar):
-    if s.is_rational():
-        return str(s.rational_value())
-    return {"zeta": s.field.modulus, "poly": [str(c) for c in s.coeffs]}
+    if not any(s.num[1:]):
+        return rational_text(s.num[0], s.den)
+    return {"zeta": s.field.modulus, "poly": [rational_text(n, s.den) for n in s.num]}
 
 
 def _parsed(convert, data, what: str):
@@ -55,12 +57,13 @@ def _typed(value, kind: type, what: str):
     return value
 
 
-def _rational(value) -> Fraction:
-    """A rational literal: a "p/q" string, an int that is not a bool, or an integral float."""
+def _rational(value):
+    """A rational literal (docs/FORMATS.md): a Fraction from a non-integer string, else an int."""
     if isinstance(value, str):
-        return _parsed(Fraction, value, "rational literal")
+        plain = value.removeprefix("-").isdigit() and value.isascii()  # read by int
+        return _parsed(int if plain else Fraction, value, "rational literal")
     if type(value) is int or (isinstance(value, float) and value.is_integer()):
-        return Fraction(int(value))
+        return int(value)
     raise ParseError("a rational literal is a \"p/q\" string, an integer or an integral float",
                      got=value)
 
@@ -84,13 +87,23 @@ def _scalar_moduli(data) -> List[int]:
 
 # -- elements -------------------------------------------------------------
 
+def _terms_to_json(spec: AlgebraSpec, terms) -> list:
+    """The JSON terms of (monomial, scalar) pairs, given in sorted monomial order."""
+    gens = spec.generators
+    return [{"coeff": scalar_to_json(c), "monomial": [gens[g].name for g in m]}
+            for m, c in terms]
+
+
 def element_to_json(elem: Element) -> list:
-    spec = elem.parent
-    out = []
-    for mono in sorted(elem.terms):
-        out.append({"coeff": scalar_to_json(elem.terms[mono]),
-                    "monomial": list(monomial_names(spec, mono))})
-    return out
+    return _terms_to_json(elem.parent, sorted(elem.terms.items()))
+
+
+def vector_to_json(slices: Slices, k: int, vec: Vec) -> list:
+    """element_to_json(slices.to_element(k, vec)): a free basis is in sorted monomial order."""
+    if isinstance(slices, SubcomplexSlices):
+        slices, vec = slices.parent, slices.to_parent_vec(k, vec)
+    basis = slices.spec.basis(k)
+    return _terms_to_json(slices.spec, ((basis[i], c) for i, c in sorted(vec.items())))
 
 
 def element_from_json(data, spec: AlgebraSpec) -> Element:
@@ -270,8 +283,7 @@ def document_to_json(spec: AlgebraSpec, action=None, classes=None, volume=None,
 def cohomology_report(ring: CohomologyRing, pairing_degree: Optional[int] = None) -> dict:
     reps: Dict[str, list] = {}
     for k in range(ring.max_degree + 1):
-        reps[str(k)] = [element_to_json(ring.slices.to_element(k, rep))
-                        for rep in ring.reps(k)]
+        reps[str(k)] = [vector_to_json(ring.slices, k, rep) for rep in ring.reps(k)]
     pairing_ok = None
     if pairing_degree is not None:
         pairing_ok = ring.pairing_nondegenerate(pairing_degree)
@@ -284,17 +296,24 @@ def dumps(obj) -> str:
     return _json(obj, "\n") + "\n"
 
 
-def _json(obj, newline: str) -> str:
+def _json(obj, newline: str, kind: Optional[type] = None) -> str:
     """obj as json.dumps(indent=2) writes it at the indentation that ``newline`` ends in."""
-    if isinstance(obj, str):
+    kind = kind or type(obj)
+    if kind is str:
         return encode_basestring_ascii(obj)
-    if isinstance(obj, (dict, list)):
-        inner, ends = newline + "  ", "{}" if isinstance(obj, dict) else "[]"
-        items = ([f"{encode_basestring_ascii(k)}: {_json(v, inner)}" for k, v in obj.items()]
-                 if ends == "{}" else [_json(v, inner) for v in obj])
-        return ends[0] + inner + ("," + inner).join(items) + newline + ends[1] if items else ends
-    if obj is None or isinstance(obj, bool):
-        return "null" if obj is None else "true" if obj else "false"
-    if isinstance(obj, int):
+    if kind is list:
+        inner = newline + "  "
+        items = [_json(v, inner) for v in obj]
+        return "[" + inner + ("," + inner).join(items) + newline + "]" if items else "[]"
+    if kind is dict:
+        inner = newline + "  "
+        items = [f"{encode_basestring_ascii(k)}: {_json(v, inner)}" for k, v in obj.items()]
+        return "{" + inner + ("," + inner).join(items) + newline + "}" if items else "{}"
+    if kind is int:
         return int.__repr__(obj)
+    if obj is None or kind is bool:
+        return "null" if obj is None else "true" if obj else "false"
+    for base in (str, list, dict, int):  # the exact types came first; a subclass is its base
+        if isinstance(obj, base):
+            return _json(obj, newline, base)
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")

@@ -684,3 +684,22 @@ def test_an_option_a_command_does_not_read_is_refused(capsys, monkeypatch):
                                      json.dumps(preset_document("T6")), capsys, monkeypatch)
     assert code == 2 and out == ""
     assert "unrecognized arguments: --budget 1" in err
+
+
+NINES = "9" * 3000  # read as an int; the representative's products pass 4300 digits
+
+
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                    reason="this interpreter writes ints of any length")
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_a_report_scalar_past_the_digit_limit_is_refused(fmt, capsys, monkeypatch):
+    # Before, both formats ended in a ValueError traceback from Fraction.__str__.
+    selectors = [f'{{"degree": 2, "coords": {coords}}}'
+                 for coords in (f'["{NINES}"]', f'["{NINES}"]', f'[0, "{NINES}"]')]
+    argv = ["massey", "--format", fmt] + [a for s in selectors for a in ("--select", s)]
+    code, out, err = main_in_process(argv, json.dumps(preset_document("SASAKI7_S2CUBE")),
+                                     capsys, monkeypatch)
+    assert code == 1 and out == ""
+    diag = json.loads(err)
+    assert (diag["error"], diag["details"]) == (
+        "SCALAR_TOO_LARGE", {"digits": 9000, "limit": sys.get_int_max_str_digits()})

@@ -39,6 +39,7 @@ CODES = {
     "EulerBadDegree": "EULER_BAD_DEGREE",
     "FieldMismatch": "FIELD_MISMATCH",
     "ModulusTooLarge": "MODULUS_TOO_LARGE",
+    "ScalarTooLarge": "SCALAR_TOO_LARGE",
 }
 
 FORMATS = Path(__file__).resolve().parent.parent / "docs" / "FORMATS.md"

@@ -85,7 +85,7 @@ def universal_obstruction(ring: CohomologyRing, k: int,
     A running kernel K, first H^k, is cut to the part killed by each p-fold
     product that grows their span (built one length at a time, the last lazily).
     It stops when K is empty, the span is all of H^{2p}, or H^{k+2p} = 0 (before
-    any cup); a subspace has one RREF, so K's rows are the stacked kernel's.
+    any cup); a subspace has one RREF, so K's rows are the stacked kernel's, keys ascending.
     """
     if k < 0:
         raise ParseError("the degree must not be negative", degree=k)
@@ -117,7 +117,7 @@ def universal_obstruction(ring: CohomologyRing, k: int,
         cut, _ = kernel_image(field, len(kernel), lambda t: ring.cup(kernel[t], m).coords)
         if cut.rank < len(kernel):
             rows = [b.coords for b in kernel]
-            kernel = [CohomClass(ring, k, row) for row in span(field, (
+            kernel = [CohomClass(ring, k, dict(sorted(row.items()))) for row in span(field, (
                 mat_vec(rows, c) for c in cut.basis_rows())).basis_rows()]
         if not kernel or products.rank == full:
             break

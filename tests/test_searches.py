@@ -7,7 +7,8 @@ reference:
   H^2 that grows the products' span and stops when the kernel is empty, when
   the span is all of H^{2p}, or before any cup when H^{k+2p} = 0; the
   reference builds every product, takes the RREF basis of their span and
-  stacks b times each basis row into one kernel computation;
+  stacks b times each basis row into one kernel computation; both give each
+  witness with its keys in ascending order, which neither elimination fixes;
 * ``massey_scan`` solves a pair of representatives for its primitive the
   first time it reads the pair; the reference solves every pair of a degree
   block when it first reads one of them.
@@ -64,7 +65,7 @@ def stacked_obstruction(ring: CohomologyRing, k: int, n: int):
         return out
 
     kernel, _ = kernel_image(ring.field, ring.betti[k], apply)
-    return [CohomClass(ring, k, dict(row)) for row in kernel.basis_rows()]
+    return [CohomClass(ring, k, dict(sorted(row.items()))) for row in kernel.basis_rows()]
 
 
 def block_scan(ring: CohomologyRing, budget: int, calls: list):

@@ -97,9 +97,11 @@ class Element:
                  truncated: bool = False, _reduced: bool = False):
         self.parent = parent
         self.degree = degree
-        if not _reduced and terms and parent.relations:
-            terms = parent._reduce_terms(degree, terms)
-        self.terms = {m: c for m, c in terms.items() if not c.is_zero()}
+        if not _reduced:  # else built from a Vec, a sum or an Element, with no zero term
+            if terms and parent.relations:
+                terms = parent._reduce_terms(degree, terms)
+            terms = {m: c for m, c in terms.items() if not c.is_zero()}
+        self.terms = terms  # ``adjoin`` shares it: nothing writes to an Element's terms
         self.truncated = truncated
 
     # -- basics --------------------------------------------------------
@@ -367,7 +369,8 @@ class AlgebraSpec:
             if deg > self.degree_cap:
                 raise CapExceeded("term degree exceeds cap", degree=deg,
                                   cap=self.degree_cap)
-            vec_iadd(terms, {mono: c})
+            if not c.is_zero():
+                vec_iadd(terms, {mono: c})
         if degree is None:
             degree = 0
         return Element(self, degree, terms, _reduced=not reduce)

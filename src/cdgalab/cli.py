@@ -86,16 +86,14 @@ def _context(args):
     return cohomology(spec, max_degree, volume=volume), classes, meta
 
 
-def _emit(args, report: dict, text, undecided: bool = False) -> int:
-    """Write the report as JSON under --format json, else the lines text() yields.
+def _emit(args, report, text, undecided: bool = False) -> int:
+    """Write report() as JSON under --format json, else the lines text() yields;
+    each is built only under its format, and in full before a byte is written.
 
     The exit code: 2 for an undecided outcome under --strict, else 0.
     """
-    if args.format == "json":
-        sys.stdout.write(dumps(report))
-    else:
-        for line in text():
-            print(line)
+    out = dumps(report()) if args.format == "json" else "".join(f"{line}\n" for line in text())
+    sys.stdout.write(out)
     return 2 if undecided and args.strict else 0
 
 
@@ -157,7 +155,7 @@ def _emit_massey(args, rep: MasseyReport) -> int:
         if rep.obstruction:
             yield f"obstruction: {rep.obstruction}"
         yield from (f"note: {note}" for note in rep.notes)
-    return _emit(args, _massey_report_json(rep), text, rep.verdict == INCONCLUSIVE)
+    return _emit(args, lambda: _massey_report_json(rep), text, rep.verdict == INCONCLUSIVE)
 
 
 def cmd_preset(args) -> int:
@@ -183,23 +181,23 @@ def cmd_validate(args) -> int:
         "has_odd_only_generators": spec.flags.has_odd_only_generators,
         "action_order": action.order if action else None,
     }
-    return _emit(args, report, lambda: (f"{key}: {value}" for key, value in report.items()))
+    return _emit(args, lambda: report, lambda: (f"{key}: {value}" for key, value in report.items()))
 
 
 def cmd_cohomology(args) -> int:
     ring, _, _ = _context(args)
-    report = cohomology_report(ring, pairing_degree=args.pairing)
 
     def text():
-        yield "betti: " + " ".join(str(b) for b in report["betti"])
-        if report["pairing_ok"] is not None:
-            yield f"pairing_ok: {report['pairing_ok']}"
+        pairing_ok = None if args.pairing is None else ring.pairing_nondegenerate(args.pairing)
+        yield "betti: " + " ".join(str(b) for b in ring.betti)
+        if pairing_ok is not None:
+            yield f"pairing_ok: {pairing_ok}"
         for k in range(ring.max_degree + 1):
             if ring.reps(k):
                 yield f"H^{k}:"
                 yield from (f"  {ring.slices.to_element(k, rep).render()}"
                             for rep in ring.reps(k))
-    return _emit(args, report, text)
+    return _emit(args, lambda: cohomology_report(ring, pairing_degree=args.pairing), text)
 
 
 def cmd_massey(args) -> int:
@@ -231,25 +229,14 @@ def cmd_lefschetz(args) -> int:
         if args.degree is None:
             raise ParseError("--universal needs --degree")
         witnesses = universal_obstruction(ring, args.degree, n=n)
-        report = {"degree": args.degree, "half_dim": n,
-                  "witnesses": [_class_json(c) for c in witnesses]}
-        return _emit(args, report, lambda: [
-            f"universal witnesses at degree {args.degree}: {len(witnesses)}",
-            *(f"  {c.rep_element().render()}" for c in witnesses)])
+        return _emit(args, lambda: {"degree": args.degree, "half_dim": n,
+                                    "witnesses": [_class_json(c) for c in witnesses]},
+                     lambda: [f"universal witnesses at degree {args.degree}: {len(witnesses)}",
+                              *(f"  {c.rep_element().render()}" for c in witnesses)])
     if not args.omega:
         raise ParseError("either --omega or --universal is required")
     omega = _select_class(ring, classes, args.omega)
     result = lefschetz_test(ring, omega, n)
-    report = {
-        "half_dim": result.half_dim,
-        "overall": result.overall,
-        "per_degree": [{
-            "degree": v.degree, "power": v.power, "rank": v.rank,
-            "source_dim": v.source_dim, "target_dim": v.target_dim,
-            "isomorphism": v.isomorphism,
-            "kernel": [_class_json(c) for c in v.kernel],
-        } for v in result.per_degree],
-    }
 
     def text():
         yield f"overall: {'pass' if result.overall else 'fail'}"
@@ -259,7 +246,16 @@ def cmd_lefschetz(args) -> int:
                    f"H^{2 * result.half_dim - v.degree} ({v.target_dim}) "
                    f"rank {v.rank}  {status}")
             yield from (f"  kernel: {c.rep_element().render()}" for c in v.kernel)
-    return _emit(args, report, text)
+    return _emit(args, lambda: {
+        "half_dim": result.half_dim,
+        "overall": result.overall,
+        "per_degree": [{
+            "degree": v.degree, "power": v.power, "rank": v.rank,
+            "source_dim": v.source_dim, "target_dim": v.target_dim,
+            "isomorphism": v.isomorphism,
+            "kernel": [_class_json(c) for c in v.kernel],
+        } for v in result.per_degree],
+    }, text)
 
 
 def cmd_circle_bundle(args) -> int:
@@ -294,20 +290,23 @@ def cmd_minimal_model(args) -> int:
     mm = build_minimal_model(ring, args.bound)
     rep = None if args.s_formality is None else s_formality_check(mm, args.s_formality)
     zero, dg = mm.model.zero(), mm.model.differential.get
-    report = {
-        "bound": mm.bound,
-        "identity": mm.identity,
-        "generators": [{
-            "name": g.name,
-            "degree": g.degree,
-            "differential": element_to_json(dg(gi, zero)),
-            "psi": vector_to_json(ring.slices, *mm.psi[gi]),
-        } for gi, g in enumerate(mm.model.generators)],
-        "cn_split": {str(k): {"C": c, "N": n}
-                     for k, (c, n) in sorted(mm.cn_split.items())},
-    }
-    if rep is not None:
-        report["s_formality"] = {"s": rep.s, "status": rep.status, "route": rep.route}
+
+    def report():
+        out = {
+            "bound": mm.bound,
+            "identity": mm.identity,
+            "generators": [{
+                "name": g.name,
+                "degree": g.degree,
+                "differential": element_to_json(dg(gi, zero)),
+                "psi": vector_to_json(ring.slices, *mm.psi[gi]),
+            } for gi, g in enumerate(mm.model.generators)],
+            "cn_split": {str(k): {"C": c, "N": n}
+                         for k, (c, n) in sorted(mm.cn_split.items())},
+        }
+        if rep is not None:
+            out["s_formality"] = {"s": rep.s, "status": rep.status, "route": rep.route}
+        return out
 
     def text():
         yield f"bound: {mm.bound}"
@@ -323,10 +322,11 @@ def cmd_formality(args) -> int:
     dim = args.poincare_dim if args.poincare_dim is not None else meta.get("dim")
     result = formality_verdict(ring, poincare_dimension=dim,
                                simply_connected=args.simply_connected, budget=args.budget)
-    report = {"verdict": result.verdict, "route": result.route,
-              "certificate": result.certificate}
-    if result.witness is not None:
-        report["witness"] = _massey_report_json(result.witness)
+
+    def report():
+        witness = {} if result.witness is None else {"witness": _massey_report_json(result.witness)}
+        return {"verdict": result.verdict, "route": result.route,
+                "certificate": result.certificate, **witness}
 
     def text():
         yield f"verdict: {result.verdict}"

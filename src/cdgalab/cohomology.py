@@ -1,7 +1,10 @@
 """Per-degree cohomology of a capped slice complex.
 
 Each degree is computed on first read: a degree-k query eliminates d_{k-1} and d_k
-once, when it first needs them, and construction only checks its arguments.
+once, when it first needs them, and construction only checks its arguments.  When
+the slices read d = 0 from the spec (``zero_d``), nothing is eliminated: d_k's kernel
+is the unit rows e_i of the whole slice and its image is empty, so a class's
+coordinates are its entries and only 0 is exact.
 Representatives are canonical, so golden outputs are reproducible bit for bit:
 the kernel basis of d reduced against the RREF of the previous image, or with
 no image the kernel's own RREF (a subspace has one).  ``class_of`` reduces a
@@ -31,7 +34,7 @@ from .errors import (
     NotClosed,
     ParseError,
 )
-from .linalg import Echelon, Vec, bilinear, dot, kernel_image, mat_vec, span, vec_add
+from .linalg import Echelon, Vec, bilinear, dot, kernel_image, mat_vec, span, unit_echelon, vec_add
 from .scalars import CycField, CycScalar
 
 
@@ -131,8 +134,12 @@ class CohomologyRing:
     def _kernel_image(self, k: int) -> Tuple[Echelon, Echelon]:
         hit = self._d.get(k)
         if hit is None:
-            hit = self._d[k] = kernel_image(self.field, self.slices.dim(k),
-                                            lambda i: self.slices.d_col(k, i))
+            if self.slices.zero_d:  # d = 0 read from the spec: all of the slice, no image
+                hit = unit_echelon(self.field, self.slices.dim(k)), Echelon(self.field)
+            else:
+                hit = kernel_image(self.field, self.slices.dim(k),
+                                   lambda i: self.slices.d_col(k, i))
+            self._d[k] = hit
         return hit
 
     def image(self, k: int) -> Echelon:
@@ -182,6 +189,8 @@ class CohomologyRing:
     def class_of(self, z: Union[Element, Vec], degree: Optional[int] = None) -> CohomClass:
         """Coordinates of a closed element; the zero vector iff it is exact."""
         degree, vec = self._closed(z, degree, "class degree outside the computed range")
+        if self.slices.zero_d:  # unit representatives, no image: what coordinates() reads off
+            return CohomClass(self, degree, {i: vec[i] for i in sorted(vec)})
         # The representatives vanish at the image's pivots, so reducing by
         # the image leaves exactly the combination of representatives.
         coords = self._degree(degree)[1].coordinates(self.image(degree).reduce(vec)[0])

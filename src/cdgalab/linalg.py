@@ -211,6 +211,13 @@ def span(field: CycField, rows: Iterable[Vec]) -> Echelon:
     return ech
 
 
+def unit_echelon(field: CycField, dim: int) -> Echelon:
+    """The echelon of the whole space: the unit rows e_0, ..., e_{dim-1}."""
+    ech = Echelon(field)
+    ech._rows = {i: ({i: field.one}, None) for i in range(dim)}
+    return ech
+
+
 def kernel_image(field: CycField, dim_src: int, apply: Callable[[int], Vec]):
     """Kernel and image of a linear map given column-by-column.
 

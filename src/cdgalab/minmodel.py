@@ -252,9 +252,10 @@ def s_formality_check(mm: MinimalModel, s: int, through: Optional[int] = None) -
 
 
 def _zero_differential(ring: CohomologyRing) -> bool:
-    """Whether d vanishes below the top degree (each H^k there is the whole slice);
-    every defined Massey product then has zero primitives, so none is NONZERO."""
-    return all(ring.betti[k] == ring.slices.dim(k) for k in range(ring.max_degree))
+    """Whether d vanishes below the top degree (read from the spec, else each H^k there
+    is the whole slice): every Massey product then has zero primitives, none NONZERO."""
+    return ring.slices.zero_d or all(ring.betti[k] == ring.slices.dim(k)
+                                     for k in range(ring.max_degree))
 
 
 def massey_scan(ring: CohomologyRing, budget: int = 2000) -> Optional[MasseyReport]:

@@ -305,8 +305,8 @@ class CycScalar:
         return Fraction(self.num[0], self.den)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = self.field.rational(other)
+        if other.__class__ is not CycScalar and isinstance(other, (int, Fraction)):
+            other = self.field.rational(other)  # Fraction's isinstance is a slow ABC check
         if not isinstance(other, CycScalar):
             return NotImplemented
         return self.field is other.field and self.num == other.num and self.den == other.den

@@ -118,7 +118,7 @@ def monomial_from_json(names: List[str], spec: AlgebraSpec) -> Monomial:
     if len(elem.terms) != 1:
         raise ParseError("volume must be a single monomial", got=names)
     (mono, coeff), = elem.terms.items()  # a relation's factor would be lost from integrate
-    if coeff != spec.element([(1, tuple(names))], reduce=False).terms.popitem()[1]:
+    if coeff != next(iter(spec.element([(1, tuple(names))], reduce=False).terms.values())):
         raise ParseError("volume monomial is rescaled in the quotient", got=names,
                          coefficient=scalar_to_json(coeff))
     return mono

@@ -394,3 +394,24 @@ def test_back_substitution_that_leaves_a_unit_row_enters_the_unit_path():
     assert ech.coordinates({0: one, 1: zeta}) == {0: one, 1: zeta}
     assert ech._positions == {0: 0, 1: 1}
     check_unit_paths(ech, [{0: zeta}, {1: one, 2: one}, {}])
+
+
+@settings(max_examples=100, deadline=None)
+@given(unit_batches())
+def test_reduce_never_returns_the_callers_dicts(case):
+    """With or without an entry at a pivot, the residuals are new dicts: a caller
+    may write to them (kernel_image moves a source key) and its input stays."""
+    n, base, _, probes, *_ = case
+    field = CycField.get(n)
+    ech = Echelon(field)
+    for i, row in enumerate([None] + base):  # the empty echelon eliminates nothing
+        if row is not None:
+            ech.add(engine_vec(field, row), source={i: field.one})
+        for probe in [engine_vec(field, p) for p in probes] + [{}]:
+            source = {len(base) + 1: field.one}
+            before = items(probe), items(source)
+            residual, src = ech.reduce(probe, source)
+            assert residual is not probe and src is not source
+            residual[-1] = src[-1] = field.one
+            assert (items(probe), items(source)) == before
+            assert ech.reduce(probe)[1] is None

@@ -5,11 +5,14 @@
   this replaces: every k from 0 to n, each entry the coordinate of a full cup
   product through ``class_of``.
 * A spec with no differential has d = 0, which the slices read from the spec
-  (``zero_d``).  The reference is the general path, with ``zero_d`` forced
-  off: every d column expanded by Leibniz (and, on an invariant complex,
-  solved for in the subcomplex).
+  (``zero_d``), and a ring over them reads each degree off the slice: unit
+  representatives, no image, no elimination.  The reference is the general
+  path, with ``zero_d`` forced off on a second copy of the slices: every d
+  column expanded by Leibniz (and, on an invariant complex, solved for in the
+  subcomplex) and every degree eliminated.
 """
 
+import importlib
 import random
 
 import pytest
@@ -149,9 +152,12 @@ def test_pairing_and_zero_d_match_on_random_diagonal_quotients(draw):
     general = invariant_complex(_diagonal_action(*draw), top + 1)
     assert ring.slices.zero_d and general.zero_d
     general.zero_d = general.parent.zero_d = False
-    forced = CohomologyRing(general, top)
-    assert list(ring.betti) == list(forced.betti)
-    assert [ring.reps(k) for k in range(top + 1)] == [forced.reps(k) for k in range(top + 1)]
+    rng = random.Random(repr(draw))
+    _assert_zero_d_matches(ring, CohomologyRing(general, top), rng)
+    total = FreeSlices(_diagonal_action(*draw).parent)
+    total.zero_d = False
+    _assert_zero_d_matches(CohomologyRing(FreeSlices(total.spec), top),
+                           CohomologyRing(total, top), rng)
 
 
 # -- zero differentials ----------------------------------------------------------
@@ -173,6 +179,51 @@ def _random_vec(rng, field, dim):
     return out
 
 
+def _no_elimination(*_):
+    raise AssertionError("a ring over d = 0 slices eliminated a degree")
+
+
+def _items(vec):
+    return None if vec is None else list(vec.items())
+
+
+def _assert_zero_d_matches(fast, slow, rng):
+    """A ring that reads d = 0 off its slices against one that eliminates every
+    degree: the same Betti numbers, representatives and echelon rows, classes (in
+    the same key order), exactness answers and cup table."""
+    assert fast.slices.zero_d and not slow.slices.zero_d
+    n, field = fast.max_degree, fast.field
+    with pytest.MonkeyPatch.context() as mp:  # reading every degree eliminates nothing
+        mp.setattr(importlib.import_module("cdgalab.cohomology"), "kernel_image", _no_elimination)
+        betti = list(fast.betti)
+    assert betti == list(slow.betti)
+    dims = [fast.slices.dim(k) for k in range(n + 1)]
+    for k in range(n + 1):
+        assert fast.reps(k) == slow.reps(k) == [{i: field.one} for i in range(dims[k])], k
+        assert _items(fast._degree(k)[1]._rows) == _items(slow._degree(k)[1]._rows), k
+        assert fast.image(k).rank == slow.image(k).rank == 0, k
+        for vec in [{}] + [_random_vec(rng, field, dims[k]) for _ in range(4)]:
+            vec = dict(rng.sample(sorted(vec.items()), len(vec)))  # keys in any order
+            assert fast.slices.d_vec(k, vec) == slow.slices.d_vec(k, vec) == {}
+            u, v = fast.class_of(vec, k), slow.class_of(vec, k)
+            assert _items(u.coords) == _items(v.coords) == sorted(vec.items())
+            assert fast.is_exact(vec, k) == slow.is_exact(vec, k) == (None if vec else {})
+            for q in range(n - k + 1):
+                for j in range(fast.betti[q]):
+                    assert _items(fast.cup(u, fast.rep_class(q, j)).coords) == _items(
+                        slow.cup(v, slow.rep_class(q, j)).coords)
+    for p in range(n + 1):  # every structure constant, then the two tables whole
+        for q in range(n - p + 1):
+            for i in range(fast.betti[p]):
+                for j in range(fast.betti[q]):
+                    fast.cup(fast.rep_class(p, i), fast.rep_class(q, j))
+                    slow.cup(slow.rep_class(p, i), slow.rep_class(q, j))
+    assert fast._cup == slow._cup
+    assert sorted(fast._d) == sorted(slow._d) == list(range(-1, n + 1))
+    for k, (kernel, image) in fast._d.items():
+        assert _items(kernel._rows) == _items(slow._d[k][0]._rows) and not image.rank, k
+
+
 @pytest.mark.parametrize("name, params, invariant", ZERO_D,
                          ids=[n + ("-inv" if inv else "") for n, _, inv in ZERO_D])
 def test_zero_d_agrees_with_the_general_path(name, params, invariant, monkeypatch):
@@ -181,22 +232,9 @@ def test_zero_d_agrees_with_the_general_path(name, params, invariant, monkeypatc
     for sl in (general, general.parent) if invariant else (general,):
         monkeypatch.setattr(sl, "zero_d", False)
     fast, slow = (CohomologyRing(sl, sl.cap - 1) for sl in (known, general))
-    assert list(fast.betti) == list(slow.betti)
-    rng, field = random.Random(name), fast.field
-    for k in range(fast.max_degree + 1):
-        assert fast.reps(k) == slow.reps(k), k
-        for _ in range(4):
-            vec = _random_vec(rng, field, known.dim(k))
-            assert known.d_vec(k, vec) == general.d_vec(k, vec) == {}
-            u, v = fast.class_of(vec, k), slow.class_of(vec, k)
-            assert u.coords == v.coords
-            assert fast.is_exact(vec, k) == slow.is_exact(vec, k)
-            for q in range(fast.max_degree - k + 1):
-                for j in range(fast.betti[q]):
-                    assert (fast.cup(u, fast.rep_class(q, j)).coords
-                            == slow.cup(v, slow.rep_class(q, j)).coords)
+    _assert_zero_d_matches(fast, slow, random.Random(name))
     # Beyond the cap both refuse a nonzero vector, and d of the zero vector is zero.
-    top, one = known.cap, field.one
+    top, one = known.cap, fast.field.one
     for sl in (known, general):
         assert sl.d_vec(top, {}) == {}
         if sl.dim(top):

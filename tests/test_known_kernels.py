@@ -5,7 +5,8 @@ basis of d by the previous image and spans the residuals again, and the
 kernels come from ``ref_kernel_image``, which eliminates zero columns too.
 A subspace has one reduced row-echelon form, so both must give the same rows
 in every degree, with or without an image.  Sharing the kernel echelon is
-safe only while no query writes to it; the last test checks that.
+safe only while no query writes to it, also when a d = 0 ring reads the
+kernel off its slices as unit rows; the last test checks both.
 """
 
 import pytest
@@ -56,18 +57,26 @@ def test_representatives_match_reduce_then_span(name, params):
 
 
 def _snapshot(ring):
-    """Copies of every kernel echelon's rows and holder sets (scalars are immutable)."""
-    return {k: ({p: (dict(row), src) for p, (row, src) in kernel._rows.items()},
-                {col: set(ps) for col, ps in kernel._holders.items()})
-            for k, (kernel, _) in ring._d.items()}
+    """Copies of the rows and holder sets of every kernel echelon and every
+    representative echelon (scalars are immutable)."""
+    echelons = {("kernel", k): kernel for k, (kernel, _) in ring._d.items()}
+    echelons.update({("reps", k): ech for k, (_, ech) in ring._degrees.items()})
+    return {key: ({p: (dict(row), src) for p, (row, src) in ech._rows.items()},
+                  {col: set(ps) for col, ps in ech._holders.items()})
+            for key, ech in echelons.items()}
 
 
 @pytest.mark.parametrize("name", ["T6", "HEIS6_Z6"])
 def test_queries_leave_the_shared_kernel_echelons_unchanged(name):
     ring = dict(_rings(name, {}))["invariant" if name == "HEIS6_Z6" else "free"]
-    shared = [k for k in range(ring.max_degree + 1) if ring._degree(k)[1] is ring._d[k][0]]
-    assert shared
+    echelons = [ring._degree(k)[1] for k in range(ring.max_degree + 1)]
+    assert any(ech is ring._d[k][0] for k, ech in enumerate(echelons))
+    if ring.slices.zero_d:  # T6: every kernel is read off the slice as its unit rows
+        one = ring.field.one
+        assert all(ech.basis_rows() == [{i: one} for i in range(ring.slices.dim(k))]
+                   for k, ech in enumerate(echelons))
     before = _snapshot(ring)
+    assert len(before) == len(ring._d) + len(echelons)
     n = ring.max_degree
     for p in range(n + 1):
         for q in range(n + 1 - p):

@@ -135,7 +135,7 @@ class CohomologyRing:
         hit = self._d.get(k)
         if hit is None:
             if self.slices.zero_d:  # d = 0 read from the spec: all of the slice, no image
-                hit = unit_echelon(self.field, self.slices.dim(k)), Echelon(self.field)
+                hit = unit_echelon(self.field, range(self.slices.dim(k))), Echelon(self.field)
             else:
                 hit = kernel_image(self.field, self.slices.dim(k),
                                    lambda i: self.slices.d_col(k, i))

@@ -211,10 +211,10 @@ def span(field: CycField, rows: Iterable[Vec]) -> Echelon:
     return ech
 
 
-def unit_echelon(field: CycField, dim: int) -> Echelon:
-    """The echelon of the whole space: the unit rows e_0, ..., e_{dim-1}."""
+def unit_echelon(field: CycField, pivots: Iterable[int]) -> Echelon:
+    """The span of the unit rows e_p for the distinct p in ``pivots``; range(dim) is all."""
     ech = Echelon(field)
-    ech._rows = {i: ({i: field.one}, None) for i in range(dim)}
+    ech._rows = {p: ({p: field.one}, None) for p in pivots}
     return ech
 
 

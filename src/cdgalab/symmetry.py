@@ -3,14 +3,16 @@
 The generator of the group acts on algebra generators by homogeneous
 elements; the action extends multiplicatively.  An action validates on
 construction (chain condition, a relation ideal it preserves, exact order,
-conjugation pairs).  The invariant subcomplex is cut out per degree by the
-averaging projector (the group order is invertible over Q(zeta_N)), applied
-through the action's matrix on that degree's monomial basis; a column that
-is an eigenvector of the action is read off, every other sums its orbit,
-and the Burnside trace sums every orbit, as an independent check.  Its
-cohomology is a full :class:`~cdgalab.cohomology.CohomologyRing` over the
-subcomplex slices, so cup products, Massey products and Lefschetz tests all
-apply.
+conjugation pairs).  A diagonal action (each generator a scalar times itself)
+fixes the monomials whose eigenvalue product is 1, so its matrices and
+invariant subcomplex are read off the eigenvalues.  Otherwise the invariant
+subcomplex is cut out per degree by the averaging projector (the group order
+is invertible over Q(zeta_N)), applied through the action's matrix; an
+eigenvector column is read off, every other sums its orbit.  The fixed part
+of H(parent) reads the projector for every action, and the Burnside trace
+sums every orbit, as an independent check.  Invariant cohomology is a full
+:class:`~cdgalab.cohomology.CohomologyRing` over the subcomplex slices, so
+cup products, Massey products and Lefschetz tests all apply.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from .errors import (
     ParentMismatch,
     ParseError,
 )
-from .linalg import Vec, mat_vec, span, vec_add, vec_scale
+from .linalg import Vec, mat_vec, span, unit_echelon, vec_add, vec_scale
 
 class GroupActionSpec:
     """A Z_m action on an AlgebraSpec, given by generator images."""
@@ -60,6 +62,9 @@ class GroupActionSpec:
         self._rho = AlgebraMap(self._slices, {
             gi: (parent.generators[gi].degree, self._slices.from_element(img))
             for gi, img in self.images.items()})
+        # m -> lam_m when every image is lam_g * g, seeded with the unit and each (g,); else None
+        lams = {(g,): img.terms[g,] for g, img in self.images.items() if list(img.terms) == [(g,)]}
+        self.eigenvalues = {(): parent.field.one, **lams} if len(lams) == len(self.images) else None
         self._matrices: Dict[int, List[Vec]] = {}
         self._projectors: Dict[int, List[Vec]] = {}
         self.validate()
@@ -82,9 +87,20 @@ class GroupActionSpec:
         """Columns of rho* on the degree-k monomial basis, built once per degree."""
         cols = self._matrices.get(k)
         if cols is None:
-            cols = self._matrices[k] = [self._rho.monomial(mono)[1]
-                                        for mono in self.parent.basis(k)]
+            basis = self.parent.basis(k)
+            cols = self._matrices[k] = (
+                [self._rho.monomial(mono)[1] for mono in basis] if self.eigenvalues is None
+                else [{i: self._eigenvalue(mono)} for i, mono in enumerate(basis)])
         return cols
+
+    def _eigenvalue(self, m: Monomial):
+        """lam_m, the eigenvalues of m's letters multiplied left to right, each prefix once."""
+        lam = self.eigenvalues.get(m)
+        if lam is None:  # a factor 1 multiplies nothing, as in vec_iadd
+            lam, g = self._eigenvalue(m[:-1]), self.eigenvalues[m[-1:]]
+            one = self.parent.field.one
+            lam = self.eigenvalues[m] = g if lam == one else lam if g == one else lam * g
+        return lam
 
     # -- validation -----------------------------------------------------
 
@@ -159,12 +175,14 @@ def averaging_projector(act: GroupActionSpec, k: int) -> List[Vec]:
 
 def invariant_complex(act: GroupActionSpec, max_degree: Optional[int] = None) -> SubcomplexSlices:
     """The fixed subcomplex, with canonical per-degree bases, each built on first read."""
-    spec = act.parent
-    top = spec.degree_cap if max_degree is None else max_degree
-    # The span of the averaging projector's columns is the fixed space, since
-    # rho* P = P and P v = v for fixed v; a subspace has only one RREF basis.
-    return SubcomplexSlices(act._slices, top,
-                            lambda k: span(spec.field, averaging_projector(act, k)))
+    field = act.parent.field
+    top = act.parent.degree_cap if max_degree is None else max_degree
+    def fixed(k: int):
+        if act.eigenvalues is None:  # P's columns span it: rho* P = P, and P v = v if v is fixed
+            return span(field, averaging_projector(act, k))
+        # rho* e_i = lam e_i, so e_i is fixed iff lam = 1
+        return unit_echelon(field, [i for i, c in enumerate(act.matrix(k)) if c[i] == field.one])
+    return SubcomplexSlices(act._slices, top, fixed)
 
 
 def invariant_cohomology(act: GroupActionSpec, max_degree: int,
@@ -180,6 +198,8 @@ def invariant_cohomology(act: GroupActionSpec, max_degree: int,
 
 def fixed_subspace_of_cohomology(act: GroupActionSpec, ring: CohomologyRing, k: int):
     """Basis of the rho*-fixed subspace of H^k(parent), in rep coordinates."""
+    if not (isinstance(ring.slices, FreeSlices) and ring.slices.spec is act.parent):
+        raise ParentMismatch("the ring is not over the action's algebra")
     proj = averaging_projector(act, k)
     cols = [ring.class_of(mat_vec(proj, rep), k).coords for rep in ring.reps(k)]
     return span(ring.field, cols).basis_rows()

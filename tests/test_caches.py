@@ -5,9 +5,12 @@ representatives of the two classes and reduces the product with class_of.
 The action on a degree-k slice comes from a cached matrix; the oracle pushes
 basis elements through Element products of the generator images.  Fixed
 spaces are taken as the image of the averaging projector P; the oracle takes
-the kernel of P - I.  Slice products and differentials come from tables on
-basis indices; the oracle converts the vectors to Elements, multiplies or
-differentiates them there, and reads the result back by monomial.
+the kernel of P - I.  A diagonal action's matrix and fixed spaces are read off
+its generator eigenvalues; the oracles are the images of the basis monomials
+under the generator images and the span of P's columns.  Slice products and
+differentials come from tables on basis indices; the oracle converts the
+vectors to Elements, multiplies or differentiates them there, and reads the
+result back by monomial.
 """
 
 import random
@@ -21,7 +24,7 @@ from cdgalab.algebra import AlgebraSpec, Element, GeneratorDecl
 from cdgalab.chains import FreeSlices, product
 from cdgalab.cohomology import CohomClass, CohomologyRing, cohomology
 from cdgalab.errors import OrderMismatch
-from cdgalab.linalg import kernel_image
+from cdgalab.linalg import kernel_image, span
 from cdgalab.models import preset
 from cdgalab.scalars import CycField
 from cdgalab.symmetry import (
@@ -185,34 +188,48 @@ def _permutation_action(field, order, images):
 
 Q, Z6 = CycField.get(1), CycField.get(6)
 # Each mixes eigenvector columns (xy -> -xy under the swap) with columns
-# that are not eigenvectors, so both ways of building P are reached.
+# that are not eigenvectors, so both ways of building P are reached.  The
+# last is the shear x -> x + y, y -> -y: x's image holds x and one more term.
 PERMUTATION_ACTIONS = [
     _permutation_action(Q, 2, {"x": [(1, "y")], "y": [(1, "x")]}),
     _permutation_action(Q, 3, {"x": [(1, "y")], "y": [(1, "z")], "z": [(1, "x")]}),
     _permutation_action(Q, 4, {"x": [(1, "y")], "y": [(-1, "x")]}),
     _permutation_action(Z6, 6, {"a": [(1, "b")], "b": [(1, "a")],
                                 "c": [(Z6.zeta(1), "c")], "d": [(Z6.zeta(2), "d")]}),
+    _permutation_action(Q, 2, {"x": [(1, "x"), (1, "y")], "y": [(-1, "y")]}),
 ]
+
+
+def _quotient_action():
+    """A diagonal Z_2 action on a quotient by the binomial relation a^2 = b^2."""
+    spec = AlgebraSpec(Q, [GeneratorDecl("x", 1), GeneratorDecl("a", 2), GeneratorDecl("b", 2)],
+                       relations=[[(1, ("a", "a")), (-1, ("b", "b"))]], degree_cap=7)
+    return GroupActionSpec(spec, 2, {"x": [(-1, ("x",))], "a": [(-1, ("a",))],
+                                     "b": [(1, ("b",))]})
+
+
+PRESET_ACTIONS = [preset(name).action for name in ("HEIS6_Z6", "HEIS8_Z3", "T6_Z2",
+                                                   "P_OVER_T6Z2")]
 
 
 def _numbered(actions):
     """Each action as a pytest param with the id m{order}-{n}gen, "-perm" added when
     it moves a generator off its own line, and then the number of earlier actions
     of that shape when there are any (m2-2gen, m2-2gen1, ...).  The ids are unique,
-    and appending an action to a list renames no other test: random actions have 2
-    to 4 generators, so none shares a shape with the permutations or the preset."""
+    and appending an action to a list renames no other test: it takes the next
+    number of its shape (the quotient action is m2-3gen3, after three random ones)."""
     seen: Counter = Counter()
     params = []
     for act in actions:
-        diagonal = all(list(img.terms) == [(gi,)] for gi, img in act.images.items())
-        shape = f"m{act.order}-{len(act.parent.generators)}gen" + ("" if diagonal else "-perm")
+        shape = f"m{act.order}-{len(act.parent.generators)}gen"
+        shape += "-perm" if act.eigenvalues is None else ""
         params.append(pytest.param(act, id=shape + (str(seen[shape]) if seen[shape] else "")))
         seen[shape] += 1
     return params
 
 
 RANDOM_ACTIONS = _random_weight_actions(24, seed=3)
-ACTIONS = _numbered(RANDOM_ACTIONS + PERMUTATION_ACTIONS + [preset("HEIS6_Z6").action])
+ACTIONS = _numbered(RANDOM_ACTIONS + PERMUTATION_ACTIONS + PRESET_ACTIONS + [_quotient_action()])
 
 
 @pytest.mark.parametrize("act", ACTIONS)
@@ -228,6 +245,38 @@ def test_action_matrix_paths_match_element_paths(act):
         assert burnside_invariant_dimension(act, k) == _element_burnside(act, k)
         assert (fixed_subspace_of_cohomology(act, ring, k)
                 == _element_fixed_subspace(act, ring, k))
+
+
+@pytest.mark.parametrize("act", ACTIONS)
+def test_eigenvalue_matrices_and_fixed_spaces_match_the_general_path(act):
+    # A diagonal action's columns and fixed spaces are read off its generator
+    # eigenvalues; they must be the rho* columns and the span of P's columns.
+    spec = act.parent
+    sub = invariant_complex(act)
+    for k in range(spec.degree_cap + 1):
+        assert act.matrix(k) == [act._rho.monomial(m)[1] for m in spec.basis(k)], k
+        assert (sub.echelon(k).basis_rows()
+                == span(spec.field, averaging_projector(act, k)).basis_rows()), k
+
+
+def test_diagonal_actions_are_told_apart():
+    assert all(act.eigenvalues is not None
+               for act in RANDOM_ACTIONS + PRESET_ACTIONS + [_quotient_action()])
+    assert all(act.eigenvalues is None for act in PERMUTATION_ACTIONS)
+
+
+@pytest.mark.parametrize("act", _numbered(PERMUTATION_ACTIONS))
+def test_a_non_diagonal_action_spans_its_projector(act, monkeypatch):
+    from cdgalab import symmetry
+
+    averaged = []
+    original = symmetry.averaging_projector
+    monkeypatch.setattr(symmetry, "averaging_projector",
+                        lambda act, k: averaged.append(k) or original(act, k))
+    sub = invariant_complex(act)
+    for k in range(act.parent.degree_cap + 1):
+        sub.dim(k)
+    assert averaged == list(range(act.parent.degree_cap + 1))
 
 
 @pytest.mark.parametrize("act", ACTIONS[:6] + ACTIONS[len(RANDOM_ACTIONS):])

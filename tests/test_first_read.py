@@ -5,8 +5,10 @@
 * Commands that read few degrees eliminate only those: the identity route of
   ``minimal-model`` eliminates nothing, and the universal Lefschetz test in
   degree 2 on HEIS8 never reaches d_7 or d_8.
-* An invariant slice averages a degree only when that degree is read, and a
-  Massey report renders its primitives only when its certificate is read.
+* An invariant slice builds a degree's fixed space only when that degree is
+  read (off the action matrix when the action is diagonal, else through the
+  averaging projector), and a Massey report renders its primitives only
+  when its certificate is read.
 * Neither a ring, its slices nor a report points back at itself, so each is
   freed without the cycle collector.
 """
@@ -24,10 +26,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cdgalab import cli, lefschetz, linalg, minmodel, symmetry
-from cdgalab.algebra import Element
+from cdgalab.algebra import AlgebraSpec, Element, GeneratorDecl
 from cdgalab.cohomology import CohomologyRing, cohomology
 from cdgalab.massey import a_massey, triple_massey
 from cdgalab.models import preset, preset_document
+from cdgalab.scalars import CycField
 from cdgalab.symmetry import invariant_cohomology, invariant_complex
 
 ALL_PRESETS = [(name, {}) for name in ("HEIS6", "HEIS6_Z6", "HEIS8", "HEIS8_Z3", "T6",
@@ -154,16 +157,40 @@ def test_universal_lefschetz_in_degree_2_stops_below_d7(monkeypatch, capsys):
 
 
 def test_an_invariant_slice_is_averaged_when_first_read(monkeypatch):
+    # HEIS6_Z6's action is diagonal, so each fixed space is read off the
+    # degree's action matrix, which is asked for once per fixed space.
     act = preset("HEIS6_Z6").action
     built = []
-    original = symmetry.averaging_projector
-    monkeypatch.setattr(symmetry, "averaging_projector",
+    original = symmetry.GroupActionSpec.matrix
+    monkeypatch.setattr(symmetry.GroupActionSpec, "matrix",
                         lambda act, k: built.append(k) or original(act, k))
     sub = invariant_complex(act)
     ring = CohomologyRing(sub, 5)
     assert built == []
     assert sub.dim(2) == 5 and sub.dim(2) == 5 and built == [2]
     assert ring.betti[2] == 4 and sorted(built) == [1, 2, 3]
+
+
+def test_a_permuted_invariant_slice_is_averaged_when_first_read(monkeypatch):
+    # x -> y -> z -> x moves generators off their lines: the general path
+    # spans the averaging projector's columns, once per degree read.
+    act = _permutation_action()
+    built = []
+    original = symmetry.averaging_projector
+    monkeypatch.setattr(symmetry, "averaging_projector",
+                        lambda act, k: built.append(k) or original(act, k))
+    sub = invariant_complex(act)
+    ring = CohomologyRing(sub, 3)
+    assert built == []
+    assert sub.dim(2) == 1 and sub.dim(2) == 1 and built == [2]
+    assert ring.betti[1] == 1 and sorted(built) == [0, 1, 2]
+
+
+def _permutation_action():
+    field = CycField.get(1)
+    spec = AlgebraSpec(field, [GeneratorDecl(name, 1) for name in "xyz"], degree_cap=4)
+    return symmetry.GroupActionSpec(spec, 3, {"x": [(1, ("y",))], "y": [(1, ("z",))],
+                                              "z": [(1, ("x",))]})
 
 
 def test_a_massey_certificate_is_rendered_when_first_read(monkeypatch):

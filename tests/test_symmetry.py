@@ -277,3 +277,18 @@ def test_apply_refuses_an_element_of_another_algebra():
     foreign = preset("HEIS6").spec.gen("mu")
     with pytest.raises(ParentMismatch):
         act.apply(foreign)
+
+
+def test_fixed_subspace_refuses_a_ring_over_another_algebra():
+    # HEIS6 has as many degree-1 generators as T6, so without the check the
+    # T6_Z2 projector would run on HEIS6's representatives and answer
+    # [1, 0, 8, 0, 8, 0, 1] where T6_Z2's fixed dimensions are [1, 0, 15, 0, 15, 0, 1].
+    act = preset("T6_Z2").action
+    foreign = cohomology(preset("HEIS6").spec, 6)
+    invariant = invariant_cohomology(act, 5)
+    own = cohomology(act.parent, 6)
+    for ring in (foreign, invariant):
+        with pytest.raises(ParentMismatch):
+            fixed_subspace_of_cohomology(act, ring, 2)
+    assert [len(fixed_subspace_of_cohomology(act, own, k)) for k in range(7)] == [
+        1, 0, 15, 0, 15, 0, 1]

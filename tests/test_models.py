@@ -230,3 +230,52 @@ def test_preset_document_roundtrip():
     assert normalize(classes2["omega"]) == normalize(classes["omega"])
     assert volume2 == volume
     assert action2.order == action.order
+
+
+# sha256 of each parametric preset document as `cdgalab preset` prints it, and
+# of the SASAKI_S2PROD(n) document CI's cohomology step reads (keyed by the
+# bundle's name); recorded before the three were written by one builder
+DOCUMENT_PINS = {
+    "CPN(1)": "7925015b8e8486358eec25c0dcd583ab0fef35f52e7bea7aef0ea0754b511e5d",
+    "CPN(2)": "fd6780b037c2a84b01346867eaf435fe3fbc6d5300533c51ea435f7c08138799",
+    "CPN(3)": "e439c7b90482d92a8ef5647f004bb67c11c1c2bf029a41e53710c7dc745b730b",
+    "CPN(4)": "930401d08ec3c9c5296f8e45b17e4ec9182efb07655d33012e952e54756f8d8a",
+    "CPN(5)": "e7d449fe51e8b977145d0de40040a7bcb56ca506b0ae82c48bbf5ce4eac18da6",
+    "CPN(6)": "79674eadaaf8fb0c9b7e4ba43630dd90fe9ea6f6dca9ec72ba767bb0f6c6800f",
+    "SASAKI_CPN_S2(2)": "d2fb022756db7e82ca8a313cf394fcb030b114f864d1f90d9990065900d34bc4",
+    "SASAKI_CPN_S2(3)": "5816a769f9d17484f21f5642a57fca2f23f1b3bd9a657e12a26d7bf7e51c7214",
+    "SASAKI_CPN_S2(4)": "88c40892fde7c7b43a9dfcf83118d48ee950312fc186f7304cfd12c649ddf330",
+    "SASAKI_CPN_S2(5)": "fee8befe6449f9fd22e053fe6b19883640e9de95629a6678c59d17d021ae3f72",
+    "SASAKI_CPN_S2(6)": "f2f03a41f141f9c13276e1beaeaac9bc0abe242bb38c33d77f1a4443b2734717",
+    "SASAKI_CPN_S2(7)": "7682d9394554f7724f361ce758bee974b10873bea8c297f2ea400c601694c443",
+    "SASAKI_CPN_S2(8)": "b1b72ca99efd0144fcaa2514f78efa0b9594e2d6bad8f9899d3c46355c7b03cd",
+    "SASAKI_CPN_S2(9)": "3c0b44ac58e79e063d5dbd277d7f8fbfeeda0609a1029d8d4c0fca50c917563d",
+    "SASAKI_S2PROD(2)": "e1b363caa1cd8cf5bcc252fbfdd477734c82861118394028da6d2a28ac5bbf1d",
+    "SASAKI_S2PROD(3)": "4173c57178171027eebe868f4ed4796380b620d3bacb275aead70b057318a939",
+    "SASAKI_S2PROD(4)": "62a897fb91802ed30b6309b972c65273fd5f21f7ed23a275ecf85759d6b53b66",
+    "SASAKI_S2PROD(5)": "7498fc6efdba194806266a2f179ea6143582bb7c0ef643e8dd63393582e866d4",
+    "SASAKI_S2PROD(6)": "2e0cc41522ea0ebe866475784862f2281a64e9ca3eabbc7ed7c03f614aab625d",
+    "SASAKI_S2PROD(7)": "982b32ef354e6556a6839a981bdeec87a7689061922f61e4c9ac90f08a1168e8",
+    "SASAKI_S2PROD(8)": "432c16f6dc9f92cfd910ef0a5c9129213b88ef7983f1040154559cebcfe18b9f",
+}
+
+
+def _pinned_document(label):
+    from cdgalab.models import preset_document
+    from cdgalab.serialize import document_to_json
+    name, k = label[:-1].split("(")
+    if name == "CPN":
+        return preset_document(name, m=int(k))
+    if name == "SASAKI_CPN_S2":
+        return preset_document(name, n=int(k))
+    b = sphere_product_bundle(int(k))
+    assert b.name == label
+    return document_to_json(b.spec, classes=b.classes, volume=b.volume, meta=b.meta)
+
+
+@pytest.mark.parametrize("label", sorted(DOCUMENT_PINS))
+def test_parametric_documents_match_their_recorded_sha256(label):
+    from hashlib import sha256
+    from cdgalab.serialize import dumps
+    text = dumps(_pinned_document(label))
+    assert sha256(text.encode()).hexdigest() == DOCUMENT_PINS[label]

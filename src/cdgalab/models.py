@@ -1,9 +1,10 @@
 """Model constructors: CE complexes, circle bundles, tensor products, presets.
 
-Fixed presets are JSON documents shipped with the package; the parametrized
-ones (CPN(m), SASAKI_CPN_S2(n)) generate the same JSON shape in memory and
-feed it through the same parser, so every preset exercises the external
-format.
+Fixed presets are JSON documents shipped with the package.  The parametrized
+ones (CPN(m), SASAKI_CPN_S2(n)) and ``sphere_product_bundle(n)`` are truncated
+polynomial algebras on degree-2 generators, or circle bundles over them, and
+one builder writes their documents in memory; they go through the same
+parser, so every preset exercises the external format.
 """
 
 from __future__ import annotations
@@ -94,69 +95,53 @@ def _load_fixed(name: str) -> dict:
     return json.loads(path.read_text())
 
 
+def _truncated_doc(head: dict, exponents: Dict[str, int], cap: int,
+                   bundle: bool = False) -> dict:
+    """The document of degree-2 generators a with a^e = 0, for (a, e) in exponents,
+    through degree ``cap``; with ``bundle``, of the circle bundle over them instead:
+    x of degree 1 with dx = omega, the sum of the a."""
+    def term(*names):
+        return {"coeff": "1", "monomial": list(names)}
+
+    gens = [{"name": a, "degree": 2} for a in exponents]
+    classes = {a: [term(a)] for a in exponents}
+    volume = [a for a, e in exponents.items() for _ in range(e - 1)]
+    differential = {}
+    if bundle:
+        gens.append({"name": "x", "degree": 1})
+        differential["x"] = [term(a) for a in exponents]
+        classes["omega"] = [term(a) for a in exponents]
+        volume.append("x")
+    return {**head,
+            "algebra": {"zeta": 1, "degree_cap": cap, "generators": gens,
+                        "differential": differential,
+                        "relations": [[term(*[a] * e)] for a, e in exponents.items()]},
+            "classes": classes, "volume": volume}
+
+
 def _cpn_doc(m: int) -> dict:
     if m < 1:
         raise ParseError("CPN needs a positive dimension parameter", m=m)
-    return {
-        "preset": f"CPN({m})",
-        "description": "Truncated polynomial presentation: one degree-2 generator "
-                       f"with a^{m + 1} = 0.",
-        "dim": 2 * m,
-        "half_dim": m,
-        "algebra": {
-            "zeta": 1,
-            "degree_cap": 2 * m + 2,
-            "generators": [{"name": "a", "degree": 2}],
-            "differential": {},
-            "relations": [[{"coeff": "1", "monomial": ["a"] * (m + 1)}]],
-        },
-        "classes": {"a": [{"coeff": "1", "monomial": ["a"]}]},
-        "volume": ["a"] * m,
-    }
+    return _truncated_doc({"preset": f"CPN({m})",
+                           "description": "Truncated polynomial presentation: one "
+                                          f"degree-2 generator with a^{m + 1} = 0.",
+                           "dim": 2 * m, "half_dim": m}, {"a": m + 1}, 2 * m + 2)
 
 
 def _sasaki_cpn_s2_doc(n: int) -> dict:
     if n < 2:
         raise ParseError("SASAKI_CPN_S2 needs n >= 2", n=n)
-    return {
-        "preset": f"SASAKI_CPN_S2({n})",
-        "description": ("Circle-bundle model over a product of a complex projective "
-                        f"space (a1, a1^{n} = 0) and a 2-sphere (a2, a2^2 = 0), "
-                        "dx = a1 + a2."),
-        "dim": 2 * n + 1,
-        "algebra": {
-            "zeta": 1,
-            "degree_cap": 2 * n + 2,
-            "generators": [
-                {"name": "a1", "degree": 2},
-                {"name": "a2", "degree": 2},
-                {"name": "x", "degree": 1},
-            ],
-            "differential": {
-                "x": [{"coeff": "1", "monomial": ["a1"]},
-                      {"coeff": "1", "monomial": ["a2"]}],
-            },
-            "relations": [
-                [{"coeff": "1", "monomial": ["a1"] * n}],
-                [{"coeff": "1", "monomial": ["a2", "a2"]}],
-            ],
-        },
-        "classes": {
-            "a1": [{"coeff": "1", "monomial": ["a1"]}],
-            "a2": [{"coeff": "1", "monomial": ["a2"]}],
-            "omega": [{"coeff": "1", "monomial": ["a1"]},
-                      {"coeff": "1", "monomial": ["a2"]}],
-        },
-        "volume": ["a1"] * (n - 1) + ["a2", "x"],
-    }
+    return _truncated_doc({"preset": f"SASAKI_CPN_S2({n})",
+                           "description": ("Circle-bundle model over a product of a "
+                                           f"complex projective space (a1, a1^{n} = 0) "
+                                           "and a 2-sphere (a2, a2^2 = 0), dx = a1 + a2."),
+                           "dim": 2 * n + 1}, {"a1": n, "a2": 2}, 2 * n + 2, bundle=True)
 
 
 def preset(name: str, **params) -> PresetBundle:
     """Expand a named preset into its bundle; the spec and action are valid."""
     doc = preset_document(name, **params)
-    spec, action, classes, volume, meta = document_from_json(doc)
-    return PresetBundle(name=doc["preset"], spec=spec, action=action,
-                        classes=classes, volume=volume, meta=meta)
+    return PresetBundle(doc["preset"], *document_from_json(doc))
 
 
 def preset_document(name: str, **params) -> dict:
@@ -179,29 +164,13 @@ def preset_document(name: str, **params) -> dict:
 def sphere_product_bundle(n: int) -> PresetBundle:
     """Model of the circle bundle over a product of n 2-spheres (n >= 2).
 
-    Built compositionally: tensor of n sphere presentations, then a circle
-    bundle with Euler class a1 + ... + an.
+    Its document comes from the builder of CPN and SASAKI_CPN_S2: generators
+    a1..an with ai^2 = 0 and x with dx = a1 + ... + an, through degree 3n + 2.
+    It is parsed like every preset document.
     """
     if n < 2:
         raise ParseError("need at least two sphere factors", n=n)
-    field = CycField.get(1)
-    spheres = []
-    for i in range(1, n + 1):
-        spheres.append(AlgebraSpec(
-            field, [GeneratorDecl(f"a{i}", 2)],
-            relations=[[(1, (f"a{i}", f"a{i}"))]],
-            degree_cap=4))
-    base = spheres[0]
-    for s in spheres[1:]:
-        base = tensor(base, s)
-    euler = base.element([(1, (f"a{i}",)) for i in range(1, n + 1)])
-    total = circle_bundle(base, euler, gen_name="x")
-    classes = {f"a{i}": total.element([(1, (f"a{i}",))]) for i in range(1, n + 1)}
-    classes["omega"] = total.element([(1, (f"a{i}",)) for i in range(1, n + 1)])
-    volume = next(iter(total.element(
-        [(1, tuple(f"a{i}" for i in range(1, n + 1)) + ("x",))]).terms))
-    return PresetBundle(name=f"SASAKI_S2PROD({n})", spec=total, action=None,
-                        classes=classes, volume=volume,
-                        meta={"dim": 2 * n + 1,
-                              "description": "circle bundle over a product of "
-                                             f"{n} 2-spheres"})
+    doc = _truncated_doc({"description": f"circle bundle over a product of {n} 2-spheres",
+                          "dim": 2 * n + 1},
+                         {f"a{i}": 2 for i in range(1, n + 1)}, 3 * n + 2, bundle=True)
+    return PresetBundle(f"SASAKI_S2PROD({n})", *document_from_json(doc))

@@ -163,10 +163,14 @@ def cmd_preset(args) -> int:
     for kv in args.param or ():
         key, _, value = kv.partition("=")
         try:
-            params[key] = int(value)
+            value = int(value)
         except ValueError:
             raise ParseError("preset parameters are key=integer", param=key,
                              got=value) from None
+        if key in params:
+            raise ParseError(f"preset parameter '{key}' is given more than once",
+                             param=key, got=[params[key], value])
+        params[key] = value
     doc = preset_document(args.name, **params)
     sys.stdout.write(dumps(doc))
     return 0

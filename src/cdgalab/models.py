@@ -155,6 +155,9 @@ def preset_document(name: str, **params) -> dict:
         if key not in known:
             raise ParseError(f"preset {name} takes no parameter '{key}'", param=key, known=known)
     if name == "CPN":
+        if "m" in params and "n" in params:
+            raise ParseError("preset CPN takes m or its alias n, not both", param="n",
+                             got=params["n"])
         return _cpn_doc(int(params.get("m", params.get("n", 1))))
     if name == "SASAKI_CPN_S2":
         return _sasaki_cpn_s2_doc(int(params.get("n", 4)))

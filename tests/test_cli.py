@@ -446,6 +446,19 @@ def test_cpn_takes_n_for_m(capsys, monkeypatch):
     assert runs[0] == runs[1] and runs[0][0] == 0 and '"CPN(3)"' in runs[0][1]
 
 
+@pytest.mark.parametrize("argv, details", [
+    (["CPN", "--param", "m=2", "--param", "n=3"], {"param": "n", "got": 3}),
+    (["CPN", "--param", "m=3", "--param", "m=4"], {"param": "m", "got": [3, 4]}),
+    (["SASAKI_CPN_S2", "--param", "n=3", "--param", "n=5"], {"param": "n", "got": [3, 5]}),
+], ids=["cpn-m-and-n", "cpn-m-twice", "sasaki-n-twice"])
+def test_preset_refuses_parameters_that_conflict(argv, details, capsys, monkeypatch):
+    code, out, err = main_in_process(["preset"] + argv, "", capsys, monkeypatch)
+    assert code == 1 and out == ""
+    diag = json.loads(err)
+    assert diag["error"] == "PARSE_ERROR"
+    assert diag["details"] == details
+
+
 def test_a_volume_that_is_zero_says_so(capsys, monkeypatch):
     text = _t6_with(lambda d: d.update(volume=["a", "a"]), "SPHERE2")
     code, _, err = main_in_process(["cohomology"], text, capsys, monkeypatch)

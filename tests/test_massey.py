@@ -120,6 +120,20 @@ def test_amassey_8dim_orbifold_nonzero():
     assert value == top_coeff * H.field.rational(3)
 
 
+def test_amassey_order2_koszul_sign_on_heis8():
+    # <a; b1, b2> on HEIS8 sums b1*xi2 and -xi1*b2 (xi1 has odd degree 3); with
+    # the two terms added unsigned, the canonical primitives give zero instead
+    bundle = preset("HEIS8")
+    H = cohomology(bundle.spec, bundle.meta["dim"], volume=bundle.volume)
+    one = H.field.one
+    a, b1, b2 = (CohomClass(H, 2, {i: one}) for i in (1, 7, 9))
+    rep = a_massey(H, a, [b1, b2])
+    assert rep.defined and rep.verdict == NONZERO and rep.degree == 5
+    assert rep.representative.rep_element().render() == "(-2)*nu*theta*eta*mubar*etabar"
+    assert rep.indeterminacy_dimension == 8
+    assert rep.notes == ["order-2 family is affine"]
+
+
 def test_amassey_paper_primitives_verify():
     bundle = preset("HEIS8_Z3")
     spec = bundle.spec

@@ -239,9 +239,5 @@ def kernel_image(field: CycField, dim_src: int, apply: Callable[[int], Vec]):
             continue
         residual, src = image.reduce(col, source={i: one})
         if not image._insert(residual, src):
-            # The column reduced to zero, so src = e_i - (its preimage) is a
-            # kernel vector, on the line of preimage - e_i; moving i last
-            # gives it that vector's column order.
-            src[i] = src.pop(i)
             kernel.add(src)
     return kernel, image
